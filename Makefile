@@ -57,6 +57,7 @@ chaos:
 	cargo test --release -p chopim-core --test fault_recovery_props
 	cargo test --release -p chopim-dram --test malformed_input_props
 	cargo test --release -p chopim-core --test malformed_snapshot_props
+	cargo test --release -p chopim-core --lib corrupt_index
 
 # Workspace docs with warnings denied (undocumented public items and
 # broken intra-doc links fail) plus the doctests — the CI `docs` job.
@@ -79,9 +80,9 @@ lint:
 	cargo clippy --all-targets -- -D warnings && cargo fmt --check
 	$(MAKE) lint-chopim
 
-# Project-specific source lints (see docs/LINTS.md): determinism,
-# snapshot completeness, shard-boundary discipline, cold-path
-# annotations, and forbid(unsafe_code) — enforced by crates/lint.
+# Project-specific source lints (see docs/LINTS.md), four passes:
+# determinism, shard-boundary discipline, cold-path annotations, and
+# forbid(unsafe_code) — enforced by crates/lint.
 lint-chopim:
 	cargo run --release -p chopim-lint -- .
 

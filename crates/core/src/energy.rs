@@ -52,6 +52,8 @@ pub struct PeActivity {
     pub scratch_accesses: u64,
 }
 
+chopim_dram::codec! { PeActivity { fmas, buffer_accesses, scratch_accesses } }
+
 /// An energy/power breakdown for one simulation window.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyReport {

@@ -27,19 +27,17 @@
 //! reproduces exactly the `BinaryHeap` min-pop order (ascending on the
 //! full tuple), because no pushes happen between barriers.
 
-use chopim_dram::codec::{ByteReader, ByteWriter, CodecError};
+use chopim_dram::codec::{check, encode_seq, ByteReader, ByteWriter, Codec, CodecError};
 use chopim_dram::perfcount::{self, Counter};
 use chopim_dram::Cycle;
 use chopim_nda::isa::NdaInstr;
-use chopim_nda::snapshot::{decode_instr, encode_instr};
 
-use crate::sched::{decode_tx, encode_tx, HostTransaction};
+use crate::sched::{tx_core_ok, HostTransaction};
 
 // The shared cross-boundary vocabulary, re-exported so shard-side code
 // names `exchange` (the typed message layer) rather than the front-end
 // `runtime` module. This module is the one place both sides' types meet.
 pub use crate::runtime::OpHandle;
-pub(crate) use crate::runtime::{decode_handle, encode_handle};
 
 /// A message from the front-end to a shard, delivered at its stamp.
 #[derive(Debug)]
@@ -82,51 +80,24 @@ pub(crate) const COMPLETION_FAILED: u8 = 1;
 /// front-end quarantines it and re-shards onto survivors.
 pub(crate) const COMPLETION_RANK_DEAD: u8 = 2;
 
-impl ShardInbound {
-    #[cold]
-    pub(crate) fn encode(&self, w: &mut ByteWriter) {
-        match self {
-            ShardInbound::Tx(tx) => {
-                w.u8(0);
-                encode_tx(tx, w);
-            }
-            ShardInbound::Launch {
-                id,
-                nda_local,
-                instr,
-                writes,
-                tag,
-            } => {
-                w.u8(1);
-                w.varint(*id);
-                w.varint(*nda_local as u64);
-                encode_instr(instr, w);
-                w.varint(u64::from(*writes));
-                encode_handle(*tag, w);
-            }
-        }
+chopim_dram::codec! {
+    enum ShardInbound {
+        0 => Tx(tx),
+        1 => Launch { id, nda_local, instr, writes, tag },
     }
+}
 
+impl ShardInbound {
+    /// Check a restored message against the shard it is bound for:
+    /// launches must target one of its `n_local` NDAs, reads a real core.
     #[cold]
-    pub(crate) fn decode(r: &mut ByteReader<'_>, n_ndas: usize) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => ShardInbound::Tx(decode_tx(r)?),
-            1 => {
-                let id = r.varint()?;
-                let nda_local = r.varint_usize()?;
-                if nda_local >= n_ndas {
-                    return Err(CodecError::Corrupt("launch NDA index out of range"));
-                }
-                ShardInbound::Launch {
-                    id,
-                    nda_local,
-                    instr: decode_instr(r)?,
-                    writes: r.varint_u32()?,
-                    tag: decode_handle(r)?,
-                }
+    pub(crate) fn validate(&self, n_local: usize, n_cores: usize) -> Result<(), CodecError> {
+        match self {
+            ShardInbound::Launch { nda_local, .. } => {
+                check(*nda_local < n_local, "launch NDA index out of range")
             }
-            _ => return Err(CodecError::Corrupt("shard inbound tag")),
-        })
+            ShardInbound::Tx(tx) => check(tx_core_ok(tx, n_cores), "read core out of range"),
+        }
     }
 }
 
@@ -178,17 +149,6 @@ impl<T> FlatFifo<T> {
     /// consumed prefix is dead state, so only this region is captured).
     pub fn live(&self) -> &[T] {
         &self.buf[self.head..]
-    }
-
-    /// Rebuild a FIFO from a captured live region and high-water mark
-    /// (snapshot support; the consumed prefix is not restored).
-    pub fn restore(items: Vec<T>, high_water: usize) -> Self {
-        let high_water = high_water.max(items.len());
-        Self {
-            buf: items,
-            head: 0,
-            high_water,
-        }
     }
 
     /// Consume the front element, returning a reference to it (the
@@ -261,26 +221,9 @@ impl<T: Ord> MergeQueue<T> {
         self.len() == 0
     }
 
-    /// The unconsumed elements in buffer order (snapshot support). Only
-    /// meaningful together with [`is_dirty`](Self::is_dirty): a sealed
-    /// queue's live region is already in pop order.
+    /// The unconsumed elements in buffer order (snapshot validation).
     pub fn live(&self) -> &[T] {
         &self.buf[self.head..]
-    }
-
-    /// True while absorbed runs have not been sealed into pop order.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
-    /// Rebuild a queue from a captured live region and dirty flag
-    /// (snapshot support).
-    pub fn restore(items: Vec<T>, dirty: bool) -> Self {
-        Self {
-            buf: items,
-            head: 0,
-            dirty,
-        }
     }
 
     /// Append a producer's run, leaving it empty (capacity retained).
@@ -326,6 +269,54 @@ impl<T: Ord> MergeQueue<T> {
         let item = self.buf.get(self.head)?;
         self.head += 1;
         Some(item)
+    }
+}
+
+/// The high-water mark, then the live region (the consumed prefix is
+/// dead state and is not captured).
+impl<T: Codec> Codec for FlatFifo<T> {
+    #[cold]
+    fn encode(&self, w: &mut ByteWriter) {
+        let Self {
+            buf,
+            head,
+            high_water,
+        } = self;
+        w.put(high_water);
+        encode_seq(buf[*head..].iter(), w);
+    }
+
+    #[cold]
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let high_water: usize = r.get()?;
+        let buf: Vec<T> = r.get()?;
+        Ok(Self {
+            high_water: high_water.max(buf.len()),
+            buf,
+            head: 0,
+        })
+    }
+}
+
+/// The unsorted flag, then the live region in buffer order (a sealed
+/// queue's live region is already in pop order; restoring reproduces the
+/// exact pop sequence either way).
+impl<T: Codec> Codec for MergeQueue<T> {
+    #[cold]
+    fn encode(&self, w: &mut ByteWriter) {
+        let Self { buf, head, dirty } = self;
+        w.put(dirty);
+        encode_seq(buf[*head..].iter(), w);
+    }
+
+    #[cold]
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let dirty = r.get()?;
+        Ok(Self {
+            buf: r.get()?,
+            head: 0,
+            dirty,
+        })
     }
 }
 

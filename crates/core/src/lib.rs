@@ -76,8 +76,6 @@ pub mod prelude {
     pub use crate::energy::{EnergyParams, EnergyReport, PeActivity};
     pub use crate::policy::WriteIssuePolicy;
     pub use crate::report::{FaultReport, SimReport, TenantReport};
-    #[allow(deprecated)]
-    pub use crate::runtime::OpId;
     pub use crate::runtime::{
         JobGraph, LaunchOpts, MatId, OpBuilder, OpHandle, OpStatus, QosClass, Runtime, Session,
         Sharing, SubmitError, TenantLimits, Ticket, VecId,

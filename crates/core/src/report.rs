@@ -62,7 +62,6 @@ pub struct SimReport {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantReport {
     /// Session id this row meters.
-    // chopim-lint: allow(snapshot) -- positional: tenant_reports re-stamps it from the vector index; decode_meter writes 0
     pub session: u32,
     /// Ops submitted (runtime-inserted realignment copies included).
     pub ops_submitted: u64,
@@ -82,6 +81,22 @@ pub struct TenantReport {
     pub launch_wait_cycles: u64,
     /// Cycles terminal ops spent from first launch to conclusion.
     pub service_cycles: u64,
+}
+
+// `session` is positional: `tenant_reports` re-stamps it from the
+// session index, so it is not stored.
+chopim_dram::codec! {
+    TenantReport {
+        ops_submitted,
+        ops_completed,
+        ops_failed,
+        jobs_rejected,
+        cycles_resident,
+        admission_wait_cycles,
+        launch_wait_cycles,
+        service_cycles,
+        session: skip,
+    }
 }
 
 /// Injected-fault and recovery accounting for one simulation window.

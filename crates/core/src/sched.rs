@@ -37,7 +37,7 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use chopim_dram::codec::{ByteReader, ByteWriter, CodecError};
+use chopim_dram::codec::{check, CodecError};
 use chopim_dram::perfcount::{self, Counter};
 use chopim_dram::{
     Channel, Command, CommandKind, Cycle, DataReady, DramAddress, Issuer, CLOSED_ROW,
@@ -182,87 +182,28 @@ impl QTx {
     }
 }
 
-/// Encode a command kind as the snapshot byte tag (same order the DRAM
-/// command codec uses).
-fn kind_to_u8(k: CommandKind) -> u8 {
-    match k {
-        CommandKind::Act => 0,
-        CommandKind::Pre => 1,
-        CommandKind::PreAll => 2,
-        CommandKind::Rd => 3,
-        CommandKind::Wr => 4,
-        CommandKind::RefAb => 5,
+chopim_dram::codec! {
+    enum TxMeta {
+        0 => CoreRead { core, req },
+        1 => CoreWrite,
+        2 => Launch { launch },
     }
 }
 
-fn kind_from_u8(v: u8) -> Result<CommandKind, CodecError> {
-    Ok(match v {
-        0 => CommandKind::Act,
-        1 => CommandKind::Pre,
-        2 => CommandKind::PreAll,
-        3 => CommandKind::Rd,
-        4 => CommandKind::Wr,
-        5 => CommandKind::RefAb,
-        _ => return Err(CodecError::Corrupt("command kind")),
-    })
-}
+chopim_dram::codec! { HostTransaction { addr, is_write, meta, arrival } }
 
-/// Serialize a queued host transaction (snapshot support; shared with
-/// the shard inbox and front-end egress codecs).
-#[cold]
-pub(crate) fn encode_tx(tx: &HostTransaction, w: &mut ByteWriter) {
-    w.varint(tx.addr.channel as u64);
-    w.varint(tx.addr.rank as u64);
-    w.varint(tx.addr.bankgroup as u64);
-    w.varint(tx.addr.bank as u64);
-    w.varint(u64::from(tx.addr.row));
-    w.varint(u64::from(tx.addr.col));
-    w.bool(tx.is_write);
-    match tx.meta {
-        TxMeta::CoreRead { core, req } => {
-            w.u8(0);
-            w.varint(core as u64);
-            w.varint(req);
-        }
-        TxMeta::CoreWrite => w.u8(1),
-        TxMeta::Launch { launch } => {
-            w.u8(2);
-            w.varint(launch);
-        }
+// Queue entries carry their epoch memos verbatim: memos are a pure cache,
+// but re-deriving them on resume would perturb the memo hit/miss perf
+// counters, and keeping them costs a few bytes. `slot` is derived from
+// the address and rebuilt with the queue indexes.
+chopim_dram::codec! {
+    QTx {
+        tx,
+        memo_epoch: fixed,
+        memo_kind,
+        memo_ready,
+        slot: skip,
     }
-    w.varint(tx.arrival);
-}
-
-/// Decode a transaction written by [`encode_tx`].
-#[cold]
-pub(crate) fn decode_tx(r: &mut ByteReader<'_>) -> Result<HostTransaction, CodecError> {
-    let addr = DramAddress {
-        channel: r.varint_usize()?,
-        rank: r.varint_usize()?,
-        bankgroup: r.varint_usize()?,
-        bank: r.varint_usize()?,
-        row: r.varint_u32()?,
-        col: r.varint_u32()?,
-    };
-    let is_write = r.bool()?;
-    let meta = match r.u8()? {
-        0 => TxMeta::CoreRead {
-            core: r.varint_usize()?,
-            req: r.varint()?,
-        },
-        1 => TxMeta::CoreWrite,
-        2 => TxMeta::Launch {
-            launch: r.varint()?,
-        },
-        _ => return Err(CodecError::Corrupt("transaction meta tag")),
-    };
-    let arrival = r.varint()?;
-    Ok(HostTransaction {
-        addr,
-        is_write,
-        meta,
-        arrival,
-    })
 }
 
 /// Multiply-xor hasher for the demand map's already-mixed `u64` keys
@@ -357,28 +298,18 @@ impl QueueIndex {
 pub struct HostMc {
     read_q: VecDeque<QTx>,
     write_q: VecDeque<QTx>,
-    // chopim-lint: allow(snapshot) -- derived index; decode_state rebuilds demand/occ via on_push while re-queueing
     read_idx: QueueIndex,
-    // chopim-lint: allow(snapshot) -- derived index; decode_state rebuilds demand/occ via on_push while re-queueing
     write_idx: QueueIndex,
-    // chopim-lint: allow(snapshot) -- fixed queue capacity from construction; decode_state only bounds-checks against it
     read_cap: usize,
-    // chopim-lint: allow(snapshot) -- fixed queue capacity from construction; decode_state only bounds-checks against it
     write_cap: usize,
     drain: bool,
-    // chopim-lint: allow(snapshot) -- write-drain watermark fixed at construction from queue capacity
     drain_hi: usize,
-    // chopim-lint: allow(snapshot) -- write-drain watermark fixed at construction from queue capacity
     drain_lo: usize,
     refresh_due: Vec<Cycle>,
     refresh_pending: Vec<bool>,
-    // chopim-lint: allow(snapshot) -- geometry constant from construction; decode_state uses it to validate addresses
     banks_per_group: usize,
-    // chopim-lint: allow(snapshot) -- geometry constant from construction; decode_state uses it to validate addresses
     banks_per_rank: usize,
-    // chopim-lint: allow(snapshot) -- configuration applied by set_scheduler at shard build time
     scheduler: SchedulerKind,
-    // chopim-lint: allow(snapshot) -- configuration applied by set_page_policy at shard build time
     page_policy: PagePolicy,
     /// Cached "rank of the oldest queued read" (`None` = recompute); the
     /// inner value is the predictor answer itself. Invalidated on every
@@ -959,115 +890,87 @@ impl HostMc {
         None
     }
 
-    // ---- snapshot codec -------------------------------------------------
+    // ---- snapshot support -----------------------------------------------
 
-    /// Serialize all mutable controller state (snapshot support).
-    ///
-    /// Queue entries carry their epoch memos verbatim: memos are a pure
-    /// cache, but re-deriving them on resume would perturb the memo
-    /// hit/miss perf counters, and keeping them costs a few bytes. The
-    /// `slot` field and both [`QueueIndex`]es are derived data and are
-    /// rebuilt on decode instead of stored.
+    /// Check restored state against this controller's geometry and queue
+    /// capacities, and every queued read's core index against `n_cores`.
     #[cold]
-    pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
-        for q in [&self.read_q, &self.write_q] {
-            w.varint(q.len() as u64);
-            for e in q {
-                encode_tx(&e.tx, w);
-                w.u64(e.memo_epoch);
-                w.u8(kind_to_u8(e.memo_kind));
-                w.varint(e.memo_ready);
-            }
-        }
-        w.bool(self.drain);
-        w.cycle_slice(&self.refresh_due);
-        for &p in &self.refresh_pending {
-            w.bool(p);
-        }
-        match self.oldest_read.get() {
-            None => w.u8(0),
-            Some(None) => w.u8(1),
-            Some(Some(rank)) => {
-                w.u8(2);
-                w.varint(rank as u64);
-            }
-        }
-        w.opt_cycle(self.wake_hint);
-        w.varint(self.cols_issued);
-        w.varint(self.row_misses);
-        w.varint(self.read_latency_sum);
-        w.varint(self.reads_completed);
-    }
-
-    /// Overwrite this (freshly constructed) controller from bytes written
-    /// by [`encode_state`](Self::encode_state), rebuilding both queue
-    /// indexes and validating every address against this controller's
-    /// geometry.
-    #[cold]
-    pub(crate) fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+    pub(crate) fn validate(&self, n_cores: usize) -> Result<(), CodecError> {
         let ranks = self.refresh_pending.len();
-        let banks_per_rank = self.banks_per_rank;
-        let banks_per_group = self.banks_per_group;
-        let bankgroups = banks_per_rank / banks_per_group;
-        for writes in [false, true] {
-            let (q, idx, cap) = if writes {
-                (&mut self.write_q, &mut self.write_idx, self.write_cap)
-            } else {
-                (&mut self.read_q, &mut self.read_idx, self.read_cap)
-            };
-            q.clear();
-            idx.demand.clear();
-            idx.occ.fill(0);
-            let n = r.varint_usize()?;
-            if n > cap {
-                return Err(CodecError::Corrupt("MC queue over capacity"));
-            }
-            for _ in 0..n {
-                let tx = decode_tx(r)?;
-                let a = &tx.addr;
-                if a.rank >= ranks || a.bankgroup >= bankgroups || a.bank >= banks_per_group {
-                    return Err(CodecError::Corrupt("MC transaction address out of range"));
-                }
-                if matches!(tx.meta, TxMeta::CoreWrite) != writes {
-                    return Err(CodecError::Corrupt("transaction in wrong MC queue"));
-                }
-                let slot =
-                    (a.rank * banks_per_rank + a.bankgroup * banks_per_group + a.bank) as u32;
-                let mut e = QTx::new(tx, slot);
-                e.memo_epoch = r.u64()?;
-                e.memo_kind = kind_from_u8(r.u8()?)?;
-                e.memo_ready = r.varint()?;
-                idx.on_push(slot, a.row);
-                q.push_back(e);
+        let bankgroups = self.banks_per_rank / self.banks_per_group;
+        for (q, cap, writes) in [
+            (&self.read_q, self.read_cap, false),
+            (&self.write_q, self.write_cap, true),
+        ] {
+            check(q.len() <= cap, "MC queue over capacity")?;
+            for e in q {
+                let a = &e.tx.addr;
+                let in_geometry =
+                    a.rank < ranks && a.bankgroup < bankgroups && a.bank < self.banks_per_group;
+                check(in_geometry, "MC transaction address out of range")?;
+                let is_write = matches!(e.tx.meta, TxMeta::CoreWrite);
+                check(is_write == writes, "transaction in wrong MC queue")?;
+                check(tx_core_ok(&e.tx, n_cores), "read core out of range")?;
             }
         }
-        self.drain = r.bool()?;
-        let due = r.cycle_vec()?;
-        if due.len() != ranks {
+        if self.refresh_due.len() != ranks {
             return Err(CodecError::ConfigMismatch);
         }
-        self.refresh_due = due;
-        for p in self.refresh_pending.iter_mut() {
-            *p = r.bool()?;
-        }
-        self.oldest_read.set(match r.u8()? {
-            0 => None,
-            1 => Some(None),
-            2 => {
-                let rank = r.varint_usize()?;
-                if rank >= ranks {
-                    return Err(CodecError::Corrupt("oldest-read rank out of range"));
-                }
-                Some(Some(rank))
+        let oldest_ok = !matches!(self.oldest_read.get(), Some(Some(rank)) if rank >= ranks);
+        check(oldest_ok, "oldest-read rank out of range")
+    }
+
+    /// Rebuild the derived state a snapshot does not carry — each queued
+    /// entry's bank slot and both queue indexes — after [`validate`](Self::validate).
+    #[cold]
+    pub(crate) fn rebuild_indexes(&mut self) {
+        let (bpr, bpg) = (self.banks_per_rank, self.banks_per_group);
+        for (q, idx) in [
+            (&mut self.read_q, &mut self.read_idx),
+            (&mut self.write_q, &mut self.write_idx),
+        ] {
+            idx.demand.clear();
+            idx.occ.fill(0);
+            for e in q.iter_mut() {
+                let a = &e.tx.addr;
+                e.slot = (a.rank * bpr + a.bankgroup * bpg + a.bank) as u32;
+                idx.on_push(e.slot, a.row);
             }
-            _ => return Err(CodecError::Corrupt("oldest-read cache tag")),
-        });
-        self.wake_hint = r.opt_cycle()?;
-        self.cols_issued = r.varint()?;
-        self.row_misses = r.varint()?;
-        self.read_latency_sum = r.varint()?;
-        self.reads_completed = r.varint()?;
-        Ok(())
+        }
+    }
+}
+
+/// True when a transaction's fill target (if any) is a real core.
+#[cold]
+pub(crate) fn tx_core_ok(tx: &HostTransaction, n_cores: usize) -> bool {
+    !matches!(tx.meta, TxMeta::CoreRead { core, .. } if core >= n_cores)
+}
+
+// The derived queue indexes and construction-time configuration are not
+// stored; `validate` and `rebuild_indexes` finish the restore.
+chopim_dram::codec! {
+    in_place(pub(crate)) HostMc {
+        read_q,
+        write_q,
+        drain,
+        refresh_due,
+        refresh_pending: each,
+        oldest_read: tri,
+        wake_hint: opt_cycle,
+        cols_issued,
+        row_misses,
+        read_latency_sum,
+        reads_completed,
+        read_idx: skip,
+        write_idx: skip,
+        read_cap: skip,
+        write_cap: skip,
+        drain_hi: skip,
+        drain_lo: skip,
+        banks_per_group: skip,
+        banks_per_rank: skip,
+        scheduler: skip,
+        page_policy: skip,
     }
 }
 

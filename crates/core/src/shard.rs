@@ -22,20 +22,19 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use chopim_dram::codec::{ByteReader, ByteWriter, CodecError};
+use chopim_dram::codec::{check, CodecError};
 use chopim_dram::fault::{stream, FaultPlan};
 use chopim_dram::stats::ChannelStats;
 use chopim_dram::{Channel, CommandKind, Cycle, DramConfig};
 use chopim_nda::controller::{NdaRankController, NdaTickResult};
 use chopim_nda::fsm::NdaFsm;
 use chopim_nda::isa::NdaInstr;
-use chopim_nda::snapshot::{decode_instr, encode_instr};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::exchange::{
-    decode_handle, encode_handle, CompletionMsg, FillMsg, FlatFifo, OpHandle, ShardInbound,
-    COMPLETION_FAILED, COMPLETION_OK, COMPLETION_RANK_DEAD,
+    CompletionMsg, FillMsg, FlatFifo, OpHandle, ShardInbound, COMPLETION_FAILED, COMPLETION_OK,
+    COMPLETION_RANK_DEAD,
 };
 use crate::policy::WriteIssuePolicy;
 use crate::sched::{HostMc, Issued, PagePolicy, SchedulerKind, TxMeta};
@@ -216,6 +215,30 @@ impl LaunchSlab {
     }
 }
 
+chopim_dram::codec! { LaunchInFlight { instr, nda_local, writes_remaining, tag } }
+chopim_dram::codec! { LaunchSlab { base, slots } }
+
+// The event counters are fault-stream keys: restoring them verbatim is
+// what keeps resume-under-faults bit-identical. `active` and
+// `death_local` derive from the plan at construction.
+chopim_dram::codec! {
+    in_place FaultState {
+        col_reads,
+        instrs_retired,
+        completions_sent,
+        transient_faults,
+        fsm_hangs,
+        completions_dropped,
+        completions_delayed,
+        rank_deaths,
+        poisoned: each,
+        dead: each,
+        death_processed,
+        active: skip,
+        death_local: skip,
+    }
+}
+
 /// One channel's shard. See the module docs.
 pub(crate) struct ChannelShard {
     channel_idx: usize,
@@ -228,10 +251,8 @@ pub(crate) struct ChannelShard {
     nda_poke: Vec<bool>,
     /// Shard-local NDA index per rank (`None` = rank has no NDA, e.g.
     /// host-only ranks never occur but rank-partitioning asymmetries do).
-    // chopim-lint: allow(snapshot) -- static shard topology computed by build from the nda_ranks config
     local_of_rank: Vec<Option<usize>>,
     /// Global NDA index per shard-local NDA (stamps completion messages).
-    // chopim-lint: allow(snapshot) -- static shard topology computed by build from the nda_ranks config
     global_idx: Vec<usize>,
     launches: LaunchSlab,
     /// `(instr id, (session, op))` of every instruction delivered to a
@@ -252,11 +273,9 @@ pub(crate) struct ChannelShard {
     pub(crate) completions_out: Vec<CompletionMsg>,
     /// Captured launch deliveries `(cycle, shard-local NDA, instr id)`
     /// when `params.record_events` (trace capture; not snapshot state).
-    // chopim-lint: allow(snapshot) -- diagnostic event log (record_events); capture sessions never span a snapshot
     pub(crate) launch_log: Vec<(Cycle, u32, u64)>,
     /// Captured instruction retirements `(cycle, instr id)` when
     /// `params.record_events` (trace capture; not snapshot state).
-    // chopim-lint: allow(snapshot) -- diagnostic event log (record_events); capture sessions never span a snapshot
     pub(crate) completion_log: Vec<(Cycle, u64)>,
     /// Per-shard policy RNG: seeded from `(seed, channel)` so the draw
     /// stream is independent of every other shard — the precondition for
@@ -265,7 +284,6 @@ pub(crate) struct ChannelShard {
     policy_rng: StdRng,
     /// Fault-injection counters and flags (see [`FaultState`]).
     fault: FaultState,
-    // chopim-lint: allow(snapshot) -- ShardParams config copy; resume reconstructs every shard from the same config
     params: ShardParams,
     pub(crate) now: Cycle,
     /// Cached event horizon: the shard state as of the last executed
@@ -291,23 +309,6 @@ impl ChannelShard {
     /// the shard's trace logs (see [`ShardParams::record_events`]).
     pub(crate) fn set_record_events(&mut self, on: bool) {
         self.params.record_events = on;
-    }
-
-    /// True when every op handle the shard holds (launch slab, FSM
-    /// completion tags, undelivered inbox launches) satisfies `ok`
-    /// (snapshot decode validates restored handles through this).
-    #[cold]
-    pub(crate) fn handles_ok(&self, ok: &dyn Fn(OpHandle) -> bool) -> bool {
-        self.launches.slots.iter().flatten().all(|lf| ok(lf.tag))
-            && self
-                .completion_tags
-                .iter()
-                .flatten()
-                .all(|&(_, tag)| ok(tag))
-            && self.inbox.live().iter().all(|(_, item)| match item {
-                ShardInbound::Launch { tag, .. } => ok(*tag),
-                ShardInbound::Tx(_) => true,
-            })
     }
 
     /// Build the shard for `channel_idx`, owning `ndas` (paired with
@@ -974,225 +975,52 @@ impl ChannelShard {
         }
     }
 
-    // ---- snapshot codec -------------------------------------------------
+    // ---- snapshot support -----------------------------------------------
 
-    /// Serialize all mutable shard state (snapshot support). Structural
-    /// fields derived from the configuration (`local_of_rank`,
-    /// `global_idx`, `params`) and the trace logs are not stored; the
-    /// fast-forward backoffs and the launch slab's `base` anchor *are*,
-    /// verbatim, so a resumed shard replays the exact tick/skip sequence.
+    /// Check a restored shard against the machine it was rebuilt into:
+    /// every component's own bounds, shard-local NDA indexes, fill core
+    /// indexes against `n_cores`, completion NDA indexes against the
+    /// machine-wide `n_ndas`, completion statuses, and every op handle
+    /// the shard holds against `handle_ok` (the runtime's session table).
     #[cold]
-    pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
-        w.varint(self.channel_idx as u64);
-        self.channel.encode_state(w);
-        self.mc.encode_state(w);
-        w.varint(self.ndas.len() as u64);
-        for nda in &self.ndas {
-            nda.encode_state(w);
+    pub(crate) fn validate(
+        &self,
+        n_cores: usize,
+        n_ndas: usize,
+        handle_ok: &dyn Fn(OpHandle) -> bool,
+    ) -> Result<(), CodecError> {
+        self.channel.validate()?;
+        self.mc.validate(n_cores)?;
+        let fsms = self.ndas.iter().map(NdaRankController::fsm);
+        fsms.chain(&self.shadows).try_for_each(NdaFsm::validate)?;
+        let local = self.ndas.len();
+        for lf in self.launches.slots.iter().flatten() {
+            check(lf.nda_local < local, "launch NDA index out of range")?;
+            check(handle_ok(lf.tag), "op handle out of range")?;
         }
-        for shadow in &self.shadows {
-            shadow.encode_state(w);
-        }
-        for &p in &self.nda_poke {
-            w.bool(p);
-        }
-        w.varint(self.launches.base);
-        w.varint(self.launches.slots.len() as u64);
-        for slot in &self.launches.slots {
-            match slot {
-                None => w.bool(false),
-                Some(lf) => {
-                    w.bool(true);
-                    encode_instr(&lf.instr, w);
-                    w.varint(lf.nda_local as u64);
-                    w.varint(u64::from(lf.writes_remaining));
-                    encode_handle(lf.tag, w);
-                }
+        for (_, item) in self.inbox.live() {
+            item.validate(local, n_cores)?;
+            if let ShardInbound::Launch { tag, .. } = item {
+                check(handle_ok(*tag), "op handle out of range")?;
             }
         }
-        for tags in &self.completion_tags {
-            w.varint(tags.len() as u64);
-            for &(id, tag) in tags {
-                w.varint(id);
-                encode_handle(tag, w);
-            }
+        let tags = self.completion_tags.iter().flatten();
+        check(tags.map(|t| t.1).all(handle_ok), "op handle out of range")?;
+        let fills_ok = self.fills_out.iter().all(|f| f.1 < n_cores);
+        check(fills_ok, "fill core index out of range")?;
+        for &(_, _, nda, tag, status) in &self.completions_out {
+            check(nda < n_ndas, "completion NDA index out of range")?;
+            check(status <= COMPLETION_RANK_DEAD, "completion status")?;
+            check(handle_ok(tag), "op handle out of range")?;
         }
-        let mut events: Vec<(Cycle, u64)> =
-            self.launch_events.iter().map(|&Reverse(e)| e).collect();
-        events.sort_unstable();
-        w.varint(events.len() as u64);
-        for (t, id) in events {
-            w.varint(t);
-            w.varint(id);
-        }
-        w.varint(self.inbox.high_water() as u64);
-        w.varint(self.inbox.len() as u64);
-        for (t, item) in self.inbox.live() {
-            w.varint(*t);
-            item.encode(w);
-        }
-        w.varint(self.fills_out.len() as u64);
-        for &(t, core, req) in &self.fills_out {
-            w.varint(t);
-            w.varint(core as u64);
-            w.varint(req);
-        }
-        w.varint(self.completions_out.len() as u64);
-        for &(t, id, gidx, tag, status) in &self.completions_out {
-            w.varint(t);
-            w.varint(id);
-            w.varint(gidx as u64);
-            encode_handle(tag, w);
-            w.u8(status);
-        }
-        for s in self.policy_rng.state() {
-            w.u64(s);
-        }
-        w.varint(self.now);
-        w.varint(self.quiet_until);
-        w.varint(self.ticks_executed);
-        w.varint(self.cycles_skipped);
-        w.varint(u64::from(self.ff_streak));
-        w.varint(u64::from(self.ff_backoff));
-        w.varint(u64::from(self.hint_backoff));
-        w.varint(u64::from(self.hint_penalty));
-        // v2: fault-plane state (counters are stream keys — restoring
-        // them verbatim is what keeps resume-under-faults bit-identical).
-        w.varint(self.fault.col_reads);
-        w.varint(self.fault.instrs_retired);
-        w.varint(self.fault.completions_sent);
-        w.varint(self.fault.transient_faults);
-        w.varint(self.fault.fsm_hangs);
-        w.varint(self.fault.completions_dropped);
-        w.varint(self.fault.completions_delayed);
-        w.varint(self.fault.rank_deaths);
-        for &p in &self.fault.poisoned {
-            w.bool(p);
-        }
-        for &d in &self.fault.dead {
-            w.bool(d);
-        }
-        w.bool(self.fault.death_processed);
+        Ok(())
     }
 
-    /// Overwrite this (freshly constructed) shard from bytes written by
-    /// [`encode_state`](Self::encode_state).
+    /// Rebuild the derived state a snapshot does not carry, after
+    /// [`validate`](Self::validate).
     #[cold]
-    pub(crate) fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        if r.varint_usize()? != self.channel_idx {
-            return Err(CodecError::ConfigMismatch);
-        }
-        self.channel.decode_state(r)?;
-        self.mc.decode_state(r)?;
-        let n = self.ndas.len();
-        if r.varint_usize()? != n {
-            return Err(CodecError::ConfigMismatch);
-        }
-        for nda in self.ndas.iter_mut() {
-            nda.decode_state(r)?;
-        }
-        for shadow in self.shadows.iter_mut() {
-            shadow.decode_state(r)?;
-        }
-        for p in self.nda_poke.iter_mut() {
-            *p = r.bool()?;
-        }
-        let base = r.varint()?;
-        let n_slots = r.varint_usize()?;
-        let mut slots = VecDeque::with_capacity(n_slots.min(r.remaining()));
-        for _ in 0..n_slots {
-            slots.push_back(if r.bool()? {
-                let instr = decode_instr(r)?;
-                let nda_local = r.varint_usize()?;
-                if nda_local >= n {
-                    return Err(CodecError::Corrupt("launch NDA index out of range"));
-                }
-                Some(LaunchInFlight {
-                    instr,
-                    nda_local,
-                    writes_remaining: r.varint_u32()?,
-                    tag: decode_handle(r)?,
-                })
-            } else {
-                None
-            });
-        }
-        self.launches = LaunchSlab { base, slots };
-        for tags in self.completion_tags.iter_mut() {
-            tags.clear();
-            let k = r.varint_usize()?;
-            tags.reserve(k.min(r.remaining()));
-            for _ in 0..k {
-                tags.push((r.varint()?, decode_handle(r)?));
-            }
-        }
-        self.launch_events.clear();
-        let k = r.varint_usize()?;
-        for _ in 0..k {
-            let t = r.varint()?;
-            let id = r.varint()?;
-            self.launch_events.push(Reverse((t, id)));
-        }
-        let high_water = r.varint_usize()?;
-        let k = r.varint_usize()?;
-        let mut items = Vec::with_capacity(k.min(r.remaining()));
-        for _ in 0..k {
-            let t = r.varint()?;
-            items.push((t, ShardInbound::decode(r, n)?));
-        }
-        self.inbox = FlatFifo::restore(items, high_water);
-        let k = r.varint_usize()?;
-        self.fills_out.clear();
-        self.fills_out.reserve(k.min(r.remaining()));
-        for _ in 0..k {
-            self.fills_out
-                .push((r.varint()?, r.varint_usize()?, r.varint()?));
-        }
-        let k = r.varint_usize()?;
-        self.completions_out.clear();
-        self.completions_out.reserve(k.min(r.remaining()));
-        for _ in 0..k {
-            let entry = (
-                r.varint()?,
-                r.varint()?,
-                r.varint_usize()?,
-                decode_handle(r)?,
-                r.u8()?,
-            );
-            if entry.4 > COMPLETION_RANK_DEAD {
-                return Err(CodecError::Corrupt("completion status"));
-            }
-            self.completions_out.push(entry);
-        }
-        let mut rng_state = [0u64; 4];
-        for s in rng_state.iter_mut() {
-            *s = r.u64()?;
-        }
-        self.policy_rng = StdRng::from_state(rng_state);
-        self.now = r.varint()?;
-        self.quiet_until = r.varint()?;
-        self.ticks_executed = r.varint()?;
-        self.cycles_skipped = r.varint()?;
-        self.ff_streak = r.varint_u32()?;
-        self.ff_backoff = r.varint_u32()?;
-        self.hint_backoff = r.varint_u32()?;
-        self.hint_penalty = r.varint_u32()?;
-        self.fault.col_reads = r.varint()?;
-        self.fault.instrs_retired = r.varint()?;
-        self.fault.completions_sent = r.varint()?;
-        self.fault.transient_faults = r.varint()?;
-        self.fault.fsm_hangs = r.varint()?;
-        self.fault.completions_dropped = r.varint()?;
-        self.fault.completions_delayed = r.varint()?;
-        self.fault.rank_deaths = r.varint()?;
-        for p in self.fault.poisoned.iter_mut() {
-            *p = r.bool()?;
-        }
-        for d in self.fault.dead.iter_mut() {
-            *d = r.bool()?;
-        }
-        self.fault.death_processed = r.bool()?;
-        Ok(())
+    pub(crate) fn rebuild_derived(&mut self) {
+        self.mc.rebuild_indexes();
     }
 
     /// Fold this shard's injected-fault counters into `fr` (report
@@ -1204,5 +1032,110 @@ impl ChannelShard {
         fr.completions_dropped += self.fault.completions_dropped;
         fr.completions_delayed += self.fault.completions_delayed;
         fr.rank_deaths += self.fault.rank_deaths;
+    }
+}
+
+// The fast-forward backoffs and the launch slab's `base` anchor are
+// stored verbatim, so a resumed shard replays the exact tick/skip
+// sequence. Kept from construction: the static topology (`local_of_rank`,
+// `global_idx`, computed by `build` from the NDA-rank configuration), the
+// `ShardParams` configuration copy, and the trace-capture event logs
+// (capture sessions never span a snapshot).
+chopim_dram::codec! {
+    in_place(pub(crate)) ChannelShard {
+        channel_idx: expect,
+        channel,
+        mc,
+        ndas: counted,
+        shadows: each,
+        nda_poke: each,
+        launches,
+        completion_tags: each,
+        launch_events: ascending,
+        inbox,
+        fills_out,
+        completions_out,
+        policy_rng: rng_state,
+        now,
+        quiet_until,
+        ticks_executed,
+        cycles_skipped,
+        ff_streak,
+        ff_backoff,
+        hint_backoff,
+        hint_penalty,
+        fault,
+        local_of_rank: skip,
+        global_idx: skip,
+        launch_log: skip,
+        completion_log: skip,
+        params: skip,
+    }
+}
+
+/// The rank controllers: their count (checked against the
+/// configuration), then each restored in place.
+mod counted {
+    use chopim_dram::codec::{expect, ByteReader, ByteWriter, CodecError, Restore};
+    use chopim_nda::controller::NdaRankController;
+
+    #[cold]
+    pub fn encode(ndas: &[NdaRankController], w: &mut ByteWriter) {
+        w.put(&ndas.len());
+        ndas.iter().for_each(|nda| nda.encode_state(w));
+    }
+
+    #[cold]
+    pub fn restore(
+        ndas: &mut [NdaRankController],
+        r: &mut ByteReader<'_>,
+    ) -> Result<(), CodecError> {
+        expect(&ndas.len(), r)?;
+        ndas.iter_mut().try_for_each(|nda| nda.decode_state(r))
+    }
+}
+
+/// The launch-event heap as its `(cycle, id)` entries in ascending order.
+mod ascending {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use chopim_dram::codec::{ByteReader, ByteWriter, CodecError};
+    use chopim_dram::Cycle;
+
+    type Events = BinaryHeap<Reverse<(Cycle, u64)>>;
+
+    #[cold]
+    pub fn encode(heap: &Events, w: &mut ByteWriter) {
+        let mut events: Vec<(Cycle, u64)> = heap.iter().map(|&Reverse(e)| e).collect();
+        events.sort_unstable();
+        w.put(&events);
+    }
+
+    #[cold]
+    pub fn restore(heap: &mut Events, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        *heap = r
+            .get::<Vec<(Cycle, u64)>>()?
+            .into_iter()
+            .map(Reverse)
+            .collect();
+        Ok(())
+    }
+}
+
+/// The policy RNG as its four raw state words.
+mod rng_state {
+    use chopim_dram::codec::{fixed, ByteReader, ByteWriter, CodecError};
+    use rand::rngs::StdRng;
+
+    #[cold]
+    pub fn encode(rng: &StdRng, w: &mut ByteWriter) {
+        fixed::encode(&rng.state(), w);
+    }
+
+    #[cold]
+    pub fn restore(rng: &mut StdRng, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        *rng = StdRng::from_state(fixed::decode(r)?);
+        Ok(())
     }
 }

@@ -69,29 +69,28 @@ use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use chopim_dram::codec::{fnv1a, read_framed, write_framed, ByteReader, ByteWriter, CodecError};
+use chopim_dram::codec::{
+    check, fnv1a, read_framed, write_framed, ByteReader, ByteWriter, CodecError,
+};
 use chopim_dram::perfcount::{self, Counter};
 use chopim_dram::trace::{encode_trace, TraceEvent};
 use chopim_dram::{Channel, Cycle, DramConfig, DramStats, FaultPlan};
 use chopim_host::{CoreConfig, MixId, OooCore, OooCoreState};
 use chopim_mapping::color::{ColoredAllocator, Region};
 use chopim_mapping::{presets, AddressMapper, PartitionedMapping};
-use chopim_nda::snapshot::{decode_instr, encode_instr};
 
 use crate::energy::{self, EnergyParams};
 use crate::exchange::{MergeQueue, ShardInbound, COMPLETION_OK, COMPLETION_RANK_DEAD};
 use crate::par::ShardPool;
 use crate::policy::WriteIssuePolicy;
 use crate::report::{FaultReport, SimReport};
-use crate::runtime::{decode_handle, encode_handle, OpHandle, PendingLaunch, Runtime, Session};
+use crate::runtime::{OpHandle, PendingLaunch, Runtime, Session};
 use crate::sched::{HostTransaction, PagePolicy, SchedulerKind, TxMeta};
 use crate::shard::{ChannelShard, ShardParams};
 
 /// What [`ChopimSystem::drive`] waits for.
 ///
-/// The four shapes cover every drive pattern the old bespoke entry
-/// points (`run_until_op`, `run_until_quiescent`, per-client poll loops)
-/// hand-rolled: one handle, an all-of set, one session draining, or the
+/// Four shapes: one handle, an all-of set, one session draining, or the
 /// whole machine draining.
 #[derive(Debug, Clone)]
 pub enum Waitable {
@@ -369,26 +368,46 @@ struct InflightRec {
     launch: PendingLaunch,
 }
 
+chopim_dram::codec! { InflightRec { deadline, id, launch } }
+
+/// The snapshot image of one host core. The host crate has no codec
+/// dependency, so its exported state is encoded through this newtype.
+struct CoreState(OooCoreState);
+
+chopim_dram::codec! {
+    CoreState(OooCoreState) {
+        rng: fixed,
+        rob,
+        filled,
+        outstanding,
+        next_id,
+        until_next_miss,
+        stream_pos,
+        stream_left,
+        pending_wb_line,
+        retired,
+        cycles,
+        reads_sent,
+        writes_sent,
+        dispatch_stall_cycles,
+    }
+}
+
 /// The complete simulated machine.
 pub struct ChopimSystem {
     /// The configuration the system was built with.
     pub cfg: ChopimConfig,
-    // chopim-lint: allow(snapshot) -- rebuilt from cfg by resume before state decode
     mapper: Arc<PartitionedMapping>,
     cores: Vec<OooCore>,
-    // chopim-lint: allow(snapshot) -- re-derived deterministically from cfg during resume reconstruction (same allocator walk, same seed)
     core_regions: Vec<Region>,
     /// One shard per channel; always synced to `self.now` between public
     /// calls.
     shards: Vec<ChannelShard>,
-    // chopim-lint: allow(snapshot) -- thread-pool machinery rebuilt from cfg.sim_threads, carries no simulation state
     pool: Option<ShardPool>,
     /// The lookahead window length (cycles between shard barriers).
-    // chopim-lint: allow(snapshot) -- derived from cfg.lookahead() at construction
     window: Cycle,
     /// `(channel, rank)` per global NDA index (mirrors
     /// `runtime.nda_ranks()`).
-    // chopim-lint: allow(snapshot) -- rank placement derived from cfg; decode validates message indices against it
     nda_local: Vec<(usize, usize)>,
     /// The runtime/API (allocate arrays, launch ops).
     pub runtime: Runtime,
@@ -404,13 +423,11 @@ pub struct ChopimSystem {
     /// `(at, instr, nda, (session, op), status)`.
     completions: MergeQueue<(Cycle, u64, usize, OpHandle, u8)>,
     /// Resident relaunching workloads, pumped by the drive loop.
-    // chopim-lint: allow(snapshot) -- resident stream closures are not serializable; snapshot requires quiescence and resume starts with none
     streams: Vec<StreamState>,
     /// In-flight op → stream index: completion routing for stream
     /// resubmission. The drive loop drains the runtime's finished-op
     /// feed through this map instead of polling every stream every
     /// cycle, so the pump is O(completions), not O(streams).
-    // chopim-lint: allow(snapshot) -- completion-routing map for resident streams; empty in a quiescent snapshot
     stream_of: BTreeMap<OpHandle, u32>,
     /// Per-channel outboxes: flat buffers of messages produced this
     /// window, swapped into the shard inboxes at the barrier (the
@@ -430,10 +447,8 @@ pub struct ChopimSystem {
     /// Fault recovery active (`cfg.faults` non-empty): completions
     /// resolve through `inflight` records and timeouts fire. Cached so
     /// the empty-plan hot path costs one branch.
-    // chopim-lint: allow(snapshot) -- derived from cfg.faults at construction
     recovery_active: bool,
     /// Effective in-flight launch timeout (cycles).
-    // chopim-lint: allow(snapshot) -- derived from cfg.effective_instr_timeout() at construction
     instr_timeout: Cycle,
     /// In-flight launch records, deadline-ordered (egress order).
     inflight: VecDeque<InflightRec>,
@@ -447,12 +462,10 @@ pub struct ChopimSystem {
     ticks_executed: u64,
     /// Front-end cycles leapt over (diagnostics).
     cycles_skipped: u64,
-    // chopim-lint: allow(snapshot) -- a resumed system is never finalized; decode keeps the constructor false
     finalized: bool,
     /// Whether [`write_trace`](Self::write_trace) already ran (capture
     /// drains on encode, so [`report`](Self::report) must not flush an
     /// empty second file over an explicit write).
-    // chopim-lint: allow(snapshot) -- trace-capture bookkeeping, not machine state; resume starts unflushed
     trace_flushed: bool,
 }
 
@@ -1207,8 +1220,8 @@ impl ChopimSystem {
 
     /// The engine driver behind every public drive entry point: advance
     /// in lookahead windows until `end`, stopping as soon as `ctrl`
-    /// returns `true`. `ctrl` may mutate the runtime (stream pumping and
-    /// the deprecated relaunch shim ride on this) and is re-evaluated
+    /// returns `true`. `ctrl` gets the runtime mutably (stream pumping
+    /// rides on the same loop) and is re-evaluated
     /// around every front-end cycle — a stop-triggering cycle is never
     /// skipped past, so the consumed-cycle count matches the naive loop
     /// — and shards always end synced to `self.now`.
@@ -1300,42 +1313,6 @@ impl ChopimSystem {
         self.streams[id.0].active = false;
         self.stream_of.remove(&self.streams[id.0].cur);
         self.streams[id.0].completions
-    }
-
-    /// Run until every launched op has completed (or `max` cycles).
-    /// Returns the cycles consumed.
-    #[deprecated(note = "use drive(Waitable::Quiescent, max)")]
-    pub fn run_until_quiescent(&mut self, max: Cycle) -> Cycle {
-        self.drive(Waitable::Quiescent, max)
-    }
-
-    /// Run for `cycles`, relaunching the NDA workload whenever it
-    /// completes so concurrent access persists for the whole window — the
-    /// paper's methodology (§VI). Returns the number of completions.
-    #[deprecated(note = "use spawn_stream(sess, make) + run(cycles)")]
-    pub fn run_relaunching(
-        &mut self,
-        cycles: Cycle,
-        mut make: impl FnMut(&mut Runtime) -> OpHandle,
-    ) -> u64 {
-        let end = self.now + cycles;
-        let mut op = make(&mut self.runtime);
-        let mut completions = 0;
-        self.drive_loop(end, &mut |rt| {
-            if rt.op_done(op) {
-                completions += 1;
-                op = make(rt);
-            }
-            false
-        });
-        completions
-    }
-
-    /// Run until `op` completes (or `max` cycles). Returns cycles
-    /// consumed.
-    #[deprecated(note = "use drive(op, max)")]
-    pub fn run_until_op(&mut self, op: OpHandle, max: Cycle) -> Cycle {
-        self.drive(op, max)
     }
 
     /// True while every host-side shadow FSM matches its rank's FSM.
@@ -1540,70 +1517,7 @@ impl ChopimSystem {
         }
         let mut w = ByteWriter::new();
         w.u64(Self::snapshot_fingerprint(&self.cfg));
-        w.varint(self.now);
-        w.u32(self.cpu_accum);
-        w.varint(self.cpu_cycles);
-        w.varint(self.llc_outstanding as u64);
-        w.bool(self.fills.is_dirty());
-        w.varint(self.fills.live().len() as u64);
-        for &(t, core, req) in self.fills.live() {
-            w.varint(t);
-            w.varint(core as u64);
-            w.varint(req);
-        }
-        w.bool(self.completions.is_dirty());
-        w.varint(self.completions.live().len() as u64);
-        for &(t, id, nda, tag, status) in self.completions.live() {
-            w.varint(t);
-            w.varint(id);
-            w.varint(nda as u64);
-            encode_handle(tag, &mut w);
-            w.u8(status);
-        }
-        for q in &self.egress {
-            w.varint(q.len() as u64);
-            for (t, item) in q {
-                w.varint(*t);
-                item.encode(&mut w);
-            }
-        }
-        for &v in &self.ingress_seen {
-            w.varint(v as u64);
-        }
-        for &v in &self.ingress_unseen {
-            w.varint(v as u64);
-        }
-        w.varint(self.launch_stage.len() as u64);
-        for pl in &self.launch_stage {
-            w.varint(pl.nda_idx as u64);
-            encode_instr(&pl.instr, &mut w);
-            encode_handle(pl.op, &mut w);
-            w.varint(pl.chunk as u64);
-        }
-        w.varint(self.inflight.len() as u64);
-        for rec in &self.inflight {
-            w.varint(rec.deadline);
-            w.varint(rec.id);
-            w.varint(rec.launch.nda_idx as u64);
-            encode_instr(&rec.launch.instr, &mut w);
-            encode_handle(rec.launch.op, &mut w);
-            w.varint(rec.launch.chunk as u64);
-        }
-        for &c in &self.nda_credit {
-            w.varint(c as u64);
-        }
-        w.varint(self.next_launch);
-        w.varint(self.nda_instrs_completed);
-        w.varint(self.ticks_executed);
-        w.varint(self.cycles_skipped);
-        w.varint(self.cores.len() as u64);
-        for core in &self.cores {
-            encode_core(&core.export_state(), &mut w);
-        }
-        self.runtime.encode_state(&mut w);
-        for shard in &self.shards {
-            shard.encode_state(&mut w);
-        }
+        self.encode_state(&mut w);
         Ok(write_framed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, w.finish()))
     }
 
@@ -1631,146 +1545,61 @@ impl ChopimSystem {
         if r.u64()? != Self::snapshot_fingerprint(&sys.cfg) {
             return Err(CodecError::ConfigMismatch);
         }
-        sys.now = r.varint()?;
-        sys.cpu_accum = r.u32()?;
-        sys.cpu_cycles = r.varint()?;
-        sys.llc_outstanding = r.varint_usize()?;
-        let dirty = r.bool()?;
-        let n = r.varint_usize()?;
-        let mut fills = Vec::with_capacity(n.min(r.remaining()));
-        for _ in 0..n {
-            let t = r.varint()?;
-            let core = r.varint_usize()?;
-            let req = r.varint()?;
-            if core >= sys.cores.len() {
-                return Err(CodecError::Corrupt("fill core index out of range"));
-            }
-            fills.push((t, core, req));
-        }
-        sys.fills = MergeQueue::restore(fills, dirty);
-        let dirty = r.bool()?;
-        let n = r.varint_usize()?;
-        let mut comps = Vec::with_capacity(n.min(r.remaining()));
-        for _ in 0..n {
-            let t = r.varint()?;
-            let id = r.varint()?;
-            let nda = r.varint_usize()?;
-            let tag = decode_handle(&mut r)?;
-            let status = r.u8()?;
-            if nda >= sys.nda_local.len() {
-                return Err(CodecError::Corrupt("completion NDA index out of range"));
-            }
-            if status > COMPLETION_RANK_DEAD {
-                return Err(CodecError::Corrupt("completion status"));
-            }
-            comps.push((t, id, nda, tag, status));
-        }
-        sys.completions = MergeQueue::restore(comps, dirty);
-        for ch in 0..sys.egress.len() {
-            let n_ndas = sys.shards[ch].ndas.len();
-            let n = r.varint_usize()?;
-            let mut q = Vec::with_capacity(n.min(r.remaining()));
-            for _ in 0..n {
-                let t = r.varint()?;
-                q.push((t, ShardInbound::decode(&mut r, n_ndas)?));
-            }
-            sys.egress[ch] = q;
-        }
-        for v in &mut sys.ingress_seen {
-            *v = r.varint_usize()?;
-        }
-        for v in &mut sys.ingress_unseen {
-            *v = r.varint_usize()?;
-        }
-        let n = r.varint_usize()?;
-        sys.launch_stage.clear();
-        for _ in 0..n {
-            let nda_idx = r.varint_usize()?;
-            if nda_idx >= sys.nda_local.len() {
-                return Err(CodecError::Corrupt("staged launch NDA index out of range"));
-            }
-            let instr = decode_instr(&mut r)?;
-            let op = decode_handle(&mut r)?;
-            let chunk = r.varint_usize()?;
-            sys.launch_stage.push_back(PendingLaunch {
-                nda_idx,
-                instr,
-                op,
-                chunk,
-            });
-        }
-        let n = r.varint_usize()?;
-        sys.inflight.clear();
-        let mut last_deadline = 0;
-        for _ in 0..n {
-            let deadline = r.varint()?;
-            if deadline < last_deadline {
-                return Err(CodecError::Corrupt("inflight deadlines out of order"));
-            }
-            last_deadline = deadline;
-            let id = r.varint()?;
-            let nda_idx = r.varint_usize()?;
-            if nda_idx >= sys.nda_local.len() {
-                return Err(CodecError::Corrupt("inflight NDA index out of range"));
-            }
-            let instr = decode_instr(&mut r)?;
-            let op = decode_handle(&mut r)?;
-            let chunk = r.varint_usize()?;
-            sys.inflight.push_back(InflightRec {
-                deadline,
-                id,
-                launch: PendingLaunch {
-                    nda_idx,
-                    instr,
-                    op,
-                    chunk,
-                },
-            });
-        }
-        for c in &mut sys.nda_credit {
-            *c = r.varint_usize()?;
-            if *c > sys.cfg.nda_queue_cap {
-                return Err(CodecError::Corrupt("NDA launch credit over capacity"));
-            }
-        }
-        sys.next_launch = r.varint()?;
-        sys.nda_instrs_completed = r.varint()?;
-        sys.ticks_executed = r.varint()?;
-        sys.cycles_skipped = r.varint()?;
-        if r.varint_usize()? != sys.cores.len() {
-            return Err(CodecError::ConfigMismatch);
-        }
-        for core in &mut sys.cores {
-            let img = decode_core(&mut r)?;
-            core.import_state(&img);
-        }
-        sys.runtime.decode_state(&mut r)?;
-        for shard in &mut sys.shards {
-            shard.decode_state(&mut r)?;
-        }
+        sys.decode_state(&mut r)?;
         if !r.is_empty() {
             return Err(CodecError::Corrupt("trailing bytes"));
         }
-        // Handles outside the runtime were decoded before the runtime's
-        // own session table; validate them against it now.
-        let rt = &sys.runtime;
-        let ok = |h: OpHandle| rt.handle_in_range(h);
-        if !sys
-            .completions
-            .live()
-            .iter()
-            .all(|&(_, _, _, tag, _)| ok(tag))
-            || !sys.launch_stage.iter().all(|pl| ok(pl.op))
-            || !sys.inflight.iter().all(|rec| ok(rec.launch.op))
-            || !sys.egress.iter().flatten().all(|(_, item)| match item {
-                ShardInbound::Launch { tag, .. } => ok(*tag),
-                ShardInbound::Tx(_) => true,
-            })
-            || !sys.shards.iter().all(|s| s.handles_ok(&ok))
-        {
-            return Err(CodecError::Corrupt("op handle out of range"));
+        sys.validate()?;
+        sys.runtime.rebuild_derived();
+        for shard in &mut sys.shards {
+            shard.rebuild_derived();
         }
         Ok(sys)
+    }
+
+    /// The resume validation step: every index a restored message or
+    /// record carries must address this machine (cores, NDAs, shards,
+    /// the runtime's op table), launch credits must respect capacity,
+    /// and in-flight deadlines must be in egress order (the O(1)
+    /// front-scan timeout depends on it).
+    #[cold]
+    fn validate(&self) -> Result<(), CodecError> {
+        let (n_cores, n_ndas) = (self.cores.len(), self.nda_local.len());
+        let handle_ok = |h: OpHandle| self.runtime.handle_in_range(h);
+        self.runtime.validate()?;
+        let fills = self.fills.live();
+        check(
+            fills.iter().all(|f| f.1 < n_cores),
+            "fill core index out of range",
+        )?;
+        for &(_, _, nda, tag, status) in self.completions.live() {
+            check(nda < n_ndas, "completion NDA index out of range")?;
+            check(status <= COMPLETION_RANK_DEAD, "completion status")?;
+            check(handle_ok(tag), "op handle out of range")?;
+        }
+        for (q, shard) in self.egress.iter().zip(&self.shards) {
+            for (_, item) in q {
+                item.validate(shard.ndas.len(), n_cores)?;
+                if let ShardInbound::Launch { tag, .. } = item {
+                    check(handle_ok(*tag), "op handle out of range")?;
+                }
+            }
+        }
+        let inflight = self.inflight.iter().map(|rec| &rec.launch);
+        for pl in self.launch_stage.iter().chain(inflight) {
+            check(pl.nda_idx < n_ndas, "launch NDA index out of range")?;
+            check(handle_ok(pl.op), "op handle out of range")?;
+        }
+        let deadlines = self.inflight.iter().map(|rec| rec.deadline);
+        check(deadlines.is_sorted(), "inflight deadlines out of order")?;
+        let cap = self.cfg.nda_queue_cap;
+        check(
+            self.nda_credit.iter().all(|&c| c <= cap),
+            "NDA launch credit over capacity",
+        )?;
+        self.shards
+            .iter()
+            .try_for_each(|s| s.validate(n_cores, n_ndas, &handle_ok))
     }
 
     // --- Event-trace capture ------------------------------------------
@@ -1868,6 +1697,74 @@ impl ChopimSystem {
     }
 }
 
+// The machine image, in byte order, after the configuration fingerprint
+// `snapshot`/`resume` frame it with. Not stored: the resident streams
+// and their routing map (opaque closures — `snapshot` refuses while any
+// exist), the finalized and trace-flush flags (a resumed machine starts
+// with neither), and everything the constructor derives from the
+// configuration.
+chopim_dram::codec! {
+    in_place(pub(crate)) ChopimSystem {
+        now,
+        cpu_accum: fixed,
+        cpu_cycles,
+        llc_outstanding,
+        fills,
+        completions,
+        egress: each,
+        ingress_seen: each,
+        ingress_unseen: each,
+        launch_stage,
+        inflight,
+        nda_credit: each,
+        next_launch,
+        nda_instrs_completed,
+        ticks_executed,
+        cycles_skipped,
+        cores: core_images,
+        runtime,
+        shards: each,
+        cfg: skip,
+        mapper: skip,
+        core_regions: skip,
+        pool: skip,
+        window: skip,
+        nda_local: skip,
+        streams: skip,
+        stream_of: skip,
+        recovery_active: skip,
+        instr_timeout: skip,
+        finalized: skip,
+        trace_flushed: skip,
+    }
+}
+
+/// Host cores: their count (checked against the configuration), then one
+/// exported state image each.
+mod core_images {
+    use chopim_dram::codec::{expect, ByteReader, ByteWriter, CodecError};
+    use chopim_host::OooCore;
+
+    use super::CoreState;
+
+    #[cold]
+    pub fn encode(cores: &[OooCore], w: &mut ByteWriter) {
+        w.put(&cores.len());
+        for core in cores {
+            w.put(&CoreState(core.export_state()));
+        }
+    }
+
+    #[cold]
+    pub fn restore(cores: &mut [OooCore], r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        expect(&cores.len(), r)?;
+        for core in cores {
+            core.import_state(&r.get::<CoreState>()?.0);
+        }
+        Ok(())
+    }
+}
+
 /// Snapshot container framing magic (`docs/SNAPSHOT_FORMAT.md`).
 const SNAPSHOT_MAGIC: [u8; 4] = *b"CHSS";
 /// Snapshot container format version. v2 added the fault plane:
@@ -1906,80 +1803,94 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Serialize an [`OooCoreState`] image (the host crate deliberately has
-/// no codec dependency, so the field-by-field encoding lives here).
-#[cold]
-fn encode_core(s: &OooCoreState, w: &mut ByteWriter) {
-    for word in s.rng {
-        w.u64(word);
+#[cfg(test)]
+mod tests {
+    use chopim_dram::DramAddress;
+
+    use super::*;
+    use crate::exchange::COMPLETION_OK;
+    use crate::runtime::Sharing;
+
+    /// A machine with host cores and an NDA op in flight, captured off
+    /// the lookahead-window grid.
+    fn machine() -> (ChopimSystem, OpHandle) {
+        let mut sys = ChopimSystem::new(ChopimConfig {
+            mix: MixId::new(2),
+            sim_threads: 1,
+            fixed_window: false,
+            trace_path: None,
+            faults: FaultPlan::NONE,
+            ..ChopimConfig::default()
+        });
+        let x = sys.runtime.vector(1 << 12, Sharing::Shared);
+        let y = sys.runtime.vector(1 << 12, Sharing::Shared);
+        let sess = sys.runtime.default_session();
+        let op = sess
+            .elementwise(
+                &mut sys.runtime,
+                chopim_nda::isa::Opcode::Copy,
+                vec![],
+                vec![x],
+                Some(y),
+            )
+            .submit();
+        sys.run(1_003);
+        (sys, op)
     }
-    w.varint(s.rob.len() as u64);
-    for &(is_miss, v) in &s.rob {
-        w.bool(is_miss);
-        w.varint(v);
-    }
-    w.varint(s.filled.len() as u64);
-    for &id in &s.filled {
-        w.varint(id);
-    }
-    w.varint(s.outstanding);
-    w.varint(s.next_id);
-    w.varint(s.until_next_miss);
-    w.varint(s.stream_pos);
-    w.varint(s.stream_left);
-    match s.pending_wb_line {
-        None => w.bool(false),
-        Some(line) => {
-            w.bool(true);
-            w.varint(line);
+
+    /// A host read whose fill would go to core `core`.
+    fn read_for(core: usize, at: Cycle) -> HostTransaction {
+        HostTransaction {
+            addr: DramAddress::default(),
+            is_write: false,
+            meta: TxMeta::CoreRead { core, req: 0 },
+            arrival: at,
         }
     }
-    w.varint(s.retired);
-    w.varint(s.cycles);
-    w.varint(s.reads_sent);
-    w.varint(s.writes_sent);
-    w.varint(s.dispatch_stall_cycles);
-}
 
-/// Decode an [`OooCoreState`] image (mirrors [`encode_core`]).
-#[cold]
-fn decode_core(r: &mut ByteReader<'_>) -> Result<OooCoreState, CodecError> {
-    let mut rng = [0u64; 4];
-    for word in &mut rng {
-        *word = r.u64()?;
+    /// A checksum-valid image of `sys` must be refused as corrupt.
+    fn assert_rejected(sys: &ChopimSystem, what: &str) {
+        let image = sys.snapshot().expect("capture");
+        match ChopimSystem::resume(sys.cfg.clone(), &image) {
+            Err(CodecError::Corrupt(_)) => {}
+            other => panic!("{what}: expected Corrupt, got {:?}", other.err()),
+        }
     }
-    let n = r.varint_usize()?;
-    let mut rob = Vec::with_capacity(n.min(r.remaining()));
-    for _ in 0..n {
-        let is_miss = r.bool()?;
-        let v = r.varint()?;
-        rob.push((is_miss, v));
+
+    #[test]
+    fn corrupt_index_fill_core_is_rejected() {
+        let (mut sys, _) = machine();
+        let at = sys.now + 5;
+        sys.shards[0].fills_out.push((at, 99, 0));
+        assert_rejected(&sys, "shard fill to core 99");
     }
-    let n = r.varint_usize()?;
-    let mut filled = Vec::with_capacity(n.min(r.remaining()));
-    for _ in 0..n {
-        filled.push(r.varint()?);
+
+    #[test]
+    fn corrupt_index_completion_nda_is_rejected() {
+        let (mut sys, op) = machine();
+        let at = sys.now + 5;
+        sys.shards[0]
+            .completions_out
+            .push((at, 0, 99, op, COMPLETION_OK));
+        assert_rejected(&sys, "shard completion from NDA 99");
     }
-    let outstanding = r.varint()?;
-    let next_id = r.varint()?;
-    let until_next_miss = r.varint()?;
-    let stream_pos = r.varint()?;
-    let stream_left = r.varint()?;
-    let pending_wb_line = if r.bool()? { Some(r.varint()?) } else { None };
-    Ok(OooCoreState {
-        rng,
-        rob,
-        filled,
-        outstanding,
-        next_id,
-        until_next_miss,
-        stream_pos,
-        stream_left,
-        pending_wb_line,
-        retired: r.varint()?,
-        cycles: r.varint()?,
-        reads_sent: r.varint()?,
-        writes_sent: r.varint()?,
-        dispatch_stall_cycles: r.varint()?,
-    })
+
+    #[test]
+    fn corrupt_index_read_core_is_rejected_in_every_queue() {
+        let (mut sys, _) = machine();
+        let at = sys.now + 1;
+        sys.egress[0].push((at, ShardInbound::Tx(read_for(99, at))));
+        assert_rejected(&sys, "egress read for core 99");
+
+        let (mut sys, _) = machine();
+        let at = sys.now + 1;
+        sys.shards[0]
+            .inbox
+            .absorb(&mut vec![(at, ShardInbound::Tx(read_for(99, at)))]);
+        assert_rejected(&sys, "inbox read for core 99");
+
+        let (mut sys, _) = machine();
+        assert!(sys.shards[0].mc.try_push(read_for(99, sys.now)));
+        assert_rejected(&sys, "MC-queued read for core 99");
+    }
 }

@@ -20,6 +20,8 @@ pub struct DramAddress {
     pub col: u32,
 }
 
+crate::codec! { DramAddress { channel, rank, bankgroup, bank, row, col } }
+
 impl DramAddress {
     /// Flat bank index within the rank.
     #[inline]

@@ -14,7 +14,6 @@
 //! old per-bank accessors (`state`, `open_row`, `is_row_hit`) so point
 //! queries read the same as before the layout change.
 
-use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::Cycle;
 
 /// Row-buffer sentinel: no row open (bank precharged). `u32::MAX` is
@@ -99,46 +98,9 @@ impl Banks {
     pub(crate) fn do_precharge(&mut self, idx: usize) {
         self.open_row[idx] = CLOSED_ROW;
     }
-
-    /// Serialize every register array (snapshot support).
-    #[cold]
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        w.u32_slice(&self.open_row);
-        w.cycle_slice(&self.next_act);
-        w.cycle_slice(&self.next_pre);
-        w.cycle_slice(&self.next_rd);
-        w.cycle_slice(&self.next_wr);
-    }
-
-    /// Overwrite this slab's registers from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Rejects inputs whose array lengths disagree with this slab's
-    /// geometry (snapshot from a different configuration).
-    #[cold]
-    pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        let open_row = r.u32_vec()?;
-        let next_act = r.cycle_vec()?;
-        let next_pre = r.cycle_vec()?;
-        let next_rd = r.cycle_vec()?;
-        let next_wr = r.cycle_vec()?;
-        let n = self.open_row.len();
-        if [&next_act, &next_pre, &next_rd, &next_wr]
-            .iter()
-            .any(|v| v.len() != n)
-            || open_row.len() != n
-        {
-            return Err(CodecError::ConfigMismatch);
-        }
-        self.open_row = open_row;
-        self.next_act = next_act;
-        self.next_pre = next_pre;
-        self.next_rd = next_rd;
-        self.next_wr = next_wr;
-        Ok(())
-    }
 }
+
+crate::codec! { Banks { open_row, next_act, next_pre, next_rd, next_wr } }
 
 /// A read view of one bank inside a [`Banks`] slab. Re-exposes the
 /// per-bank accessors so point queries (`channel.bank(r, bg, b)

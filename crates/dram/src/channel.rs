@@ -36,7 +36,7 @@
 //! `chopim_core::sched` and `chopim_nda::controller`).
 
 use crate::bank::{BankRef, BankState, Banks, CLOSED_ROW};
-use crate::codec::{ByteReader, ByteWriter, CodecError};
+use crate::codec::CodecError;
 use crate::command::{Command, CommandKind, Issuer};
 use crate::config::DramConfig;
 use crate::perfcount;
@@ -48,7 +48,6 @@ use crate::Cycle;
 /// A single memory channel with its ranks and bus state.
 #[derive(Debug, Clone)]
 pub struct Channel {
-    // chopim-lint: allow(snapshot) -- construction config; decode_state restores into a Channel built from the same DramConfig
     config: DramConfig,
     ranks: Vec<Rank>,
     /// All banks of the channel, structure-of-arrays, flat-indexed
@@ -57,11 +56,8 @@ pub struct Channel {
     /// All bank-group timing registers, flat: `rank * bankgroups +
     /// bankgroup`.
     bg_timing: Vec<BankGroupTiming>,
-    // chopim-lint: allow(snapshot) -- geometry constant derived from config at construction
     banks_per_rank: usize,
-    // chopim-lint: allow(snapshot) -- geometry constant derived from config at construction
     banks_per_group: usize,
-    // chopim-lint: allow(snapshot) -- geometry constant derived from config at construction
     bankgroups: usize,
     /// Earliest *host* WR command on this channel (read→write turnaround
     /// is a channel-wide external-bus constraint).
@@ -71,7 +67,6 @@ pub struct Channel {
     /// Statistics for this channel (per-rank activity, bus usage).
     pub stats: ChannelStats,
     /// Per-channel command trace (offline validation); `None` = disabled.
-    // chopim-lint: allow(snapshot) -- trace-capture buffer is diagnostic state, not machine state
     trace: Option<Vec<(Cycle, Command, Issuer)>>,
 }
 
@@ -603,56 +598,30 @@ impl Channel {
         data
     }
 
-    /// Serialize the channel's full mutable state: ranks (with epochs),
-    /// bank registers, bank-group timing, bus registers, and statistics.
-    /// The config and the in-memory trace buffer are *not* part of the
-    /// state — a snapshot is always restored into a channel freshly built
-    /// for the same configuration.
-    #[cold]
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        w.varint(self.ranks.len() as u64);
-        for r in &self.ranks {
-            r.encode_state(w);
-        }
-        self.banks.encode_state(w);
-        w.varint(self.bg_timing.len() as u64);
-        for bg in &self.bg_timing {
-            bg.encode_state(w);
-        }
-        w.varint(self.next_wr);
-        w.opt_cycle(self.last_cmd_at);
-        self.stats.encode_state(w);
-    }
-
-    /// Overwrite this channel's mutable state from a snapshot. The
-    /// channel must have been built with the same configuration the
-    /// snapshot was captured under.
+    /// Check a restored channel against the geometry it was built for:
+    /// rank, bank and bank-group counts, and tFAW windows no deeper than
+    /// the hardware's four.
     ///
     /// # Errors
     ///
-    /// Rejects geometry mismatches ([`CodecError::ConfigMismatch`]) and
-    /// truncated or corrupt input.
+    /// [`CodecError::ConfigMismatch`] on a count mismatch,
+    /// [`CodecError::Corrupt`] on an over-deep tFAW window.
     #[cold]
-    pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        let nranks = r.varint_usize()?;
-        if nranks != self.ranks.len() {
+    pub fn validate(&self) -> Result<(), CodecError> {
+        let nranks = self.config.ranks_per_channel;
+        let nbanks = nranks * self.banks_per_rank;
+        let b = &self.banks;
+        let bank_regs = [&b.next_act, &b.next_pre, &b.next_rd, &b.next_wr];
+        if self.ranks.len() != nranks
+            || self.stats.ranks.len() != nranks
+            || self.bg_timing.len() != nranks * self.bankgroups
+            || b.open_row.len() != nbanks
+            || bank_regs.iter().any(|v| v.len() != nbanks)
+        {
             return Err(CodecError::ConfigMismatch);
         }
-        for rank in &mut self.ranks {
-            rank.decode_state(r)?;
-        }
-        self.banks.decode_state(r)?;
-        let nbg = r.varint_usize()?;
-        if nbg != self.bg_timing.len() {
-            return Err(CodecError::ConfigMismatch);
-        }
-        for bg in &mut self.bg_timing {
-            bg.decode_state(r)?;
-        }
-        self.next_wr = r.varint()?;
-        self.last_cmd_at = r.opt_cycle()?;
-        self.stats.decode_state(r)?;
-        Ok(())
+        let faw_ok = self.ranks.iter().all(|r| r.faw_window.len() <= 4);
+        crate::codec::check(faw_ok, "tFAW window deeper than 4")
     }
 
     /// Activate a bank directly (tests of higher layers use this to set up
@@ -663,6 +632,24 @@ impl Channel {
         self.banks.do_activate(idx, row);
         self.ranks[rank].epoch += 1;
         self.ranks[rank].nda_epoch += 1;
+    }
+}
+
+// A snapshot restores into a channel freshly built for the same
+// configuration: the config, geometry, and trace buffer are kept.
+crate::codec! {
+    in_place Channel {
+        ranks,
+        banks,
+        bg_timing,
+        next_wr,
+        last_cmd_at: opt_cycle,
+        stats,
+        config: skip,
+        banks_per_rank: skip,
+        banks_per_group: skip,
+        bankgroups: skip,
+        trace: skip,
     }
 }
 

@@ -14,6 +14,17 @@
 //!
 //! Encoders never fail; all fallibility lives on the [`ByteReader`] side.
 //!
+//! Structured values implement [`Codec`] (decode builds a fresh value)
+//! or [`Restore`] (decode overwrites a value already built from the
+//! same configuration). Both are normally generated by [`codec!`](crate::codec!)
+//! from one field list per type, so the two directions cannot drift
+//! apart: the generated code destructures every field, and a field
+//! added to the type but not to its list is a compile error.
+//! Decoding is structural only — it rejects bytes that cannot form a
+//! value (truncation, bad tags, broken constructor invariants). Checks
+//! against the configuration (index ranges, capacities, counts) belong
+//! to each component's validation step, which runs after decode.
+//!
 //! ```
 //! use chopim_dram::codec::{ByteReader, ByteWriter, read_framed, write_framed};
 //!
@@ -29,6 +40,9 @@
 //! ```
 
 #![warn(clippy::cast_possible_truncation)]
+
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use crate::Cycle;
 
@@ -93,16 +107,6 @@ impl ByteWriter {
         Self::default()
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Append one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -148,29 +152,9 @@ impl ByteWriter {
         self.buf.push(u8::from(v));
     }
 
-    /// Append an `Option<Cycle>` (`None` ↦ 0, `Some(c)` ↦ `c + 1`, as a
-    /// varint). Cycles never reach `u64::MAX`, so the shift is lossless.
-    pub fn opt_cycle(&mut self, v: Option<Cycle>) {
-        match v {
-            None => self.varint(0),
-            Some(c) => self.varint(c + 1),
-        }
-    }
-
-    /// Append a cycle slice with a length prefix.
-    pub fn cycle_slice(&mut self, vs: &[Cycle]) {
-        self.varint(vs.len() as u64);
-        for &v in vs {
-            self.varint(v);
-        }
-    }
-
-    /// Append a `u32` slice with a length prefix.
-    pub fn u32_slice(&mut self, vs: &[u32]) {
-        self.varint(vs.len() as u64);
-        for &v in vs {
-            self.varint(u64::from(v));
-        }
+    /// Append any [`Codec`] value.
+    pub fn put<T: Codec>(&mut self, v: &T) {
+        v.encode(self);
     }
 
     /// Take the accumulated bytes.
@@ -277,35 +261,668 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    /// Read an `Option<Cycle>` written by [`ByteWriter::opt_cycle`].
-    pub fn opt_cycle(&mut self) -> Result<Option<Cycle>, CodecError> {
-        Ok(match self.varint()? {
-            0 => None,
-            c => Some(c - 1),
-        })
+    /// Read any [`Codec`] value.
+    pub fn get<T: Codec>(&mut self) -> Result<T, CodecError> {
+        T::decode(self)
+    }
+}
+
+// --- structured values ----------------------------------------------------
+
+/// A value with a snapshot encoding; decoding builds a fresh value.
+/// Implement it with [`codec!`](crate::codec!) rather than by hand.
+pub trait Codec: Sized {
+    /// Append the encoding of `self`.
+    fn encode(&self, w: &mut ByteWriter);
+
+    /// Read one value; `Truncated`/`Corrupt` when the bytes cannot form one.
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError>;
+}
+
+/// State restored *into* a value already built from the configuration the
+/// snapshot was captured under: fields derived from that configuration
+/// are kept, everything else is overwritten. Every [`Codec`] value is
+/// trivially restorable (decode and replace).
+pub trait Restore {
+    /// Append the encoding of the restorable state.
+    fn encode_state(&self, w: &mut ByteWriter);
+
+    /// Overwrite the restorable state from `r`: structural decode errors,
+    /// or `ConfigMismatch` when the image disagrees with a
+    /// construction-time value it carries.
+    fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError>;
+}
+
+impl<T: Codec> Restore for T {
+    #[cold]
+    fn encode_state(&self, w: &mut ByteWriter) {
+        self.encode(w);
     }
 
-    /// Read a length-prefixed cycle vector.
-    pub fn cycle_vec(&mut self) -> Result<Vec<Cycle>, CodecError> {
-        let n = self.varint_usize()?;
-        // Bound preallocation by what the input could possibly hold
-        // (each element is ≥ 1 byte) so a corrupt length cannot OOM.
-        let mut vs = Vec::with_capacity(n.min(self.remaining()));
+    #[cold]
+    fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        *self = T::decode(r)?;
+        Ok(())
+    }
+}
+
+/// Scalars with a dedicated [`ByteWriter`]/[`ByteReader`] method pair.
+macro_rules! scalar_codec {
+    ($($t:ty: $put:ident / $get:ident),*) => {$(
+        impl Codec for $t {
+            #[cold]
+            fn encode(&self, w: &mut ByteWriter) {
+                w.$put(*self);
+            }
+
+            #[cold]
+            fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+                r.$get()
+            }
+        }
+    )*};
+}
+scalar_codec!(u8: u8 / u8, u64: varint / varint, bool: bool / bool, f32: f32 / f32);
+
+/// Narrower unsigned integers: varints, `Corrupt` when the value does
+/// not fit.
+macro_rules! narrow_codec {
+    ($($t:ty),*) => {$(
+        impl Codec for $t {
+            #[cold]
+            fn encode(&self, w: &mut ByteWriter) {
+                w.varint(*self as u64);
+            }
+
+            #[cold]
+            fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+                <$t>::try_from(r.varint()?)
+                    .map_err(|_| CodecError::Corrupt(concat!(stringify!($t), " overflow")))
+            }
+        }
+    )*};
+}
+narrow_codec!(u16, u32, usize);
+
+/// `bool` presence flag, then the value.
+impl<T: Codec> Codec for Option<T> {
+    #[cold]
+    fn encode(&self, w: &mut ByteWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.encode(w);
+        }
+    }
+
+    #[cold]
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(if r.bool()? { Some(T::decode(r)?) } else { None })
+    }
+}
+
+/// Shared values encode as their contents; decode builds a fresh `Arc`
+/// (nothing in the engine depends on pointer identity).
+impl<T: Codec> Codec for Arc<T> {
+    #[cold]
+    fn encode(&self, w: &mut ByteWriter) {
+        T::encode(self, w);
+    }
+
+    #[cold]
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(Arc::new(T::decode(r)?))
+    }
+}
+
+/// Append a length-prefixed sequence — a varint count, then each element:
+/// the encoding of every collection, usable on a borrowed slice (e.g. a
+/// queue's live region).
+#[cold]
+pub fn encode_seq<'a, T: Codec + 'a>(vs: impl ExactSizeIterator<Item = &'a T>, w: &mut ByteWriter) {
+    w.varint(vs.len() as u64);
+    for v in vs {
+        v.encode(w);
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    #[cold]
+    fn encode(&self, w: &mut ByteWriter) {
+        encode_seq(self.iter(), w);
+    }
+
+    #[cold]
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let n = r.varint_usize()?;
+        // Every element takes at least one byte, so a corrupt length can
+        // never reserve more than the input could hold.
+        let mut vs = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
-            vs.push(self.varint()?);
+            vs.push(T::decode(r)?);
         }
         Ok(vs)
     }
+}
 
-    /// Read a length-prefixed `u32` vector.
-    pub fn u32_vec(&mut self) -> Result<Vec<u32>, CodecError> {
-        let n = self.varint_usize()?;
-        let mut vs = Vec::with_capacity(n.min(self.remaining()));
-        for _ in 0..n {
-            vs.push(self.varint_u32()?);
+/// Other collections encode like the `Vec` of their items.
+macro_rules! seq_codec {
+    ($($seq:ty => $($bound:ident)?),*) => {$(
+        impl<T: Codec $(+ $bound)?> Codec for $seq {
+            #[cold]
+            fn encode(&self, w: &mut ByteWriter) {
+                encode_seq(self.iter(), w);
+            }
+
+            #[cold]
+            fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+                Ok(Vec::<T>::decode(r)?.into_iter().collect())
+            }
         }
-        Ok(vs)
+    )*};
+}
+seq_codec!(VecDeque<T> =>, Arc<[T]> =>, BTreeSet<T> => Ord);
+
+/// Length-prefixed `(key, value)` pairs in key order.
+impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
+    #[cold]
+    fn encode(&self, w: &mut ByteWriter) {
+        w.varint(self.len() as u64);
+        for (k, v) in self {
+            k.encode(w);
+            v.encode(w);
+        }
     }
+
+    #[cold]
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(Vec::<(K, V)>::decode(r)?.into_iter().collect())
+    }
+}
+
+/// Fixed arrays carry no length prefix: the length is the type's.
+impl<T: Codec + Default, const N: usize> Codec for [T; N] {
+    #[cold]
+    fn encode(&self, w: &mut ByteWriter) {
+        for v in self {
+            v.encode(w);
+        }
+    }
+
+    #[cold]
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let mut out: [T; N] = std::array::from_fn(|_| T::default());
+        for v in &mut out {
+            *v = T::decode(r)?;
+        }
+        Ok(out)
+    }
+}
+
+/// Tuples encode their elements in order.
+macro_rules! tuple_codec {
+    ($(($($t:ident $i:tt),+))*) => {$(
+        impl<$($t: Codec),+> Codec for ($($t,)+) {
+            #[cold]
+            fn encode(&self, w: &mut ByteWriter) {
+                $(self.$i.encode(w);)+
+            }
+
+            #[cold]
+            fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+                Ok(($($t::decode(r)?,)+))
+            }
+        }
+    )*};
+}
+tuple_codec! {
+    (A 0, B 1)
+    (A 0, B 1, C 2)
+    (A 0, B 1, C 2, D 3)
+    (A 0, B 1, C 2, D 3, E 4)
+}
+
+/// `Ok` when `ok`, else `Corrupt(what)`: the building block of the
+/// validation steps that run after decode.
+pub fn check(ok: bool, what: &'static str) -> Result<(), CodecError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(CodecError::Corrupt(what))
+    }
+}
+
+/// Read a value and require it to equal `held` (`ConfigMismatch`
+/// otherwise) — the restore side of a `codec!` `expect` field.
+#[cold]
+pub fn expect<T: Codec + PartialEq>(held: &T, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+    if T::decode(r)? == *held {
+        Ok(())
+    } else {
+        Err(CodecError::ConfigMismatch)
+    }
+}
+
+// --- per-field encoding overrides ----------------------------------------
+//
+// Each module is the `(encode, decode)` pair a `codec!` field list names
+// with `field: module`.
+
+/// `Option<Cycle>` as one varint: `None` ↦ 0, `Some(c)` ↦ `c + 1`.
+/// Cycles never reach `u64::MAX`, so the shift is lossless.
+pub mod opt_cycle {
+    use super::{ByteReader, ByteWriter, CodecError, Cycle};
+
+    /// Append `v`.
+    #[cold]
+    pub fn encode(v: &Option<Cycle>, w: &mut ByteWriter) {
+        w.varint(v.map_or(0, |c| c + 1));
+    }
+
+    /// Read a value written by [`encode`].
+    #[cold]
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Option<Cycle>, CodecError> {
+        Ok(r.varint()?.checked_sub(1))
+    }
+}
+
+/// Fixed-width little-endian integers (RNG state words, memo epochs
+/// whose sentinel is `u64::MAX`), and arrays of them.
+pub mod fixed {
+    use super::{ByteReader, ByteWriter, CodecError};
+
+    /// A value with a fixed-width encoding.
+    pub trait Fixed: Sized {
+        /// Append `self`.
+        fn put(&self, w: &mut ByteWriter);
+        /// Read one value.
+        fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError>;
+    }
+
+    macro_rules! fixed_int {
+        ($($t:ident),*) => {$(
+            impl Fixed for $t {
+                fn put(&self, w: &mut ByteWriter) {
+                    w.$t(*self);
+                }
+
+                fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+                    r.$t()
+                }
+            }
+        )*};
+    }
+    fixed_int!(u32, u64);
+
+    impl<T: Fixed + Default + Copy, const N: usize> Fixed for [T; N] {
+        fn put(&self, w: &mut ByteWriter) {
+            self.iter().for_each(|v| v.put(w));
+        }
+
+        fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+            let mut out = [T::default(); N];
+            for v in &mut out {
+                *v = T::get(r)?;
+            }
+            Ok(out)
+        }
+    }
+
+    /// Append `v` at fixed width.
+    #[cold]
+    pub fn encode<T: Fixed>(v: &T, w: &mut ByteWriter) {
+        v.put(w);
+    }
+
+    /// Read a value written by [`encode`].
+    #[cold]
+    pub fn decode<T: Fixed>(r: &mut ByteReader<'_>) -> Result<T, CodecError> {
+        T::get(r)
+    }
+}
+
+/// Three-state values as one `u8` tag: `0` for the outer `None`, then
+/// `Option<bool>` as `1 + b`, or `Option<Option<T>>` as `1` for
+/// `Some(None)` and `2` followed by `v` for `Some(Some(v))`. A `Cell`
+/// encodes its contents.
+pub mod tri {
+    use std::cell::Cell;
+
+    use super::{ByteReader, ByteWriter, Codec, CodecError};
+
+    /// A value with a three-state tag encoding.
+    pub trait Tri: Sized {
+        /// Append `self`.
+        fn put(&self, w: &mut ByteWriter);
+        /// Read one value (`Corrupt` on a tag above 2).
+        fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError>;
+    }
+
+    impl Tri for Option<bool> {
+        fn put(&self, w: &mut ByteWriter) {
+            w.u8(self.map_or(0, |b| 1 + u8::from(b)));
+        }
+
+        fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+            match r.u8()? {
+                0 => Ok(None),
+                t @ 1..=2 => Ok(Some(t == 2)),
+                _ => Err(CodecError::Corrupt("three-state tag")),
+            }
+        }
+    }
+
+    impl<T: Codec> Tri for Option<Option<T>> {
+        fn put(&self, w: &mut ByteWriter) {
+            w.u8(self.as_ref().map_or(0, |v| 1 + u8::from(v.is_some())));
+            if let Some(Some(v)) = self {
+                v.encode(w);
+            }
+        }
+
+        fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+            match r.u8()? {
+                0 => Ok(None),
+                1 => Ok(Some(None)),
+                2 => Ok(Some(Some(T::decode(r)?))),
+                _ => Err(CodecError::Corrupt("three-state tag")),
+            }
+        }
+    }
+
+    impl<T: Tri + Copy> Tri for Cell<T> {
+        fn put(&self, w: &mut ByteWriter) {
+            self.get().put(w);
+        }
+
+        fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+            T::get(r).map(Cell::new)
+        }
+    }
+
+    /// Append `v`.
+    #[cold]
+    pub fn encode<T: Tri>(v: &T, w: &mut ByteWriter) {
+        v.put(w);
+    }
+
+    /// Read a value written by [`encode`].
+    #[cold]
+    pub fn decode<T: Tri>(r: &mut ByteReader<'_>) -> Result<T, CodecError> {
+        T::get(r)
+    }
+}
+
+/// Generate both directions of a snapshot codec from one field list.
+///
+/// The list order *is* the byte order. Four forms:
+///
+/// * `codec! { Name { a, b: opt_cycle, c: skip } }` implements
+///   [`Codec`] for a struct; a `skip` field decodes as its `Default`.
+/// * `codec! { Name(a, b) }` does the same for a tuple struct (the
+///   names bind the fields in order).
+/// * `codec! { in_place Name { .. } }` implements [`Restore`]: decode
+///   overwrites the listed fields of a value built from the same
+///   configuration and keeps the `skip` ones. `in_place(pub(crate))`
+///   generates the same two methods as inherent ones with that
+///   visibility instead, for state no other crate may restore.
+/// * `codec! { enum Name { 0 => Unit, 1 => Tuple(x, y), 2 => Struct { a, b } } }`
+///   implements [`Codec`] for an enum with explicit `u8` tags.
+///
+/// A struct may also be a local newtype over a foreign struct whose
+/// fields are public — `codec! { Local(Foreign) { .. } }` — which is
+/// how a crate encodes a type it does not own.
+///
+/// Field overrides (default: the field type's [`Codec`]):
+///
+/// * `skip` — not encoded (derived, or configuration);
+/// * `opt_cycle`, `fixed`, `tri` — the encodings of the same-named
+///   modules in [`codec`](mod@crate::codec);
+/// * `expect` (`in_place` only) — encoded as a cross-check of a
+///   construction-time value: decode fails with
+///   [`CodecError::ConfigMismatch`] unless the image holds the same one;
+/// * `each` (`in_place` only) — a sequence whose length the
+///   configuration fixes: elements with no length prefix, each
+///   restored in place;
+/// * any other name — a module in scope at the call site with
+///   `encode(&T, &mut ByteWriter)` and `decode` (or, `in_place`,
+///   `restore(&mut T, &mut ByteReader)`).
+///
+/// Every field must be listed: the generated code destructures the
+/// whole struct (or variant) without `..`, so a new field fails to
+/// compile until it is encoded or marked `skip`.
+///
+/// ```
+/// use chopim_dram::codec::{ByteReader, ByteWriter, Codec};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Probe {
+///     hits: u64,
+///     last: Option<u64>,
+///     scratch: u32,
+/// }
+/// chopim_dram::codec! { Probe { hits, last: opt_cycle, scratch: skip } }
+///
+/// let p = Probe { hits: 3, last: Some(9), scratch: 7 };
+/// let mut w = ByteWriter::new();
+/// p.encode(&mut w);
+/// let bytes = w.finish();
+/// assert_eq!(bytes, [3, 10]);
+/// let back = Probe::decode(&mut ByteReader::new(&bytes)).unwrap();
+/// assert_eq!(back, Probe { hits: 3, last: Some(9), scratch: 0 });
+/// ```
+///
+/// Forgetting a field does not compile:
+///
+/// ```compile_fail,E0027
+/// struct Probe {
+///     hits: u64,
+///     misses: u64,
+/// }
+/// chopim_dram::codec! { Probe { hits } }
+/// ```
+#[macro_export]
+macro_rules! codec {
+    (enum $ty:ident { $(
+        $tag:literal => $v:ident
+            $(( $($t:ident),* $(,)? ))?
+            $({ $($f:ident $(: $how:ident)?),* $(,)? })?
+    ),* $(,)? }) => {
+        impl $crate::codec::Codec for $ty {
+            #[cold]
+            fn encode(&self, w: &mut $crate::codec::ByteWriter) {
+                match self {$(
+                    $ty::$v $(( $($t),* ))? $({ $($f),* })? => {
+                        w.u8($tag);
+                        $($($crate::codec::Codec::encode($t, w);)*)?
+                        $($($crate::__codec_field!(encode w, $f $(, $how)?);)*)?
+                    }
+                )*}
+            }
+
+            #[cold]
+            fn decode(
+                r: &mut $crate::codec::ByteReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::codec::CodecError> {
+                ::core::result::Result::Ok(match r.u8()? {
+                    $($tag => $ty::$v
+                        $(( $($crate::__codec_field!(@tuple r, $t)),* ))?
+                        $({ $($f: $crate::__codec_field!(decode r $(, $how)?)),* })?,
+                    )*
+                    _ => {
+                        return ::core::result::Result::Err($crate::codec::CodecError::Corrupt(
+                            concat!(stringify!($ty), " tag"),
+                        ))
+                    }
+                })
+            }
+        }
+    };
+    (in_place($vis:vis) $ty:ident $fields:tt) => {
+        $crate::codec!(@in_place [impl $ty] [$vis] $ty $fields);
+    };
+    (in_place $ty:ident $fields:tt) => {
+        $crate::codec!(@in_place [impl $crate::codec::Restore for $ty] [] $ty $fields);
+    };
+    (@in_place [$($head:tt)*] [$($vis:tt)*] $ty:ident { $($f:ident $(: $how:ident)?),* $(,)? }) => {
+        $($head)* {
+            /// Append the restorable state (generated by `codec!`).
+            #[cold]
+            // chopim-lint: allow(coldpath) -- it is #[cold]; the scanner cannot see past the `$vis` fragment
+            $($vis)* fn encode_state(&self, w: &mut $crate::codec::ByteWriter) {
+                let $ty { $($f),* } = self;
+                $($crate::__codec_field!(encode w, $f $(, $how)?);)*
+            }
+
+            /// Overwrite the restorable state (generated by `codec!`).
+            #[cold]
+            // chopim-lint: allow(coldpath) -- it is #[cold]; the scanner cannot see past the `$vis` fragment
+            $($vis)* fn decode_state(
+                &mut self,
+                r: &mut $crate::codec::ByteReader<'_>,
+            ) -> ::core::result::Result<(), $crate::codec::CodecError> {
+                let $ty { $($f),* } = self;
+                $($crate::__codec_field!(restore r, $f $(, $how)?);)*
+                ::core::result::Result::Ok(())
+            }
+        }
+    };
+    ($ty:ident ( $remote:ident ) { $($f:ident $(: $how:ident)?),* $(,)? }) => {
+        impl $crate::codec::Codec for $ty {
+            #[cold]
+            fn encode(&self, w: &mut $crate::codec::ByteWriter) {
+                let $remote { $($f),* } = &self.0;
+                $($crate::__codec_field!(encode w, $f $(, $how)?);)*
+            }
+
+            #[cold]
+            fn decode(
+                r: &mut $crate::codec::ByteReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::codec::CodecError> {
+                $(let $f = $crate::__codec_field!(decode r $(, $how)?);)*
+                ::core::result::Result::Ok($ty($remote { $($f),* }))
+            }
+        }
+    };
+    ($ty:ident ( $($t:ident),* $(,)? )) => {
+        impl $crate::codec::Codec for $ty {
+            #[cold]
+            fn encode(&self, w: &mut $crate::codec::ByteWriter) {
+                let $ty($($t),*) = self;
+                $($crate::codec::Codec::encode($t, w);)*
+            }
+
+            #[cold]
+            fn decode(
+                r: &mut $crate::codec::ByteReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::codec::CodecError> {
+                ::core::result::Result::Ok($ty($($crate::__codec_field!(@tuple r, $t)),*))
+            }
+        }
+    };
+    ($ty:ident { $($f:ident $(: $how:ident)?),* $(,)? }) => {
+        impl $crate::codec::Codec for $ty {
+            #[cold]
+            fn encode(&self, w: &mut $crate::codec::ByteWriter) {
+                let $ty { $($f),* } = self;
+                $($crate::__codec_field!(encode w, $f $(, $how)?);)*
+            }
+
+            #[cold]
+            fn decode(
+                r: &mut $crate::codec::ByteReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::codec::CodecError> {
+                $(let $f = $crate::__codec_field!(decode r $(, $how)?);)*
+                ::core::result::Result::Ok($ty { $($f),* })
+            }
+        }
+    };
+}
+
+/// One field of a [`codec!`](crate::codec!) list, in one direction
+/// (implementation detail of `codec!`).
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __codec_field {
+    // encode: `$f` is bound to `&Field`.
+    (encode $w:ident, $f:ident) => {{
+        #[allow(unused_imports)]
+        use $crate::codec::Restore as _;
+        $f.encode_state($w)
+    }};
+    (encode $w:ident, $f:ident, skip) => {
+        let _ = $f;
+    };
+    (encode $w:ident, $f:ident, expect) => {
+        $crate::codec::Codec::encode($f, $w)
+    };
+    (encode $w:ident, $f:ident, each) => {{
+        #[allow(unused_imports)]
+        use $crate::codec::Restore as _;
+        $f.iter().for_each(|v| v.encode_state($w))
+    }};
+    (encode $w:ident, $f:ident, opt_cycle) => {
+        $crate::codec::opt_cycle::encode($f, $w)
+    };
+    (encode $w:ident, $f:ident, fixed) => {
+        $crate::codec::fixed::encode($f, $w)
+    };
+    (encode $w:ident, $f:ident, tri) => {
+        $crate::codec::tri::encode($f, $w)
+    };
+    (encode $w:ident, $f:ident, $how:ident) => {
+        $how::encode($f, $w)
+    };
+    // decode: an expression producing the field value.
+    (decode $r:ident) => {
+        $crate::codec::Codec::decode($r)?
+    };
+    (decode $r:ident, skip) => {
+        ::core::default::Default::default()
+    };
+    (decode $r:ident, opt_cycle) => {
+        $crate::codec::opt_cycle::decode($r)?
+    };
+    (decode $r:ident, fixed) => {
+        $crate::codec::fixed::decode($r)?
+    };
+    (decode $r:ident, tri) => {
+        $crate::codec::tri::decode($r)?
+    };
+    (decode $r:ident, $how:ident) => {
+        $how::decode($r)?
+    };
+    (@tuple $r:ident, $t:ident) => {
+        $crate::codec::Codec::decode($r)?
+    };
+    // restore: `$f` is bound to `&mut Field`.
+    (restore $r:ident, $f:ident) => {{
+        #[allow(unused_imports)]
+        use $crate::codec::Restore as _;
+        $f.decode_state($r)?
+    }};
+    (restore $r:ident, $f:ident, skip) => {
+        let _ = $f;
+    };
+    (restore $r:ident, $f:ident, expect) => {
+        $crate::codec::expect($f, $r)?
+    };
+    (restore $r:ident, $f:ident, each) => {{
+        #[allow(unused_imports)]
+        use $crate::codec::Restore as _;
+        $f.iter_mut().try_for_each(|v| v.decode_state($r))?
+    }};
+    (restore $r:ident, $f:ident, opt_cycle) => {
+        *$f = $crate::codec::opt_cycle::decode($r)?
+    };
+    (restore $r:ident, $f:ident, fixed) => {
+        *$f = $crate::codec::fixed::decode($r)?
+    };
+    (restore $r:ident, $f:ident, tri) => {
+        *$f = $crate::codec::tri::decode($r)?
+    };
+    (restore $r:ident, $f:ident, $how:ident) => {
+        $how::restore($f, $r)?
+    };
 }
 
 /// Wrap `payload` in the standard frame: `magic · version(u32) ·
@@ -395,9 +1012,12 @@ mod tests {
         w.u64(u64::MAX - 3);
         w.f32(-0.0);
         w.bool(true);
-        w.opt_cycle(None);
-        w.opt_cycle(Some(0));
-        w.opt_cycle(Some(41));
+        for v in [None, Some(0), Some(41)] {
+            opt_cycle::encode(&v, &mut w);
+        }
+        tri::encode(&Some(true), &mut w);
+        tri::encode(&Some(Some(300usize)), &mut w);
+        w.put(&(Some(2u16), vec![1u32, 128], [5u64, 6]));
         let buf = w.finish();
         let mut r = ByteReader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
@@ -405,9 +1025,19 @@ mod tests {
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.f32().unwrap().to_bits(), (-0.0f32).to_bits());
         assert!(r.bool().unwrap());
-        assert_eq!(r.opt_cycle().unwrap(), None);
-        assert_eq!(r.opt_cycle().unwrap(), Some(0));
-        assert_eq!(r.opt_cycle().unwrap(), Some(41));
+        assert_eq!(opt_cycle::decode(&mut r).unwrap(), None);
+        assert_eq!(opt_cycle::decode(&mut r).unwrap(), Some(0));
+        assert_eq!(opt_cycle::decode(&mut r).unwrap(), Some(41));
+        assert_eq!(tri::decode::<Option<bool>>(&mut r).unwrap(), Some(true));
+        assert_eq!(
+            tri::decode::<Option<Option<usize>>>(&mut r).unwrap(),
+            Some(Some(300))
+        );
+        assert_eq!(
+            r.get::<(Option<u16>, Vec<u32>, [u64; 2])>().unwrap(),
+            (Some(2), vec![1, 128], [5, 6])
+        );
+        assert!(r.is_empty());
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! DRAM commands and their issuers.
 
-use crate::codec::{ByteReader, ByteWriter, CodecError};
-
 /// The DRAM command types modeled by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommandKind {
@@ -149,53 +147,20 @@ impl Command {
     pub fn flat_bank(&self, banks_per_group: usize) -> usize {
         self.bankgroup * banks_per_group + self.bank
     }
+}
 
-    /// Serialize the command (snapshot support): kind as its index in
-    /// declaration order, then the address fields as varints.
-    #[cold]
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        let k = match self.kind {
-            CommandKind::Act => 0u8,
-            CommandKind::Pre => 1,
-            CommandKind::PreAll => 2,
-            CommandKind::Rd => 3,
-            CommandKind::Wr => 4,
-            CommandKind::RefAb => 5,
-        };
-        w.u8(k);
-        w.varint(self.rank as u64);
-        w.varint(self.bankgroup as u64);
-        w.varint(self.bank as u64);
-        w.varint(u64::from(self.row));
-        w.varint(u64::from(self.col));
-    }
-
-    /// Decode a command written by [`encode_state`](Self::encode_state).
-    ///
-    /// # Errors
-    ///
-    /// Rejects an out-of-range kind byte and truncated input.
-    #[cold]
-    pub fn decode_state(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let kind = match r.u8()? {
-            0 => CommandKind::Act,
-            1 => CommandKind::Pre,
-            2 => CommandKind::PreAll,
-            3 => CommandKind::Rd,
-            4 => CommandKind::Wr,
-            5 => CommandKind::RefAb,
-            _ => return Err(CodecError::Corrupt("command kind")),
-        };
-        Ok(Self {
-            kind,
-            rank: r.varint_usize()?,
-            bankgroup: r.varint_usize()?,
-            bank: r.varint_usize()?,
-            row: r.varint_u32()?,
-            col: r.varint_u32()?,
-        })
+crate::codec! {
+    enum CommandKind {
+        0 => Act,
+        1 => Pre,
+        2 => PreAll,
+        3 => Rd,
+        4 => Wr,
+        5 => RefAb,
     }
 }
+
+crate::codec! { Command { kind, rank, bankgroup, bank, row, col } }
 
 impl std::fmt::Display for Command {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

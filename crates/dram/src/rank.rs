@@ -8,7 +8,6 @@
 
 use std::collections::VecDeque;
 
-use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::Cycle;
 
 /// Timing registers scoped to one bank group (the `_L` constraints).
@@ -22,28 +21,7 @@ pub struct BankGroupTiming {
     pub next_act: Cycle,
 }
 
-impl BankGroupTiming {
-    /// Serialize the three registers (snapshot support).
-    #[cold]
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        w.varint(self.next_rd);
-        w.varint(self.next_wr);
-        w.varint(self.next_act);
-    }
-
-    /// Overwrite the registers from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates truncation from the reader.
-    #[cold]
-    pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.next_rd = r.varint()?;
-        self.next_wr = r.varint()?;
-        self.next_act = r.varint()?;
-        Ok(())
-    }
-}
+crate::codec! { BankGroupTiming { next_rd, next_wr, next_act } }
 
 /// One physical rank: the registers shared by every bank in the rank
 /// (`_S` constraints, tFAW, refresh), plus the memoization epoch.
@@ -69,7 +47,7 @@ pub struct Rank {
     /// Cycle of the last NDA-controller command to this rank.
     pub last_nda_cmd_at: Option<Cycle>,
     /// Issue times of the most recent ACTs, for the tFAW window.
-    faw_window: VecDeque<Cycle>,
+    pub(crate) faw_window: VecDeque<Cycle>,
     /// Cycle at which an in-progress refresh completes (0 if none).
     pub refresh_done_at: Cycle,
     /// Number of all-bank refreshes performed.
@@ -139,56 +117,23 @@ impl Rank {
     pub fn cmd_mux_busy(&self, now: Cycle) -> bool {
         self.last_host_cmd_at == Some(now) || self.last_nda_cmd_at == Some(now)
     }
+}
 
-    /// Serialize every register, including the tFAW window and both
-    /// memoization epochs (snapshot support). Epochs must survive a
-    /// round trip verbatim: schedulers key their plan memos on them.
-    #[cold]
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        w.varint(self.next_rd);
-        w.varint(self.next_wr);
-        w.varint(self.next_act);
-        w.varint(self.ext_next_rd);
-        w.varint(self.ext_next_wr);
-        w.opt_cycle(self.last_host_cmd_at);
-        w.opt_cycle(self.last_nda_cmd_at);
-        w.varint(self.faw_window.len() as u64);
-        for &t in &self.faw_window {
-            w.varint(t);
-        }
-        w.varint(self.refresh_done_at);
-        w.varint(self.refreshes);
-        w.varint(self.epoch);
-        w.varint(self.nda_epoch);
-    }
-
-    /// Overwrite this rank's registers from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a tFAW window longer than its hardware depth of four.
-    #[cold]
-    pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.next_rd = r.varint()?;
-        self.next_wr = r.varint()?;
-        self.next_act = r.varint()?;
-        self.ext_next_rd = r.varint()?;
-        self.ext_next_wr = r.varint()?;
-        self.last_host_cmd_at = r.opt_cycle()?;
-        self.last_nda_cmd_at = r.opt_cycle()?;
-        let n = r.varint_usize()?;
-        if n > 4 {
-            return Err(CodecError::Corrupt("tFAW window deeper than 4"));
-        }
-        self.faw_window.clear();
-        for _ in 0..n {
-            self.faw_window.push_back(r.varint()?);
-        }
-        self.refresh_done_at = r.varint()?;
-        self.refreshes = r.varint()?;
-        self.epoch = r.varint()?;
-        self.nda_epoch = r.varint()?;
-        Ok(())
+// Epochs round-trip verbatim: schedulers key their plan memos on them.
+crate::codec! {
+    Rank {
+        next_rd,
+        next_wr,
+        next_act,
+        ext_next_rd,
+        ext_next_wr,
+        last_host_cmd_at: opt_cycle,
+        last_nda_cmd_at: opt_cycle,
+        faw_window,
+        refresh_done_at,
+        refreshes,
+        epoch,
+        nda_epoch,
     }
 }
 

@@ -2,7 +2,6 @@
 //! occupancy split by issuer, bus-turnaround counts, and the rank idle-gap
 //! histogram that reproduces Fig. 2 of the paper.
 
-use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::command::Issuer;
 use crate::Cycle;
 
@@ -130,28 +129,9 @@ impl IdleHistogram {
             self.cycles[i] += other.cycles[i];
         }
     }
-
-    /// Serialize the seven bucket counters (snapshot support).
-    #[cold]
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        for &c in &self.cycles {
-            w.varint(c);
-        }
-    }
-
-    /// Overwrite the bucket counters from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates truncation from the reader.
-    #[cold]
-    pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        for c in &mut self.cycles {
-            *c = r.varint()?;
-        }
-        Ok(())
-    }
 }
+
+crate::codec! { IdleHistogram { cycles } }
 
 /// Per-rank counters: command/event counts by issuer and data-bus
 /// occupancy, plus host-activity tracking for the idle histogram.
@@ -212,58 +192,25 @@ impl RankStats {
             self.host_busy_until = end;
         }
     }
+}
 
-    /// Serialize all counters including the private activity-tracking
-    /// state behind the idle histogram (snapshot support).
-    #[cold]
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        w.varint(self.acts_host);
-        w.varint(self.acts_nda);
-        w.varint(self.reads_host);
-        w.varint(self.reads_nda);
-        w.varint(self.writes_host);
-        w.varint(self.writes_nda);
-        w.varint(self.refreshes);
-        w.varint(self.host_data_cycles);
-        w.varint(self.nda_data_cycles);
-        self.idle.encode_state(w);
-        w.varint(self.turnarounds);
-        w.varint(self.host_busy_until);
-        w.bool(self.any_activity);
-        match self.last_col_was_write {
-            None => w.u8(0),
-            Some(false) => w.u8(1),
-            Some(true) => w.u8(2),
-        }
-    }
-
-    /// Overwrite all counters from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates truncation / corrupt-field errors from the reader.
-    #[cold]
-    pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.acts_host = r.varint()?;
-        self.acts_nda = r.varint()?;
-        self.reads_host = r.varint()?;
-        self.reads_nda = r.varint()?;
-        self.writes_host = r.varint()?;
-        self.writes_nda = r.varint()?;
-        self.refreshes = r.varint()?;
-        self.host_data_cycles = r.varint()?;
-        self.nda_data_cycles = r.varint()?;
-        self.idle.decode_state(r)?;
-        self.turnarounds = r.varint()?;
-        self.host_busy_until = r.varint()?;
-        self.any_activity = r.bool()?;
-        self.last_col_was_write = match r.u8()? {
-            0 => None,
-            1 => Some(false),
-            2 => Some(true),
-            _ => return Err(CodecError::Corrupt("last_col_was_write tag")),
-        };
-        Ok(())
+// Includes the private activity tracking behind the idle histogram.
+crate::codec! {
+    RankStats {
+        acts_host,
+        acts_nda,
+        reads_host,
+        reads_nda,
+        writes_host,
+        writes_nda,
+        refreshes,
+        host_data_cycles,
+        nda_data_cycles,
+        idle,
+        turnarounds,
+        host_busy_until,
+        any_activity,
+        last_col_was_write: tri,
     }
 }
 
@@ -373,40 +320,15 @@ impl ChannelStats {
             r.finalize(end);
         }
     }
+}
 
-    /// Serialize the channel-level counters and every rank's stats
-    /// (snapshot support).
-    #[cold]
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        w.varint(self.ranks.len() as u64);
-        for r in &self.ranks {
-            r.encode_state(w);
-        }
-        w.varint(self.host_cols);
-        w.varint(self.nda_cols);
-        w.varint(self.ecc_corrected);
-        w.varint(self.ecc_uncorrectable);
-    }
-
-    /// Overwrite the counters from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a rank count that disagrees with this channel's geometry.
-    #[cold]
-    pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        let n = r.varint_usize()?;
-        if n != self.ranks.len() {
-            return Err(CodecError::ConfigMismatch);
-        }
-        for rank in &mut self.ranks {
-            rank.decode_state(r)?;
-        }
-        self.host_cols = r.varint()?;
-        self.nda_cols = r.varint()?;
-        self.ecc_corrected = r.varint()?;
-        self.ecc_uncorrectable = r.varint()?;
-        Ok(())
+crate::codec! {
+    ChannelStats {
+        ranks,
+        host_cols,
+        nda_cols,
+        ecc_corrected,
+        ecc_uncorrectable,
     }
 }
 

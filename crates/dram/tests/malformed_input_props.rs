@@ -4,7 +4,7 @@
 //! never allocate absurdly, and never loop. (The snapshot reader gets
 //! the same treatment in `chopim-core`'s `malformed_snapshot_props`.)
 
-use chopim_dram::codec::{read_framed, ByteReader};
+use chopim_dram::codec::{opt_cycle, read_framed, ByteReader};
 use chopim_dram::trace::{decode_trace, encode_trace, replay_bytes, TraceEvent};
 use chopim_dram::DramConfig;
 use proptest::prelude::*;
@@ -47,9 +47,9 @@ fn drain_reader(bytes: &[u8]) {
             2 => r.u32().is_err(),
             3 => r.varint_usize().is_err(),
             4 => r.bool().is_err(),
-            5 => r.opt_cycle().is_err(),
-            6 => r.cycle_vec().is_err(),
-            _ => r.u32_vec().is_err(),
+            5 => opt_cycle::decode(&mut r).is_err(),
+            6 => r.get::<Vec<u64>>().is_err(),
+            _ => r.get::<Vec<u32>>().is_err(),
         };
         if failed || r.is_empty() {
             break;

@@ -385,6 +385,98 @@ fn snapshot_mid_flight_qos_executor() {
     }
 }
 
+/// `cfg` with every engine-mode knob pinned, so nothing the environment
+/// sets (`CHOPIM_SIM_THREADS`, `CHOPIM_FAULTS`, ...) reaches the image.
+fn pinned(cfg: ChopimConfig) -> ChopimConfig {
+    ChopimConfig {
+        sim_threads: 1,
+        fixed_window: false,
+        trace_path: None,
+        ..cfg
+    }
+}
+
+/// `(length, fnv1a)` of a framed image.
+fn fingerprint(image: &[u8]) -> (usize, u64) {
+    (image.len(), chopim_dram::codec::fnv1a(image))
+}
+
+/// The CHSS v3 bytes of four fixed machines, pinned. Any change to the
+/// encoded layout — a field added, dropped, reordered, or re-encoded in
+/// any component codec — moves at least one of these and must come with
+/// a format version bump (`docs/SNAPSHOT_FORMAT.md`, "Versioning").
+#[test]
+fn snapshot_bytes_are_pinned() {
+    // (a) A default machine at cycle 0: the worked example of the spec.
+    let sys = ChopimSystem::new(pinned(ChopimConfig {
+        faults: FaultPlan::NONE,
+        ..ChopimConfig::default()
+    }));
+    let image = sys.snapshot().expect("fresh machine");
+    assert_eq!(
+        image[..48],
+        [
+            0x43, 0x48, 0x53, 0x53, 0x03, 0x00, 0x00, 0x00, 0x96, 0xc4, 0x02, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0xd6, 0x89, 0x55, 0x41, 0xe5, 0x68, 0xf9, 0xf9, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x10, 0x10, 0x10, 0x10, 0x00,
+        ],
+        "header no longer matches the worked dump in docs/SNAPSHOT_FORMAT.md"
+    );
+    assert_eq!(
+        fingerprint(&image),
+        (181_422, 0x46c7_4609_d937_0600),
+        "default"
+    );
+
+    // (b) Mid-flight under an active fault plan (live in-flight records,
+    // completion status bytes, per-op recovery state).
+    let mut sys = ChopimSystem::new(pinned(ChopimConfig {
+        mix: MixId::new(2),
+        faults: FaultPlan::parse("seed=7,transient=90,drop=100,delay=80:64"),
+        instr_timeout: 8_000,
+        ..ChopimConfig::default()
+    }));
+    let len = 1 << 12;
+    let x = sys.runtime.vector(len, Sharing::Shared);
+    let y = sys.runtime.vector(len, Sharing::Shared);
+    sys.runtime.write_vector(x, &vec![1.0; len]);
+    let sess = sys.runtime.default_session();
+    let _op = sess
+        .elementwise(&mut sys.runtime, Opcode::Copy, vec![], vec![x], Some(y))
+        .opts(LaunchOpts {
+            granularity_lines: Some(4),
+            barrier_per_chunk: false,
+        })
+        .deadline(1_000_000)
+        .submit();
+    sys.run(4_003);
+    let image = sys.snapshot().expect("mid-flight capture");
+    assert_eq!(
+        fingerprint(&image),
+        (207_820, 0x85ff_cae1_aa09_947b),
+        "faulty"
+    );
+
+    // (c) The two-session DAG and the QoS/executor machines mid-flight.
+    let cfg = || {
+        pinned(ChopimConfig {
+            dram: DramConfig::table_ii().with_channels(4),
+            mix: MixId::new(2),
+            faults: FaultPlan::NONE,
+            ..ChopimConfig::default()
+        })
+    };
+    let (mut sys, _, _) = dag_machine(cfg(), 1);
+    sys.run(777);
+    let image = sys.snapshot().expect("no streams");
+    assert_eq!(fingerprint(&image), (323_870, 0x0127_8102_9f39_7cfa), "dag");
+    let (mut sys, _, _) = qos_machine(cfg(), 1);
+    sys.run(777);
+    let image = sys.snapshot().expect("no streams");
+    assert_eq!(fingerprint(&image), (455_225, 0xd308_247c_ec53_c844), "qos");
+}
+
 /// Capture → replay: re-issuing the recorded command stream through the
 /// validating device model must land on the original run's exact DRAM
 /// statistics.

@@ -365,7 +365,7 @@ mod tests {
 
     #[test]
     fn directive_without_reason_is_flagged_not_dropped() {
-        let l = lex("// chopim-lint: allow(snapshot)\n");
+        let l = lex("// chopim-lint: allow(coldpath)\n");
         assert_eq!(l.directives.len(), 1);
         assert!(l.directives[0].well_formed);
         assert!(l.directives[0].reason.is_empty());

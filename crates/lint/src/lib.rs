@@ -6,9 +6,6 @@
 //! * **determinism** — no unordered-container iteration, wall-clock
 //!   time, thread identity, pointer values, or order-sensitive float
 //!   folds on any path that feeds `SimReport`;
-//! * **snapshot** — every field of every snapshot-covered struct is
-//!   mentioned in both an encode and a decode body (the "added a field,
-//!   forgot the CHSS bump" bug);
 //! * **boundary** — shard-side files never name front-end-owned types
 //!   or modules and vice versa; all cross-boundary traffic goes through
 //!   the typed messages in `exchange.rs`;
@@ -35,7 +32,7 @@ use std::path::{Path, PathBuf};
 use scan::ScannedFile;
 
 /// All pass names, as accepted inside `allow(...)`.
-pub const PASSES: [&str; 5] = ["determinism", "snapshot", "boundary", "coldpath", "unsafe"];
+pub const PASSES: [&str; 4] = ["determinism", "boundary", "coldpath", "unsafe"];
 
 /// One finding, anchored to a file and line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,7 +107,6 @@ impl Workspace {
     pub fn run(&self) -> Vec<Diagnostic> {
         let mut raw = Vec::new();
         raw.extend(passes::determinism(&self.files));
-        raw.extend(passes::snapshot(&self.files));
         raw.extend(passes::boundary(&self.files));
         raw.extend(passes::coldpath(&self.files));
         raw.extend(passes::forbid_unsafe(&self.files));

@@ -7,14 +7,14 @@
 //! so changing the architecture means changing these tables (reviewed
 //! like any other invariant).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::lexer::Tok;
 use crate::scan::ScannedFile;
 use crate::Diagnostic;
 
 /// Crates whose `src/` trees feed `SimReport` and therefore carry the
-/// determinism / snapshot / coldpath obligations.
+/// determinism and coldpath obligations.
 const SIM_SCOPES: [&str; 4] = [
     "crates/core/src/",
     "crates/dram/src/",
@@ -63,10 +63,6 @@ const SHARD_OWNED: [&str; 5] = [
     "NdaTickResult",
     "Issued",
 ];
-
-/// Structs exempt from the snapshot-completeness field check: codec
-/// transport types whose fields are cursor state, not machine state.
-const SNAPSHOT_EXEMPT: [&str; 2] = ["ByteWriter", "ByteReader"];
 
 fn in_sim_scope(path: &str) -> bool {
     SIM_SCOPES.iter().any(|s| path.starts_with(s))
@@ -171,167 +167,6 @@ pub fn determinism(files: &[ScannedFile]) -> Vec<Diagnostic> {
             if let Some((kind, msg)) = hit {
                 if seen.insert((line, kind)) {
                     push(&mut diags, &f.path, line, "determinism", msg);
-                }
-            }
-        }
-    }
-    diags
-}
-
-// --- snapshot completeness -------------------------------------------
-
-/// Is this fn part of a codec path, and on which side?
-fn codec_side(name: &str) -> Option<bool> {
-    if name == "snapshot" {
-        return Some(true);
-    }
-    if name == "resume" {
-        return Some(false);
-    }
-    match name.split('_').next() {
-        Some("encode") => Some(true),
-        Some("decode") => Some(false),
-        _ => None,
-    }
-}
-
-/// Cross-check every snapshot-covered struct: each named field must be
-/// mentioned in at least one encode body *and* one decode body.
-///
-/// A struct is covered when it owns a codec fn (impl self type), or
-/// when codec fns on *both* sides name it in their signatures (the
-/// free-fn codec idiom, `encode_meter(m: &TenantReport, ..)`). A
-/// signature mention on one side only does not cover — that is the
-/// config-input idiom (`resume(cfg: ChopimConfig, ..)` consumes the
-/// config, it does not serialize it). The mention check runs against
-/// the struct's own attributed codec bodies per side, falling back to
-/// the pooled bodies of all codec fns for a side with no attributed fn
-/// (a record encoded inline by its container's `encode_state`).
-pub fn snapshot(files: &[ScannedFile]) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    // Struct index over sim-scoped files.
-    let mut structs: Vec<(usize, usize)> = Vec::new(); // (file, struct)
-    for (fi, f) in files.iter().enumerate() {
-        if !in_sim_scope(&f.path) {
-            continue;
-        }
-        for (si, s) in f.structs.iter().enumerate() {
-            if !s.in_test && !SNAPSHOT_EXEMPT.contains(&s.name.as_str()) {
-                structs.push((fi, si));
-            }
-        }
-    }
-    let struct_names: BTreeSet<&str> = structs
-        .iter()
-        .map(|&(fi, si)| files[fi].structs[si].name.as_str())
-        .collect();
-
-    // Codec fns with their mentioned-ident sets.
-    struct CodecFn<'a> {
-        encode_side: bool,
-        self_ty: Option<&'a str>,
-        sig_idents: BTreeSet<&'a str>,
-        body_idents: BTreeSet<&'a str>,
-    }
-    let mut codec_fns: Vec<CodecFn<'_>> = Vec::new();
-    for f in files.iter().filter(|f| in_sim_scope(&f.path)) {
-        for fun in &f.fns {
-            if fun.in_test || fun.body.0 >= fun.body.1 {
-                continue;
-            }
-            let Some(encode_side) = codec_side(&fun.name) else {
-                continue;
-            };
-            let collect = |range: (usize, usize)| -> BTreeSet<&str> {
-                f.toks[range.0..range.1]
-                    .iter()
-                    .filter_map(|t| match &t.tok {
-                        Tok::Ident(s) => Some(s.as_str()),
-                        _ => None,
-                    })
-                    .collect()
-            };
-            codec_fns.push(CodecFn {
-                encode_side,
-                self_ty: fun.self_ty.as_deref(),
-                sig_idents: collect(fun.sig),
-                body_idents: collect(fun.body),
-            });
-        }
-    }
-
-    // Pooled fallback sets.
-    let pooled: [BTreeSet<&str>; 2] = {
-        let mut enc = BTreeSet::new();
-        let mut dec = BTreeSet::new();
-        for c in &codec_fns {
-            let set = if c.encode_side { &mut enc } else { &mut dec };
-            set.extend(c.body_idents.iter().copied());
-        }
-        [enc, dec]
-    };
-
-    // Attribute codec fns to structs they name: by impl self type, and
-    // by signature mention (free-fn codecs). Tracked separately so the
-    // coverage rule can demand sig attribution on both sides.
-    let mut self_attr: BTreeMap<&str, [Vec<usize>; 2]> = BTreeMap::new();
-    let mut sig_attr: BTreeMap<&str, [Vec<usize>; 2]> = BTreeMap::new();
-    for (ci, c) in codec_fns.iter().enumerate() {
-        let side = usize::from(!c.encode_side);
-        if let Some(ty) = c.self_ty {
-            if struct_names.contains(ty) {
-                self_attr.entry(ty).or_default()[side].push(ci);
-            }
-        }
-        for id in c.sig_idents.iter() {
-            if struct_names.contains(id) && c.self_ty != Some(id) {
-                sig_attr.entry(id).or_default()[side].push(ci);
-            }
-        }
-    }
-
-    for &(fi, si) in &structs {
-        let s = &files[fi].structs[si];
-        let name = s.name.as_str();
-        let self_a = self_attr.get(name);
-        let sig_a = sig_attr.get(name);
-        let covered = self_a.is_some_and(|a| !a[0].is_empty() || !a[1].is_empty())
-            || sig_a.is_some_and(|a| !a[0].is_empty() && !a[1].is_empty());
-        if !covered {
-            continue; // not snapshot-covered
-        }
-        let attr: [Vec<usize>; 2] = [0, 1].map(|side| {
-            let mut v: Vec<usize> = Vec::new();
-            if let Some(a) = self_a {
-                v.extend(&a[side]);
-            }
-            if let Some(a) = sig_a {
-                v.extend(&a[side]);
-            }
-            v
-        });
-        for (field, line) in &s.fields {
-            for (side, side_name) in [(0usize, "encode"), (1, "decode")] {
-                let mentioned = if attr[side].is_empty() {
-                    pooled[side].contains(field.as_str())
-                } else {
-                    attr[side]
-                        .iter()
-                        .any(|&ci| codec_fns[ci].body_idents.contains(field.as_str()))
-                };
-                if !mentioned {
-                    push(
-                        &mut diags,
-                        &files[fi].path,
-                        *line,
-                        "snapshot",
-                        format!(
-                            "field `{field}` of snapshot-covered struct `{}` is not mentioned \
-                             in any {side_name} body: serialize it (and bump the CHSS version) \
-                             or allow with a reason explaining how resume rebuilds it",
-                            s.name
-                        ),
-                    );
                 }
             }
         }

@@ -54,51 +54,6 @@ fn determinism_ignores_out_of_scope_tests_and_use_lines() {
     assert!(findings_of(&ws, "determinism").is_empty());
 }
 
-// --- snapshot completeness -------------------------------------------
-
-const SNAPSHOT_GOOD: &str = "pub struct Meter { hits: u64, misses: u64 }\n\
-     impl Meter {\n\
-         #[cold]\n\
-         pub fn snapshot(&self, w: &mut W) { w.varint(self.hits); w.varint(self.misses); }\n\
-         #[cold]\n\
-         pub fn resume(r: &mut R) -> Self { Meter { hits: r.varint(), misses: r.varint() } }\n\
-     }\n";
-
-#[test]
-fn snapshot_complete_struct_is_clean() {
-    let ws = Workspace::from_sources(&[("crates/core/src/meter.rs", SNAPSHOT_GOOD)]);
-    assert!(findings_of(&ws, "snapshot").is_empty());
-}
-
-#[test]
-fn snapshot_flags_field_missing_from_encode() {
-    // Same struct, but the encode body forgot `misses`.
-    let src = SNAPSHOT_GOOD.replace("w.varint(self.misses); ", "");
-    let ws = Workspace::from_sources(&[("crates/core/src/meter.rs", &src)]);
-    let found = findings_of(&ws, "snapshot");
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].contains("`misses`"), "{found:?}");
-    assert!(found[0].contains("encode"), "{found:?}");
-}
-
-#[test]
-fn snapshot_one_sided_signature_mention_does_not_cover() {
-    // The config-input idiom: `resume(cfg: Config, ..)` consumes the
-    // config, it does not serialize it — Config must stay uncovered.
-    let ws = Workspace::from_sources(&[(
-        "crates/core/src/cfgin.rs",
-        "pub struct Config { seed: u64, window: u64 }\n\
-         pub struct Sys { tick: u64 }\n\
-         impl Sys {\n\
-             #[cold]\n\
-             pub fn snapshot(&self, w: &mut W) { w.varint(self.tick); }\n\
-             #[cold]\n\
-             pub fn resume(cfg: Config, r: &mut R) -> Self { Sys { tick: r.varint() } }\n\
-         }\n",
-    )]);
-    assert!(findings_of(&ws, "snapshot").is_empty());
-}
-
 // --- shard boundary --------------------------------------------------
 
 #[test]

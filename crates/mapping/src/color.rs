@@ -9,7 +9,6 @@
 //! same color. Allocation itself is a free-list per color, the fragmentation
 //! behavior of which matches huge-page allocation as the paper argues.
 
-use chopim_dram::codec::{ByteReader, ByteWriter, CodecError};
 use chopim_dram::DramConfig;
 
 use crate::linear::LinearMapping;
@@ -208,43 +207,39 @@ impl ColoredAllocator {
     pub fn total_rows(&self) -> u32 {
         self.total_rows
     }
+}
 
-    /// Serialize the allocator's free-list state (snapshot support). The
-    /// free-list *order* is captured verbatim: allocation pops from the
-    /// tail, so order determines every future placement decision.
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        w.varint(self.row_bytes);
-        w.varint(self.color_bits.len() as u64);
-        w.varint(u64::from(self.total_rows));
-        for pool in [&self.host_free, &self.shared_free] {
-            for bucket in pool {
-                w.u32_slice(bucket);
-            }
-        }
-        w.varint(u64::from(self.allocated));
+chopim_dram::codec! { Color(c) }
+chopim_dram::codec! { SystemRow { index } }
+chopim_dram::codec! { Region { rows, row_bytes, color } }
+
+// The free-list *order* is captured verbatim: allocation pops from the
+// tail, so order determines every future placement decision. The
+// geometry rides along as a cross-check against the restoring config.
+chopim_dram::codec! {
+    in_place ColoredAllocator {
+        row_bytes: expect,
+        color_bits: color_count,
+        total_rows: expect,
+        host_free: each,
+        shared_free: each,
+        allocated,
+    }
+}
+
+/// `color_bits` travels as its length only (the color count is the
+/// geometry cross-check; the bit positions derive from the mapping).
+mod color_count {
+    use chopim_dram::codec::{expect, ByteReader, ByteWriter, CodecError};
+
+    #[cold]
+    pub fn encode(bits: &[u32], w: &mut ByteWriter) {
+        w.put(&bits.len());
     }
 
-    /// Overwrite this allocator's state from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::ConfigMismatch`] when the serialized geometry (row
-    /// size, color count, total rows) differs from this allocator's.
-    pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        if r.varint()? != self.row_bytes
-            || r.varint_usize()? != self.color_bits.len()
-            || r.varint_u32()? != self.total_rows
-        {
-            return Err(CodecError::ConfigMismatch);
-        }
-        let ncolors = self.num_colors();
-        for pool in [&mut self.host_free, &mut self.shared_free] {
-            for bucket in pool.iter_mut().take(ncolors) {
-                *bucket = r.u32_vec()?;
-            }
-        }
-        self.allocated = r.varint_u32()?;
-        Ok(())
+    #[cold]
+    pub fn restore(bits: &mut [u32], r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        expect(&bits.len(), r)
     }
 }
 

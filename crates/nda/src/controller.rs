@@ -20,7 +20,6 @@
 //!   after a command actually touched this rank (or, for host column
 //!   commands, the channel).
 
-use chopim_dram::codec::{ByteReader, ByteWriter, CodecError};
 use chopim_dram::perfcount::{self, Counter};
 use chopim_dram::{Channel, Command, CommandKind, Cycle, Issuer};
 
@@ -292,76 +291,26 @@ impl NdaRankController {
         );
         ready.max(now)
     }
+}
 
-    /// Serialize all controller state (snapshot support). The memo fields
-    /// (`want`, plan, hint) are captured verbatim rather than re-derived:
-    /// re-deriving on restore would change which cycles get offered to the
-    /// FSM and shift `write_throttle_stalls`, breaking resume bit-identity.
-    #[cold]
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        w.varint(self.channel as u64);
-        w.varint(self.rank as u64);
-        w.varint(self.banks_per_group as u64);
-        self.fsm.encode_state(w);
-        match self.want {
-            Some(a) => {
-                w.u8(1);
-                w.bool(a.write);
-                w.varint(u64::from(a.bank));
-                w.varint(u64::from(a.row));
-                w.varint(u64::from(a.col));
-            }
-            None => w.u8(0),
-        }
-        w.bool(self.want_valid);
-        w.varint(self.plan_epoch);
-        self.plan_cmd.encode_state(w);
-        w.varint(self.plan_ready);
-        w.opt_cycle(self.ready_hint);
-        w.varint(self.row_cmds);
-        w.varint(self.write_throttle_stalls);
-    }
-
-    /// Overwrite this controller's state from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::ConfigMismatch`] when the serialized identity
-    /// (channel, rank, geometry) differs from this controller's.
-    #[cold]
-    pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        if r.varint_usize()? != self.channel
-            || r.varint_usize()? != self.rank
-            || r.varint_usize()? != self.banks_per_group
-        {
-            return Err(CodecError::ConfigMismatch);
-        }
-        self.fsm.decode_state(r)?;
-        self.want = match r.u8()? {
-            0 => None,
-            1 => {
-                let write = r.bool()?;
-                let bank = u16::try_from(r.varint()?)
-                    .map_err(|_| CodecError::Corrupt("access bank > u16"))?;
-                let row = r.varint_u32()?;
-                let col = r.varint_u32()?;
-                Some(NdaAccess {
-                    write,
-                    bank,
-                    row,
-                    col,
-                })
-            }
-            _ => return Err(CodecError::Corrupt("want tag")),
-        };
-        self.want_valid = r.bool()?;
-        self.plan_epoch = r.varint()?;
-        self.plan_cmd = Command::decode_state(r)?;
-        self.plan_ready = r.varint()?;
-        self.ready_hint = r.opt_cycle()?;
-        self.row_cmds = r.varint()?;
-        self.write_throttle_stalls = r.varint()?;
-        Ok(())
+// The memo fields (`want`, plan, hint) are captured verbatim rather than
+// re-derived: re-deriving on restore would change which cycles get
+// offered to the FSM and shift `write_throttle_stalls`, breaking resume
+// bit-identity. The identity fields cross-check the restoring shard.
+chopim_dram::codec! {
+    in_place NdaRankController {
+        channel: expect,
+        rank: expect,
+        banks_per_group: expect,
+        fsm,
+        want,
+        want_valid,
+        plan_epoch,
+        plan_cmd,
+        plan_ready,
+        ready_hint: opt_cycle,
+        row_cmds,
+        write_throttle_stalls,
     }
 }
 

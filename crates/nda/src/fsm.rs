@@ -20,7 +20,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::{Hash, Hasher};
 
-use chopim_dram::codec::{ByteReader, ByteWriter, CodecError};
+use chopim_dram::codec::CodecError;
 
 use crate::isa::NdaInstr;
 use crate::microcode::Program;
@@ -285,86 +285,38 @@ impl NdaFsm {
         h.finish()
     }
 
-    /// Serialize all sequencer state (snapshot support).
-    #[cold]
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        w.varint(self.queue_cap as u64);
-        w.varint(self.queue.len() as u64);
-        for i in &self.queue {
-            crate::snapshot::encode_instr(i, w);
-        }
-        match &self.program {
-            Some(p) => {
-                w.bool(true);
-                p.encode_state(w);
-            }
-            None => w.bool(false),
-        }
-        self.wbuf.encode_state(w);
-        w.varint(self.wr_outstanding.len() as u64);
-        for (&id, &n) in &self.wr_outstanding {
-            w.varint(id);
-            w.varint(n);
-        }
-        w.varint(self.program_done.len() as u64);
-        for &id in &self.program_done {
-            w.varint(id);
-        }
-        w.varint(self.completed.len() as u64);
-        for &id in &self.completed {
-            w.varint(id);
-        }
-        w.varint(self.reads_granted);
-        w.varint(self.writes_granted);
-        w.varint(self.completed_count);
-    }
-
-    /// Overwrite this FSM's state from a snapshot.
+    /// Check restored state against the configured capacities: queue
+    /// and write-buffer occupancy, and the running program's position.
     ///
     /// # Errors
     ///
-    /// [`CodecError::ConfigMismatch`] when the serialized queue capacity
-    /// differs; [`CodecError::Corrupt`] on invariant violations.
+    /// [`CodecError::Corrupt`] naming the violated bound.
     #[cold]
-    pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        if r.varint_usize()? != self.queue_cap {
-            return Err(CodecError::ConfigMismatch);
-        }
-        let n = r.varint_usize()?;
-        if n > self.queue_cap {
+    pub fn validate(&self) -> Result<(), CodecError> {
+        if self.queue.len() > self.queue_cap {
             return Err(CodecError::Corrupt("instruction queue overfull"));
         }
-        self.queue.clear();
-        for _ in 0..n {
-            self.queue.push_back(crate::snapshot::decode_instr(r)?);
+        if self.wbuf.len() > self.wbuf.capacity() {
+            return Err(CodecError::Corrupt("write buffer overfull"));
         }
-        self.program = if r.bool()? {
-            Some(Program::decode_state(r)?)
-        } else {
-            None
-        };
-        self.wbuf.decode_state(r)?;
-        let n = r.varint_usize()?;
-        self.wr_outstanding.clear();
-        for _ in 0..n {
-            let id = r.varint()?;
-            let count = r.varint()?;
-            self.wr_outstanding.insert(id, count);
-        }
-        let n = r.varint_usize()?;
-        self.program_done.clear();
-        for _ in 0..n {
-            self.program_done.insert(r.varint()?);
-        }
-        let n = r.varint_usize()?;
-        self.completed.clear();
-        for _ in 0..n {
-            self.completed.push_back(r.varint()?);
-        }
-        self.reads_granted = r.varint()?;
-        self.writes_granted = r.varint()?;
-        self.completed_count = r.varint()?;
-        Ok(())
+        self.program.as_ref().map_or(Ok(()), Program::validate)
+    }
+}
+
+chopim_dram::codec! { NdaAccess { write, bank, row, col } }
+
+chopim_dram::codec! {
+    in_place NdaFsm {
+        queue_cap: expect,
+        queue,
+        program,
+        wbuf,
+        wr_outstanding,
+        program_done,
+        completed,
+        reads_granted,
+        writes_granted,
+        completed_count,
     }
 }
 

@@ -7,7 +7,7 @@
 //! Determinism is load-bearing: the host-side shadow FSM replays exactly
 //! this stream, which is what lets Chopim avoid NDA→host signaling.
 
-use chopim_dram::codec::{ByteReader, ByteWriter, CodecError};
+use chopim_dram::codec::CodecError;
 
 use crate::isa::NdaInstr;
 
@@ -134,54 +134,37 @@ impl Program {
         (self.phase as u64) << 48 | self.batch_start << 16 | (self.stream as u64) << 8 | self.line
     }
 
-    /// Serialize the instruction plus the walk position (snapshot support).
-    #[cold]
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        crate::snapshot::encode_instr(&self.instr, w);
-        w.varint(self.phase as u64);
-        w.varint(self.batch_start);
-        w.varint(self.stream as u64);
-        w.varint(self.line);
-    }
-
-    /// Decode a program written by [`encode_state`](Self::encode_state).
+    /// Check a restored walk position against the instruction's access
+    /// stream (an out-of-range position would make [`peek`](Self::peek)
+    /// and [`advance`](Self::advance) panic).
     ///
     /// # Errors
     ///
-    /// Rejects positions outside the instruction's access stream (they
-    /// would make [`peek`](Self::peek)/[`advance`](Self::advance) panic).
+    /// [`CodecError::Corrupt`] naming the violated bound.
     #[cold]
-    pub fn decode_state(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let instr = crate::snapshot::decode_instr(r)?;
-        let phase = r.varint_usize()?;
-        let batch_start = r.varint()?;
-        let stream = r.varint_usize()?;
-        let line = r.varint()?;
-        if phase > instr.phases.len() {
+    pub fn validate(&self) -> Result<(), CodecError> {
+        let phases = &self.instr.phases;
+        if self.phase > phases.len() {
             return Err(CodecError::Corrupt("program phase out of range"));
         }
-        if phase == instr.phases.len() {
-            if batch_start != 0 || stream != 0 || line != 0 {
+        if self.phase == phases.len() {
+            if self.batch_start != 0 || self.stream != 0 || self.line != 0 {
                 return Err(CodecError::Corrupt("finished program with position"));
             }
-        } else {
-            let p = &instr.phases[phase];
-            if stream >= p.streams.len() || batch_start >= p.lines {
-                return Err(CodecError::Corrupt("program position out of range"));
-            }
-            if line >= BATCH_LINES.min(p.lines - batch_start) {
-                return Err(CodecError::Corrupt("program line out of batch"));
-            }
+            return Ok(());
         }
-        Ok(Self {
-            instr,
-            phase,
-            batch_start,
-            stream,
-            line,
-        })
+        let p = &phases[self.phase];
+        if self.stream >= p.streams.len() || self.batch_start >= p.lines {
+            return Err(CodecError::Corrupt("program position out of range"));
+        }
+        if self.line >= BATCH_LINES.min(p.lines - self.batch_start) {
+            return Err(CodecError::Corrupt("program line out of batch"));
+        }
+        Ok(())
     }
 }
+
+chopim_dram::codec! { Program { instr, phase, batch_start, stream, line } }
 
 #[cfg(test)]
 mod tests {

@@ -10,6 +10,8 @@
 
 use std::sync::Arc;
 
+use chopim_dram::codec::{ByteReader, ByteWriter, Codec, CodecError};
+
 /// The deterministic rank-local placement of one operand.
 ///
 /// `interleave_group > 1` models the physical-address-order walk of a
@@ -24,7 +26,6 @@ pub struct OperandLayout {
     /// Cache lines per chunk (one DRAM row per rank: 128 for Table II).
     lines_per_chunk: u32,
     /// Number of consecutive chunks whose lines interleave round-robin.
-    // chopim-lint: allow(snapshot) -- decode_layout reads it as `group` and restores it through with_interleave
     interleave_group: u32,
 }
 
@@ -129,6 +130,41 @@ impl OperandLayout {
         banks.sort_unstable();
         banks.dedup();
         banks.len()
+    }
+}
+
+/// Chunk list and walk parameters. Decode enforces the constructor
+/// invariants (non-empty chunk list, non-zero strides, group dividing the
+/// chunk count): a layout violating them is rejected as
+/// [`CodecError::Corrupt`] instead of panicking later in the walk.
+impl Codec for OperandLayout {
+    #[cold]
+    fn encode(&self, w: &mut ByteWriter) {
+        let Self {
+            chunks,
+            lines_per_chunk,
+            interleave_group,
+        } = self;
+        w.put(chunks);
+        w.put(lines_per_chunk);
+        w.put(interleave_group);
+    }
+
+    #[cold]
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let l = Self {
+            chunks: r.get()?,
+            lines_per_chunk: r.get()?,
+            interleave_group: r.get()?,
+        };
+        if l.chunks.is_empty()
+            || l.lines_per_chunk == 0
+            || l.interleave_group == 0
+            || !l.chunks.len().is_multiple_of(l.interleave_group as usize)
+        {
+            return Err(CodecError::Corrupt("layout invariants"));
+        }
+        Ok(l)
     }
 }
 

@@ -3,124 +3,49 @@
 //! Operand layouts and instructions are plain data behind `Arc`s; the
 //! engine's determinism never depends on pointer identity (FSM
 //! fingerprints hash ids and positions, not addresses), so decoding
-//! rebuilds fresh `Arc`s. State-carrying structs (`Program`,
-//! `WriteBuffer`, `NdaFsm`, `NdaRankController`) serialize themselves
-//! via methods next to their private fields; this module holds the
-//! shared value codecs they build on.
+//! rebuilds fresh `Arc`s. `OperandLayout` and the state-carrying structs
+//! (`Program`, `WriteBuffer`, `NdaFsm`, `NdaRankController`) declare
+//! their codecs next to their private fields; this module holds the
+//! instruction codecs they build on.
 
-use std::sync::Arc;
-
-use chopim_dram::codec::{ByteReader, ByteWriter, CodecError};
+use chopim_dram::codec;
 
 use crate::isa::{NdaInstr, Opcode, Phase, Stream};
-use crate::operand::OperandLayout;
 
-/// Serialize an operand layout (chunk list + walk parameters).
-#[cold]
-pub fn encode_layout(l: &OperandLayout, w: &mut ByteWriter) {
-    let chunks = l.chunks();
-    w.varint(chunks.len() as u64);
-    for &(bank, row) in chunks {
-        w.varint(u64::from(bank));
-        w.varint(u64::from(row));
+// Opcodes travel as their index in `Opcode::ALL` (Table I order).
+codec! {
+    enum Opcode {
+        0 => Axpby,
+        1 => Axpbypcz,
+        2 => Axpy,
+        3 => Copy,
+        4 => Xmy,
+        5 => Dot,
+        6 => Nrm2,
+        7 => Scal,
+        8 => Gemv,
     }
-    w.varint(u64::from(l.lines_per_chunk()));
-    w.varint(u64::from(l.interleave_group()));
 }
 
-/// Decode an operand layout into a fresh `Arc`.
-///
-/// # Errors
-///
-/// Rejects layouts violating the constructor invariants (empty chunk
-/// list, zero strides, group not dividing the chunk count) as
-/// [`CodecError::Corrupt`] instead of panicking.
-#[cold]
-pub fn decode_layout(r: &mut ByteReader<'_>) -> Result<Arc<OperandLayout>, CodecError> {
-    let n = r.varint_usize()?;
-    let mut chunks = Vec::with_capacity(n.min(r.remaining()));
-    for _ in 0..n {
-        let bank =
-            u16::try_from(r.varint()?).map_err(|_| CodecError::Corrupt("layout bank > u16"))?;
-        let row = r.varint_u32()?;
-        chunks.push((bank, row));
-    }
-    let lines_per_chunk = r.varint_u32()?;
-    let group = r.varint_u32()?;
-    if chunks.is_empty()
-        || lines_per_chunk == 0
-        || group == 0
-        || !chunks.len().is_multiple_of(group as usize)
-    {
-        return Err(CodecError::Corrupt("layout invariants"));
-    }
-    Ok(OperandLayout::with_interleave(
-        chunks,
-        lines_per_chunk,
-        group,
-    ))
-}
-
-/// Serialize a full NDA instruction (opcode, phases, streams, id).
-#[cold]
-pub fn encode_instr(i: &NdaInstr, w: &mut ByteWriter) {
-    let op = Opcode::ALL
-        .iter()
-        .position(|o| *o == i.op)
-        .expect("opcode in ALL") as u8;
-    w.u8(op);
-    w.varint(i.phases.len() as u64);
-    for p in i.phases.iter() {
-        w.varint(p.lines);
-        w.varint(p.streams.len() as u64);
-        for s in &p.streams {
-            encode_layout(&s.layout, w);
-            w.varint(s.start_line);
-            w.bool(s.write);
-        }
-    }
-    w.varint(i.id);
-}
-
-/// Decode an NDA instruction written by [`encode_instr`].
-///
-/// # Errors
-///
-/// Rejects unknown opcodes and corrupt layouts.
-#[cold]
-pub fn decode_instr(r: &mut ByteReader<'_>) -> Result<NdaInstr, CodecError> {
-    let op = *Opcode::ALL
-        .get(r.u8()? as usize)
-        .ok_or(CodecError::Corrupt("opcode"))?;
-    let nphases = r.varint_usize()?;
-    let mut phases = Vec::with_capacity(nphases.min(r.remaining()));
-    for _ in 0..nphases {
-        let lines = r.varint()?;
-        let nstreams = r.varint_usize()?;
-        let mut streams = Vec::with_capacity(nstreams.min(r.remaining()));
-        for _ in 0..nstreams {
-            let layout = decode_layout(r)?;
-            let start_line = r.varint()?;
-            let write = r.bool()?;
-            streams.push(Stream {
-                layout,
-                start_line,
-                write,
-            });
-        }
-        phases.push(Phase { streams, lines });
-    }
-    let id = r.varint()?;
-    Ok(NdaInstr {
-        op,
-        phases: phases.into(),
-        id,
-    })
-}
+codec! { Stream { layout, start_line, write } }
+codec! { Phase { lines, streams } }
+codec! { NdaInstr { op, phases, id } }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use chopim_dram::codec::{ByteReader, ByteWriter, Codec, CodecError};
+
     use super::*;
+    use crate::operand::OperandLayout;
+
+    fn round_trip<T: Codec>(v: &T) -> Result<T, CodecError> {
+        let mut w = ByteWriter::new();
+        w.put(v);
+        let buf = w.finish();
+        ByteReader::new(&buf).get()
+    }
 
     #[test]
     fn layout_round_trip() {
@@ -129,10 +54,7 @@ mod tests {
             OperandLayout::single_bank(3, 9, 4, 128),
             OperandLayout::with_interleave(vec![(0, 1), (1, 2), (2, 3), (3, 4)], 128, 4),
         ] {
-            let mut w = ByteWriter::new();
-            encode_layout(&l, &mut w);
-            let buf = w.finish();
-            let back = decode_layout(&mut ByteReader::new(&buf)).unwrap();
+            let back: Arc<OperandLayout> = round_trip(&l).unwrap();
             assert_eq!(*back, *l);
         }
     }
@@ -143,10 +65,7 @@ mod tests {
         let x = OperandLayout::single_bank(0, 500, 1, 128);
         let y = OperandLayout::single_bank(1, 501, 1, 128);
         let i = NdaInstr::gemv((a, 0, 1024), (x, 0, 4), (y, 0, 2), 77);
-        let mut w = ByteWriter::new();
-        encode_instr(&i, &mut w);
-        let buf = w.finish();
-        let back = decode_instr(&mut ByteReader::new(&buf)).unwrap();
+        let back = round_trip(&i).unwrap();
         assert_eq!(back.id, 77);
         assert_eq!(back.op, i.op);
         // The decoded instruction expands to the identical micro-op
@@ -174,6 +93,6 @@ mod tests {
         w.varint(128);
         w.varint(2);
         let buf = w.finish();
-        assert!(decode_layout(&mut ByteReader::new(&buf)).is_err());
+        assert!(ByteReader::new(&buf).get::<OperandLayout>().is_err());
     }
 }

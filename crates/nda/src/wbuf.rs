@@ -7,8 +7,6 @@
 
 use std::collections::VecDeque;
 
-use chopim_dram::codec::{ByteReader, ByteWriter, CodecError};
-
 /// One buffered write: the rank-local DRAM location of the line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufferedWrite {
@@ -59,6 +57,11 @@ impl WriteBuffer {
     /// The paper's configuration: 128 entries, drain at 96 down to 16.
     pub fn table_ii() -> Self {
         Self::new(128, 96, 16)
+    }
+
+    /// Entry capacity.
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Current occupancy.
@@ -139,62 +142,21 @@ impl WriteBuffer {
         self.entries.clear();
         self.draining = false;
     }
+}
 
-    /// Serialize all buffer state (snapshot support). The watermark
-    /// configuration is included so a restore against a differently
-    /// configured buffer is rejected rather than silently accepted.
-    #[cold]
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        w.varint(self.capacity as u64);
-        w.varint(self.high as u64);
-        w.varint(self.low as u64);
-        w.varint(self.entries.len() as u64);
-        for e in &self.entries {
-            w.varint(e.instr);
-            w.varint(u64::from(e.bank));
-            w.varint(u64::from(e.row));
-            w.varint(u64::from(e.col));
-        }
-        w.bool(self.draining);
-        w.varint(self.drained);
-    }
+chopim_dram::codec! { BufferedWrite { instr, bank, row, col } }
 
-    /// Overwrite this buffer's state from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::ConfigMismatch`] when the serialized watermarks
-    /// differ from this buffer's; [`CodecError::Corrupt`] on an
-    /// over-capacity entry list.
-    #[cold]
-    pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        if r.varint_usize()? != self.capacity
-            || r.varint_usize()? != self.high
-            || r.varint_usize()? != self.low
-        {
-            return Err(CodecError::ConfigMismatch);
-        }
-        let n = r.varint_usize()?;
-        if n > self.capacity {
-            return Err(CodecError::Corrupt("write buffer overfull"));
-        }
-        self.entries.clear();
-        for _ in 0..n {
-            let instr = r.varint()?;
-            let bank =
-                u16::try_from(r.varint()?).map_err(|_| CodecError::Corrupt("wbuf bank > u16"))?;
-            let row = r.varint_u32()?;
-            let col = r.varint_u32()?;
-            self.entries.push_back(BufferedWrite {
-                instr,
-                bank,
-                row,
-                col,
-            });
-        }
-        self.draining = r.bool()?;
-        self.drained = r.varint()?;
-        Ok(())
+// The watermark configuration rides along so a restore against a
+// differently configured buffer is rejected rather than silently
+// accepted. Occupancy against capacity is checked by `NdaFsm::validate`.
+chopim_dram::codec! {
+    in_place WriteBuffer {
+        capacity: expect,
+        high: expect,
+        low: expect,
+        entries,
+        draining,
+        drained,
     }
 }
 
