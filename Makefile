@@ -27,11 +27,12 @@ perf-verbose:
 	cargo run --release -p chopim-perf --features perf-counters -- --verbose
 
 # Micro-benchmarks for the busy-path kernels (ready_at / plan_access /
-# scheduler pick) and the cross-shard exchange kernels (flat-fifo
-# handoff, merge-queue vs heap), via the vendored criterion shim.
+# scheduler pick), the cross-shard exchange kernels (flat-fifo handoff,
+# merge-queue vs heap), and the SVRG math kernels (full_grad and loss
+# per sample, the inner step), via the vendored criterion shim.
 # Optional companion to `make perf`.
 perf-micro:
-	cargo bench -p chopim-dram -p chopim-core
+	cargo bench -p chopim-dram -p chopim-core -p chopim-ml
 
 # Fast-forward vs naive-loop equivalence (bit-identical SimReports).
 lockstep:

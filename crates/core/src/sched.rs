@@ -920,6 +920,19 @@ impl HostMc {
         check(oldest_ok, "oldest-read rank out of range")
     }
 
+    /// Launch ids of the control-register writes still queued (resume
+    /// validation counts them against their launch records).
+    #[cold]
+    pub(crate) fn queued_launch_writes(&self) -> impl Iterator<Item = u64> + '_ {
+        self.read_q
+            .iter()
+            .chain(&self.write_q)
+            .filter_map(|e| match e.tx.meta {
+                TxMeta::Launch { launch } => Some(launch),
+                _ => None,
+            })
+    }
+
     /// Rebuild the derived state a snapshot does not carry — each queued
     /// entry's bank slot and both queue indexes — after [`validate`](Self::validate).
     #[cold]

@@ -20,7 +20,7 @@
 //! the lockstep suites keep their bit-identity contract.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use chopim_dram::codec::{check, CodecError};
 use chopim_dram::fault::{stream, FaultPlan};
@@ -204,6 +204,13 @@ impl LaunchSlab {
         self.slots.get_mut(idx)?.as_mut()
     }
 
+    /// Every record [`get_mut`](Self::get_mut) can reach, with its
+    /// launch id, in id order.
+    fn records(&self) -> impl Iterator<Item = (u64, &LaunchInFlight)> {
+        let slots = self.slots.iter().enumerate();
+        slots.filter_map(|(i, lf)| Some((self.base.checked_add(i as u64)?, lf.as_ref()?)))
+    }
+
     fn remove(&mut self, id: u64) -> Option<LaunchInFlight> {
         let idx = id.checked_sub(self.base)? as usize;
         let lf = self.slots.get_mut(idx)?.take();
@@ -212,6 +219,27 @@ impl LaunchSlab {
             self.base += 1;
         }
         lf
+    }
+}
+
+/// Access to launch bookkeeping for crafting corrupt images.
+#[cfg(test)]
+impl ChannelShard {
+    /// `(launch id, writes remaining)` of every launch record in flight.
+    pub(crate) fn launch_writes_remaining_mut(&mut self) -> Vec<(u64, &mut u32)> {
+        let base = self.launches.base;
+        let slots = self.launches.slots.iter_mut().enumerate();
+        slots
+            .filter_map(|(i, lf)| Some((base + i as u64, &mut lf.as_mut()?.writes_remaining)))
+            .collect()
+    }
+
+    pub(crate) fn launch_events_mut(&mut self) -> &mut BinaryHeap<Reverse<(Cycle, u64)>> {
+        &mut self.launch_events
+    }
+
+    pub(crate) fn completion_tags_mut(&mut self) -> &mut [Vec<(u64, OpHandle)>] {
+        &mut self.completion_tags
     }
 }
 
@@ -263,6 +291,8 @@ pub(crate) struct ChannelShard {
     /// order (buffered-write drain), so each bucket is a small unordered
     /// vector scanned linearly — bounded by the FSM queue depth.
     completion_tags: Vec<Vec<(u64, OpHandle)>>,
+    /// `(cycle, launch id)` of every launch control write that completed
+    /// and has not yet been counted against its launch record.
     launch_events: BinaryHeap<Reverse<(Cycle, u64)>>,
     /// Cross-boundary ingress FIFO: a flat arena the front-end's egress
     /// buffer is swapped into at barriers (see [`crate::exchange`]).
@@ -977,14 +1007,18 @@ impl ChannelShard {
 
     // ---- snapshot support -----------------------------------------------
 
-    /// Check a restored shard against the machine it was rebuilt into:
-    /// every component's own bounds, shard-local NDA indexes, fill core
-    /// indexes against `n_cores`, completion NDA indexes against the
-    /// machine-wide `n_ndas`, completion statuses, and every op handle
-    /// the shard holds against `handle_ok` (the runtime's session table).
+    /// Check a restored shard, and the front-end `egress` queued behind
+    /// its inbox, against the machine it was rebuilt into: every
+    /// component's own bounds, shard-local NDA indexes, fill core indexes
+    /// against `n_cores`, completion NDA indexes against the
+    /// machine-wide `n_ndas`, completion statuses, every op handle the
+    /// shard holds against `handle_ok` (the runtime's session table),
+    /// the launch-write accounting, and a completion tag for every
+    /// instruction an NDA holds.
     #[cold]
     pub(crate) fn validate(
         &self,
+        egress: &[(Cycle, ShardInbound)],
         n_cores: usize,
         n_ndas: usize,
         handle_ok: &dyn Fn(OpHandle) -> bool,
@@ -998,20 +1032,73 @@ impl ChannelShard {
             check(lf.nda_local < local, "launch NDA index out of range")?;
             check(handle_ok(lf.tag), "op handle out of range")?;
         }
-        for (_, item) in self.inbox.live() {
+        // The inbox, then the egress: the order the shard will see them.
+        let queued = || self.inbox.live().iter().chain(egress);
+        for (_, item) in queued() {
             item.validate(local, n_cores)?;
             if let ShardInbound::Launch { tag, .. } = item {
                 check(handle_ok(*tag), "op handle out of range")?;
             }
         }
+        self.validate_launch_writes(queued())?;
         let tags = self.completion_tags.iter().flatten();
         check(tags.map(|t| t.1).all(handle_ok), "op handle out of range")?;
+        // Retirement looks each instruction's tag up in its NDA's bucket.
+        for (nda, tags) in self.ndas.iter().zip(&self.completion_tags) {
+            let tagged = |id| tags.iter().any(|&(tid, _)| tid == id);
+            check(
+                nda.fsm().held_ids().all(tagged),
+                "NDA instruction without completion tag",
+            )?;
+        }
         let fills_ok = self.fills_out.iter().all(|f| f.1 < n_cores);
         check(fills_ok, "fill core index out of range")?;
         for &(_, _, nda, tag, status) in &self.completions_out {
             check(nda < n_ndas, "completion NDA index out of range")?;
             check(status <= COMPLETION_RANK_DEAD, "completion status")?;
             check(handle_ok(tag), "op handle out of range")?;
+        }
+        Ok(())
+    }
+
+    /// Every launch-write completion event, and every launch write still
+    /// queued (MC, then `queued` messages in delivery order), must count
+    /// against a launch record — delivered, or queued ahead of the write
+    /// — that still expects it. A resumed shard looks the record up on
+    /// each completion and decrements its count.
+    #[cold]
+    fn validate_launch_writes<'a>(
+        &self,
+        queued: impl Iterator<Item = &'a (Cycle, ShardInbound)>,
+    ) -> Result<(), CodecError> {
+        let mut expected: BTreeMap<u64, u32> = (self.launches.records())
+            .map(|(id, lf)| (id, lf.writes_remaining))
+            .collect();
+        fn count(expected: &mut BTreeMap<u64, u32>, id: u64) -> Result<(), CodecError> {
+            let left = expected.get_mut(&id);
+            let left = left.ok_or(CodecError::Corrupt("launch write without launch record"))?;
+            *left = (left.checked_sub(1)).ok_or(CodecError::Corrupt(
+                "more launch writes than the record expects",
+            ))?;
+            Ok(())
+        }
+        for &Reverse((_, id)) in &self.launch_events {
+            count(&mut expected, id)?;
+        }
+        for id in self.mc.queued_launch_writes() {
+            count(&mut expected, id)?;
+        }
+        for (_, item) in queued {
+            match item {
+                ShardInbound::Launch { id, writes, .. } => {
+                    expected.insert(*id, *writes);
+                }
+                ShardInbound::Tx(tx) => {
+                    if let TxMeta::Launch { launch } = tx.meta {
+                        count(&mut expected, launch)?;
+                    }
+                }
+            }
         }
         Ok(())
     }

@@ -1577,14 +1577,6 @@ impl ChopimSystem {
             check(status <= COMPLETION_RANK_DEAD, "completion status")?;
             check(handle_ok(tag), "op handle out of range")?;
         }
-        for (q, shard) in self.egress.iter().zip(&self.shards) {
-            for (_, item) in q {
-                item.validate(shard.ndas.len(), n_cores)?;
-                if let ShardInbound::Launch { tag, .. } = item {
-                    check(handle_ok(*tag), "op handle out of range")?;
-                }
-            }
-        }
         let inflight = self.inflight.iter().map(|rec| &rec.launch);
         for pl in self.launch_stage.iter().chain(inflight) {
             check(pl.nda_idx < n_ndas, "launch NDA index out of range")?;
@@ -1597,9 +1589,8 @@ impl ChopimSystem {
             self.nda_credit.iter().all(|&c| c <= cap),
             "NDA launch credit over capacity",
         )?;
-        self.shards
-            .iter()
-            .try_for_each(|s| s.validate(n_cores, n_ndas, &handle_ok))
+        let mut shards = self.shards.iter().zip(&self.egress);
+        shards.try_for_each(|(s, egress)| s.validate(egress, n_cores, n_ndas, &handle_ok))
     }
 
     // --- Event-trace capture ------------------------------------------
@@ -1805,6 +1796,8 @@ impl std::error::Error for SnapshotError {}
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+
     use chopim_dram::DramAddress;
 
     use super::*;
@@ -1814,6 +1807,11 @@ mod tests {
     /// A machine with host cores and an NDA op in flight, captured off
     /// the lookahead-window grid.
     fn machine() -> (ChopimSystem, OpHandle) {
+        machine_at(1_003)
+    }
+
+    /// The [`machine`] set-up run for `cycles` cycles.
+    fn machine_at(cycles: Cycle) -> (ChopimSystem, OpHandle) {
         let mut sys = ChopimSystem::new(ChopimConfig {
             mix: MixId::new(2),
             sim_threads: 1,
@@ -1834,7 +1832,7 @@ mod tests {
                 Some(y),
             )
             .submit();
-        sys.run(1_003);
+        sys.run(cycles);
         (sys, op)
     }
 
@@ -1873,6 +1871,82 @@ mod tests {
             .completions_out
             .push((at, 0, 99, op, COMPLETION_OK));
         assert_rejected(&sys, "shard completion from NDA 99");
+    }
+
+    /// A control-register write for launch `launch`.
+    fn launch_write(launch: u64, at: Cycle) -> HostTransaction {
+        HostTransaction {
+            addr: DramAddress::default(),
+            is_write: true,
+            meta: TxMeta::Launch { launch },
+            arrival: at,
+        }
+    }
+
+    /// [`machine`] run on until a shard holds a launch record whose
+    /// control writes are still outstanding; returns the shard index.
+    fn machine_with_launch_in_flight() -> (ChopimSystem, usize) {
+        let (mut sys, _) = machine_at(0);
+        for _ in 0..5_000 {
+            let busy = sys.shards.iter_mut().position(|s| {
+                let remaining = s.launch_writes_remaining_mut();
+                remaining.into_iter().any(|(_, left)| *left > 0)
+            });
+            if let Some(ch) = busy {
+                return (sys, ch);
+            }
+            sys.run(1);
+        }
+        panic!("no launch in flight within 5k cycles");
+    }
+
+    #[test]
+    fn corrupt_index_launch_write_without_record_is_rejected() {
+        let (mut sys, _) = machine();
+        let at = sys.now + 5;
+        sys.shards[0]
+            .launch_events_mut()
+            .push(Reverse((at, 1 << 40)));
+        assert_rejected(&sys, "launch event for an unknown launch");
+
+        let (mut sys, _) = machine();
+        assert!(sys.shards[0].mc.try_push(launch_write(1 << 40, sys.now)));
+        assert_rejected(&sys, "MC-queued write for an unknown launch");
+
+        let (mut sys, _) = machine();
+        let at = sys.now + 1;
+        sys.egress[0].push((at, ShardInbound::Tx(launch_write(1 << 40, at))));
+        assert_rejected(&sys, "egress write for an unknown launch");
+    }
+
+    #[test]
+    fn corrupt_index_launch_writes_beyond_record_are_rejected() {
+        let (mut sys, ch) = machine_with_launch_in_flight();
+        let (id, _) = sys.shards[ch].launch_writes_remaining_mut()[0];
+        let at = sys.now + 1;
+        let extra = ShardInbound::Tx(launch_write(id, at));
+        sys.shards[ch].inbox.absorb(&mut vec![(at, extra)]);
+        assert_rejected(&sys, "one more write than the launch expects");
+
+        let (mut sys, ch) = machine_with_launch_in_flight();
+        for (_, left) in sys.shards[ch].launch_writes_remaining_mut() {
+            *left = 0;
+        }
+        assert_rejected(&sys, "launch record expecting no more writes");
+    }
+
+    #[test]
+    fn corrupt_index_fsm_instruction_without_tag_is_rejected() {
+        let (mut sys, _) = machine();
+        let held = |s: &ChannelShard| s.ndas.iter().any(|n| !n.fsm().is_idle());
+        assert!(
+            sys.shards.iter().any(held),
+            "an NDA must hold an instruction"
+        );
+        for shard in &mut sys.shards {
+            shard.completion_tags_mut().iter_mut().for_each(Vec::clear);
+        }
+        assert_rejected(&sys, "FSM instruction with no completion tag");
     }
 
     #[test]

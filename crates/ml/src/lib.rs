@@ -23,6 +23,8 @@
 pub mod cg;
 pub mod dataset;
 pub mod logreg;
+#[cfg(test)]
+mod reference;
 pub mod sc;
 pub mod svrg;
 pub mod timemodel;

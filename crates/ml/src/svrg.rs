@@ -12,12 +12,34 @@
 //! Wall-clock time per step comes from the simulator-calibrated
 //! [`crate::timemodel::SvrgTimeModel`]; the optimization math runs exactly
 //! (f32) so convergence behavior is real, not modeled.
+//!
+//! # Bit-exact inner step
+//!
+//! The inner step computes, for every weight `j`,
+//! `v = (gi + λ·w) − (gs + λ·s) + g`, `mom = μ·mom + v`, `w −= lr·mom`,
+//! where `gi = 0.0 + ci·x` and `gs = 0.0 + cs·x` are the sample gradients
+//! at the current weights and at the snapshot. Every f32 operation of
+//! that formula stays, in its order; only the scheduling differs (see
+//! [`crate::logreg`] for the kernels' contract):
+//!
+//! * the snapshot's scores come from a lane block, and `λ·s` from a
+//!   buffer, both built once per outer iteration; the current weights'
+//!   scores come from the row kernel;
+//! * one fused pass per class row then computes `gi`, `gs`, `v`, `mom`
+//!   and `w`, with no gradient buffers and no copy of the weights.
+//!
+//! That pass runs along features, one class row at a time, never across
+//! classes: a softmax probability below `f32::MIN_POSITIVE` makes the
+//! products in its row subnormal, and each subnormal f32 multiply takes a
+//! slow microcode assist. Such rows form their products exactly through
+//! f64 instead (`logreg::mul_tiny`). Subnormals are kept, never flushed:
+//! flushing would change the results.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dataset::Dataset;
-use crate::logreg::LogReg;
+use crate::logreg::{is_tiny, mul_tiny, score_rows, softmax_in_place, LogReg, Scorer};
 use crate::timemodel::SvrgTimeModel;
 
 /// Which execution mode to simulate (paper Fig. 15 legend).
@@ -114,10 +136,15 @@ pub fn run(mode: SvrgMode, ds: &Dataset, cfg: SvrgConfig, time: &SvrgTimeModel) 
     let mut mom = vec![0.0f32; dim];
     let mut t = 0.0f64;
     let mut points = Vec::with_capacity(cfg.max_outer);
+    let mut step_probs = vec![0.0f32; 2 * ds.classes];
+    // Every sample's probabilities at the current `model.w`. The loss
+    // after an outer iteration and the next snapshot's full gradient see
+    // the same weights, so they share this one scoring pass.
+    let mut probs = model.sample_probs(&model.w, ds);
 
     // Delayed-update state: the (stale) snapshot/correction pair in use.
     let mut s_used = model.w.clone();
-    let mut g_used = model.full_grad(&s_used, ds);
+    let mut g_used = model.grad_from_probs(&s_used, ds, &probs);
     if mode == SvrgMode::DelayedUpdate {
         // Initial correction must be computed serially once.
         t += time.nda_summarize_s + time.exchange_s;
@@ -127,14 +154,14 @@ pub fn run(mode: SvrgMode, ds: &Dataset, cfg: SvrgConfig, time: &SvrgTimeModel) 
         let pending = match mode {
             SvrgMode::HostOnly => {
                 let s = model.w.clone();
-                let g = model.full_grad(&s, ds);
+                let g = model.grad_from_probs(&s, ds, &probs);
                 t += time.host_summarize_s;
                 (s_used, g_used) = (s, g);
                 None
             }
             SvrgMode::Accelerated => {
                 let s = model.w.clone();
-                let g = model.full_grad(&s, ds);
+                let g = model.grad_from_probs(&s, ds, &probs);
                 t += time.nda_summarize_s + time.exchange_s;
                 (s_used, g_used) = (s, g);
                 None
@@ -144,26 +171,23 @@ pub fn run(mode: SvrgMode, ds: &Dataset, cfg: SvrgConfig, time: &SvrgTimeModel) 
                 // inner loop below still runs with the previous epoch's
                 // (s_used, g_used).
                 let s = model.w.clone();
-                let g = model.full_grad(&s, ds);
+                let g = model.grad_from_probs(&s, ds, &probs);
                 Some((s, g))
             }
         };
 
         // Stochastic inner loop (the host's tight loop).
-        let mut gi = vec![0.0f32; dim];
-        let mut gs = vec![0.0f32; dim];
+        let anchor = Anchor::new(&s_used, &g_used, (ds.classes, ds.d), cfg.lambda);
         for _ in 0..cfg.epoch {
             let i = rng.gen_range(0..ds.n);
-            gi.iter_mut().for_each(|v| *v = 0.0);
-            gs.iter_mut().for_each(|v| *v = 0.0);
-            model.sample_grad_into(&model.w.clone(), ds, i, 1.0, &mut gi);
-            model.sample_grad_into(&s_used, ds, i, 1.0, &mut gs);
-            for j in 0..dim {
-                let v = (gi[j] + cfg.lambda * model.w[j]) - (gs[j] + cfg.lambda * s_used[j])
-                    + g_used[j];
-                mom[j] = cfg.momentum * mom[j] + v;
-                model.w[j] -= cfg.lr * mom[j];
-            }
+            inner_step(
+                &mut model,
+                &mut mom,
+                &anchor,
+                (ds.row(i), ds.y[i]),
+                &cfg,
+                &mut step_probs,
+            );
         }
 
         match mode {
@@ -178,13 +202,97 @@ pub fn run(mode: SvrgMode, ds: &Dataset, cfg: SvrgConfig, time: &SvrgTimeModel) 
                 (s_used, g_used) = pending.expect("delayed mode computed a snapshot");
             }
         }
-        points.push((t, model.loss(ds)));
+        probs = model.sample_probs(&model.w, ds);
+        points.push((t, model.loss_from_probs(ds, &probs)));
     }
     SvrgTrace {
         mode,
         epoch: cfg.epoch,
         lr: cfg.lr,
         points,
+    }
+}
+
+/// What an outer iteration's inner steps correct against: the snapshot
+/// weights `s` laid out for scoring, `λ·s` (the same product every step
+/// would form, formed once), and the snapshot's full gradient `g`.
+pub(crate) struct Anchor<'a> {
+    scorer: Scorer,
+    lambda_s: Vec<f32>,
+    g: &'a [f32],
+}
+
+impl<'a> Anchor<'a> {
+    pub(crate) fn new(s: &[f32], g: &'a [f32], (classes, d): (usize, usize), lambda: f32) -> Self {
+        Self {
+            scorer: Scorer::new(s, classes, d),
+            lambda_s: s.iter().map(|&sv| lambda * sv).collect(),
+            g,
+        }
+    }
+}
+
+/// One SVRG inner step on sample `(x, y)`: the variance-reduced
+/// direction at `model.w` against `anchor`, folded into the momentum
+/// `mom` and applied to `model.w`. `probs` is scratch of `2 * classes`.
+pub(crate) fn inner_step(
+    model: &mut LogReg,
+    mom: &mut [f32],
+    anchor: &Anchor<'_>,
+    (x, y): (&[f32], usize),
+    cfg: &SvrgConfig,
+    probs: &mut [f32],
+) {
+    let d = model.d;
+    let (pi, ps) = probs.split_at_mut(model.classes);
+    score_rows(&model.w, x, pi);
+    softmax_in_place(pi);
+    anchor.scorer.scores_into(x, ps);
+    softmax_in_place(ps);
+    for (c, (&pic, &psc)) in pi.iter().zip(ps.iter()).enumerate() {
+        let target = if c == y { 1.0 } else { 0.0 };
+        // The sample gradients' scale is 1, which multiplies exactly.
+        let ci = pic - target;
+        let cs = psc - target;
+        let row = c * d..(c + 1) * d;
+        let rows = (
+            &mut model.w[row.clone()],
+            &mut mom[row.clone()],
+            &anchor.lambda_s[row.clone()],
+            &anchor.g[row],
+        );
+        let exact = |c: f32| {
+            let c = f64::from(c);
+            move |xj| mul_tiny(c, xj)
+        };
+        match (is_tiny(ci), is_tiny(cs)) {
+            (false, false) => update_row(rows, x, cfg, |xj| ci * xj, |xj| cs * xj),
+            (true, false) => update_row(rows, x, cfg, exact(ci), |xj| cs * xj),
+            (false, true) => update_row(rows, x, cfg, |xj| ci * xj, exact(cs)),
+            (true, true) => update_row(rows, x, cfg, exact(ci), exact(cs)),
+        }
+    }
+}
+
+/// The fused pass over one class row: `gi = 0.0 + ci·x` and
+/// `gs = 0.0 + cs·x` (as `grad_i` and `grad_s` compute the products),
+/// then `v`, the momentum and the weight, element by element along the
+/// features.
+#[inline(always)]
+fn update_row(
+    (w, mom, lambda_s, g): (&mut [f32], &mut [f32], &[f32], &[f32]),
+    x: &[f32],
+    cfg: &SvrgConfig,
+    grad_i: impl Fn(f32) -> f32,
+    grad_s: impl Fn(f32) -> f32,
+) {
+    let anchor = lambda_s.iter().zip(g);
+    for (((w, m), (&ls, &g)), &xj) in w.iter_mut().zip(mom).zip(anchor).zip(x) {
+        let gi = 0.0 + grad_i(xj);
+        let gs = 0.0 + grad_s(xj);
+        let v = (gi + cfg.lambda * *w) - (gs + ls) + g;
+        *m = cfg.momentum * *m + v;
+        *w -= cfg.lr * *m;
     }
 }
 
@@ -195,13 +303,17 @@ pub fn optimum_loss(ds: &Dataset, lambda: f32, iters: usize) -> f64 {
     let dim = ds.classes * ds.d;
     let mut mom = vec![0.0f32; dim];
     let mut best = f64::INFINITY;
+    // As in `run`: each iteration's loss and the next gradient share the
+    // probabilities at the same weights.
+    let mut probs = model.sample_probs(&model.w, ds);
     for _ in 0..iters {
-        let g = model.full_grad(&model.w.clone(), ds);
+        let g = model.grad_from_probs(&model.w, ds, &probs);
         for j in 0..dim {
             mom[j] = 0.9 * mom[j] + g[j];
             model.w[j] -= 1.0 * mom[j];
         }
-        best = best.min(model.loss(ds));
+        probs = model.sample_probs(&model.w, ds);
+        best = best.min(model.loss_from_probs(ds, &probs));
     }
     best
 }

@@ -124,6 +124,20 @@ impl NdaFsm {
         self.completed.clear();
     }
 
+    /// Ids of every instruction the FSM still holds: queued, running,
+    /// draining buffered writes, or completed and not yet popped. Each
+    /// is eventually reported by [`pop_completed`](Self::pop_completed)
+    /// unless the FSM is aborted.
+    pub fn held_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        let queued = self.queue.iter().map(|i| i.id);
+        let running = self.program.iter().map(|p| p.instr().id);
+        queued
+            .chain(running)
+            .chain(self.wr_outstanding.keys().copied())
+            .chain(self.program_done.iter().copied())
+            .chain(self.completed.iter().copied())
+    }
+
     /// Count of instructions completed so far.
     pub fn completed_count(&self) -> u64 {
         self.completed_count

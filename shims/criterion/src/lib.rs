@@ -1,8 +1,9 @@
 //! Offline shim for the subset of the `criterion` 0.5 API this workspace
-//! uses: `Criterion::bench_function`, `Bencher::iter`, and the
-//! `criterion_group!` / `criterion_main!` macros. Reports the median of a
-//! handful of wall-clock samples — enough to track simulator throughput,
-//! with none of criterion's statistics engine. See `shims/README.md`.
+//! uses: `Criterion::bench_function`, `Criterion::benchmark_group` with
+//! `Throughput::Elements`, `Bencher::iter`, and the `criterion_group!` /
+//! `criterion_main!` macros. Reports the median of a handful of
+//! wall-clock samples — enough to track simulator throughput, with none
+//! of criterion's statistics engine. See `shims/README.md`.
 
 use std::time::{Duration, Instant};
 
@@ -39,7 +40,25 @@ impl Criterion {
         self
     }
 
-    pub fn bench_function<F>(&mut self, id: &str, mut f: F) -> &mut Self
+    pub fn bench_function<F>(&mut self, id: &str, f: F) -> &mut Self
+    where
+        F: FnMut(&mut Bencher),
+    {
+        self.run(id, None, f);
+        self
+    }
+
+    /// A group of benchmarks sharing a name prefix and, optionally, a
+    /// per-iteration element count for throughput reporting.
+    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
+        BenchmarkGroup {
+            criterion: self,
+            name: name.to_string(),
+            elements: None,
+        }
+    }
+
+    fn run<F>(&mut self, id: &str, elements: Option<u64>, mut f: F)
     where
         F: FnMut(&mut Bencher),
     {
@@ -72,8 +91,48 @@ impl Criterion {
         let (lo, hi) = (samples[0], samples[samples.len() - 1]);
         println!("{id:<40} median {median:>12.1} ns/iter   (min {lo:.1}, max {hi:.1}, {n} samples x {iters} iters)",
             n = self.sample_size);
+        if let Some(n) = elements {
+            println!(
+                "{:<40} median {:>12.1} ns/elem  ({n} elements/iter)",
+                "",
+                median / n as f64
+            );
+        }
+    }
+}
+
+/// Work done by one iteration, for per-element reporting.
+pub enum Throughput {
+    /// Elements (samples, items) processed per iteration.
+    Elements(u64),
+}
+
+/// Benchmarks reported as `group/id`, with an optional [`Throughput`].
+pub struct BenchmarkGroup<'a> {
+    criterion: &'a mut Criterion,
+    name: String,
+    elements: Option<u64>,
+}
+
+impl BenchmarkGroup<'_> {
+    /// Report the following benchmarks per element as well as per
+    /// iteration.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        let Throughput::Elements(n) = t;
+        self.elements = Some(n);
         self
     }
+
+    pub fn bench_function<F>(&mut self, id: &str, f: F) -> &mut Self
+    where
+        F: FnMut(&mut Bencher),
+    {
+        let id = format!("{}/{id}", self.name);
+        self.criterion.run(&id, self.elements, f);
+        self
+    }
+
+    pub fn finish(self) {}
 }
 
 pub struct Bencher {
