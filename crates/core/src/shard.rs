@@ -1013,8 +1013,8 @@ impl ChannelShard {
     /// against `n_cores`, completion NDA indexes against the
     /// machine-wide `n_ndas`, completion statuses, every op handle the
     /// shard holds against `handle_ok` (the runtime's session table),
-    /// the launch-write accounting, and a completion tag for every
-    /// instruction an NDA holds.
+    /// the launch-write accounting, a completion tag for every
+    /// instruction an NDA holds, and every shadow FSM equal to its NDA's.
     #[cold]
     pub(crate) fn validate(
         &self,
@@ -1027,6 +1027,9 @@ impl ChannelShard {
         self.mc.validate(n_cores)?;
         let fsms = self.ndas.iter().map(NdaRankController::fsm);
         fsms.chain(&self.shadows).try_for_each(NdaFsm::validate)?;
+        // The shard replays each shadow's steps on its NDA's schedule and
+        // asserts they agree; a pair that differs at resume would panic.
+        check(self.fsm_in_sync(), "shadow FSM differs from its NDA")?;
         let local = self.ndas.len();
         for lf in self.launches.slots.iter().flatten() {
             check(lf.nda_local < local, "launch NDA index out of range")?;

@@ -402,7 +402,8 @@ pub struct ChopimSystem {
     core_regions: Vec<Region>,
     /// One shard per channel; always synced to `self.now` between public
     /// calls.
-    shards: Vec<ChannelShard>,
+    #[allow(clippy::vec_box, reason = "the pool moves each shard as a pointer")]
+    shards: Vec<Box<ChannelShard>>,
     pool: Option<ShardPool>,
     /// The lookahead window length (cycles between shard barriers).
     window: Cycle,
@@ -555,9 +556,9 @@ impl ChopimSystem {
             record_events: false,
             faults: cfg.faults,
         };
-        let shards: Vec<ChannelShard> = (0..cfg.dram.channels)
+        let shards: Vec<Box<ChannelShard>> = (0..cfg.dram.channels)
             .map(|c| {
-                ChannelShard::build(
+                Box::new(ChannelShard::build(
                     c,
                     &cfg.dram,
                     cfg.scheduler,
@@ -566,14 +567,14 @@ impl ChopimSystem {
                     cfg.nda_queue_cap,
                     cfg.seed,
                     params,
-                )
+                ))
             })
             .collect();
 
         let n = nda_ranks.len();
         let nchannels = cfg.dram.channels;
         let pool = if cfg.sim_threads > 1 && nchannels > 1 {
-            Some(ShardPool::new(cfg.sim_threads.min(nchannels)))
+            Some(ShardPool::new(cfg.sim_threads.min(nchannels), nchannels))
         } else {
             None
         };
@@ -1120,7 +1121,7 @@ impl ChopimSystem {
             }
         }
         perfcount::add(Counter::WindowsExecuted, active as u64);
-        match &self.pool {
+        match &mut self.pool {
             // With at most one shard left to run, pool dispatch is pure
             // overhead; run it inline.
             Some(pool) if active > 1 => pool.run(&mut self.shards, target),
@@ -1935,18 +1936,54 @@ mod tests {
         assert_rejected(&sys, "launch record expecting no more writes");
     }
 
+    /// The shard-local index of an NDA holding an instruction.
+    fn busy_nda(s: &ChannelShard) -> Option<usize> {
+        s.ndas.iter().position(|n| !n.fsm().is_idle())
+    }
+
     #[test]
     fn corrupt_index_fsm_instruction_without_tag_is_rejected() {
         let (mut sys, _) = machine();
-        let held = |s: &ChannelShard| s.ndas.iter().any(|n| !n.fsm().is_idle());
         assert!(
-            sys.shards.iter().any(held),
+            sys.shards.iter().any(|s| busy_nda(s).is_some()),
             "an NDA must hold an instruction"
         );
         for shard in &mut sys.shards {
             shard.completion_tags_mut().iter_mut().for_each(Vec::clear);
         }
         assert_rejected(&sys, "FSM instruction with no completion tag");
+    }
+
+    #[test]
+    fn corrupt_index_shadow_fsm_mismatch_is_rejected() {
+        let (mut sys, _) = machine();
+        let (shard, i) = (sys.shards.iter_mut())
+            .find_map(|s| busy_nda(s).map(|i| (s, i)))
+            .expect("an NDA must hold an instruction");
+        shard.shadows[i].abort_all();
+        assert_rejected(&sys, "shadow FSM that differs from its NDA");
+    }
+
+    /// A panic inside a shard the pool runs is re-raised from `run`
+    /// rather than leaving the barrier waiting: the fixed window keeps
+    /// both shards active, so every window dispatches to the pool.
+    #[test]
+    #[should_panic(expected = "launch record")]
+    fn pooled_shard_panic_surfaces_from_run() {
+        let mut sys = ChopimSystem::new(ChopimConfig {
+            mix: MixId::new(2),
+            sim_threads: 2,
+            fixed_window: true,
+            trace_path: None,
+            faults: FaultPlan::NONE,
+            ..ChopimConfig::default()
+        });
+        sys.run(1_000);
+        let at = sys.now + 5;
+        sys.shards[1]
+            .launch_events_mut()
+            .push(Reverse((at, 1 << 40)));
+        sys.run(1_000);
     }
 
     #[test]

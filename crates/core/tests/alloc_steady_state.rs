@@ -49,12 +49,29 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// after warm-up none of it may allocate.
 #[test]
 fn steady_state_message_path_is_allocation_free() {
-    let _audit = AUDIT.lock().unwrap();
-    let mut sys = ChopimSystem::new(ChopimConfig {
+    assert_host_traffic_allocation_free(ChopimConfig {
         mix: Some(MixId::new(2).unwrap()),
         sim_threads: 1,
         ..ChopimConfig::default()
     });
+}
+
+/// The same audit on the 2-thread worker pool over four channels: the
+/// counter sees every thread, so per-window dispatch (slot hand-off,
+/// claims, waits) must not allocate either.
+#[test]
+fn pooled_message_path_is_allocation_free() {
+    assert_host_traffic_allocation_free(ChopimConfig {
+        dram: DramConfig::table_ii().with_channels(4),
+        mix: Some(MixId::new(2).unwrap()),
+        sim_threads: 2,
+        ..ChopimConfig::default()
+    });
+}
+
+fn assert_host_traffic_allocation_free(cfg: ChopimConfig) {
+    let _audit = AUDIT.lock().unwrap();
+    let mut sys = ChopimSystem::new(cfg);
     // Warm-up: reach steady state — queue capacities, arena sizes, memo
     // tables and stats all stop growing well before this (the ingress
     // arena high-water keeps creeping past 60k cycles, so the warm-up
@@ -65,7 +82,7 @@ fn steady_state_message_path_is_allocation_free() {
     let delta = ALLOC_CALLS.load(Ordering::Relaxed) - before;
     assert_eq!(
         delta, 0,
-        "warmed-up engine allocated {delta} times in 60k cycles; \
+        "warmed-up engine allocated {delta} times in 120k cycles; \
          the message path must be allocation-free in steady state"
     );
 }

@@ -6,6 +6,27 @@
 //! DRAMA work the paper cites) while staying analyzable: the mapping is a
 //! square bit matrix over GF(2) whose invertibility we verify at
 //! construction.
+//!
+//! # Evaluation by byte-sliced tables
+//!
+//! The list of [`OutBit`]s is the mapping's definition and stays its
+//! source of truth: [`LinearMapping::unmap_line`], the page-coloring mask
+//! and every construction check read it. [`LinearMapping::map_line`],
+//! which the host front-end calls for every request, instead evaluates
+//! a form derived from it once, in [`LinearMapping::new`]:
+//!
+//! * A coordinate is *packed* into one `u64`, each field at a fixed bit
+//!   offset (column lowest, then channel, bank group, bank, rank, row;
+//!   the widths sum to `line_bits`).
+//! * Because the map is linear over GF(2), the packed coordinate of a
+//!   line is the XOR of the packed coordinates of its set bits, so it
+//!   splits by byte: table `k` holds, for each of the 256 values of line
+//!   byte `k`, the XOR of the packed columns of that byte's set bits.
+//!   `map_line` is one load per line byte, XORs, and a shift and mask
+//!   per field.
+//! * Entry `e` of a table is entry `e & (e - 1)` (its lowest set bit
+//!   cleared) XOR the column of that lowest bit, so each table costs 255
+//!   XORs to build rather than a parity per output bit per entry.
 
 use chopim_dram::{DramAddress, DramConfig};
 
@@ -49,6 +70,14 @@ pub struct OutBit {
 pub struct LinearMapping {
     bits: Vec<OutBit>,
     inverse: Vec<u64>,
+    /// `tables[k][b]`: the packed coordinate of the line whose byte `k`
+    /// is `b` and whose other bits are zero.
+    tables: Vec<[u64; 256]>,
+    /// Bit offset of each field in a packed coordinate, indexed by
+    /// `OutField as usize`.
+    shifts: [u32; 6],
+    /// Each field's width as a mask, indexed like `shifts`.
+    field_masks: [u64; 6],
     line_bits: u32,
     banks_per_group: usize,
     /// Number of row bits (exposed for the partition remap).
@@ -66,11 +95,11 @@ impl LinearMapping {
     ///
     /// `bits` must contain exactly `line_bits` entries whose masks form an
     /// invertible matrix over GF(2) and whose fields cover the geometry of
-    /// `config`.
+    /// `config`, each bit of each field exactly once.
     ///
     /// # Errors
     ///
-    /// Returns a description if the matrix is singular or the field widths
+    /// Returns a description if the matrix is singular or the field bits
     /// do not match `config`.
     pub fn new(config: &DramConfig, bits: Vec<OutBit>) -> Result<Self, String> {
         let line_bits = (config.capacity_bytes() / config.line_bytes() as u64).trailing_zeros();
@@ -81,6 +110,7 @@ impl LinearMapping {
             ));
         }
         let width = |f: OutField| bits.iter().filter(|b| b.field == f).count() as u32;
+        // In `OutField` declaration order, which is also the packing order.
         let expect = [
             (OutField::Col, config.lines_per_row().trailing_zeros()),
             (OutField::Channel, config.channels.trailing_zeros()),
@@ -89,16 +119,48 @@ impl LinearMapping {
             (OutField::Rank, config.ranks_per_channel.trailing_zeros()),
             (OutField::Row, config.rows.trailing_zeros()),
         ];
+        let mut shifts = [0; 6];
+        let mut field_masks = [0; 6];
+        let mut offset = 0;
         for (f, w) in expect {
             if width(f) != w {
                 return Err(format!("field {f:?} needs {w} bits, got {}", width(f)));
             }
+            let all = (1u64 << w) - 1;
+            let covered = (bits.iter().filter(|b| b.field == f))
+                .fold(0, |acc, b| acc | if b.bit < w { 1 << b.bit } else { !all });
+            if covered != all {
+                return Err(format!("field {f:?} needs each bit 0..{w} exactly once"));
+            }
+            shifts[f as usize] = offset;
+            field_masks[f as usize] = all;
+            offset += w;
         }
         let inverse = invert_gf2(&bits.iter().map(|b| b.mask).collect::<Vec<_>>(), line_bits)
             .ok_or("mapping matrix is singular (not a bijection)")?;
+        // The packed coordinate of each single-bit line, then the tables
+        // by linearity (module docs).
+        let column = |j: u32| {
+            bits.iter()
+                .filter(|b| b.mask >> j & 1 == 1)
+                .fold(0u64, |acc, b| acc | 1 << (shifts[b.field as usize] + b.bit))
+        };
+        let tables = (0..line_bits.div_ceil(8))
+            .map(|k| {
+                let columns: [u64; 8] = std::array::from_fn(|j| column(8 * k + j as u32));
+                let mut t = [0u64; 256];
+                for e in 1..256usize {
+                    t[e] = t[e & (e - 1)] ^ columns[e.trailing_zeros() as usize];
+                }
+                t
+            })
+            .collect();
         Ok(Self {
             bits,
             inverse,
+            tables,
+            shifts,
+            field_masks,
             line_bits,
             banks_per_group: config.banks_per_group,
             row_bits: config.rows.trailing_zeros(),
@@ -109,6 +171,26 @@ impl LinearMapping {
     /// Map a cache-line index to a DRAM coordinate.
     pub fn map_line(&self, line: u64) -> DramAddress {
         debug_assert!(line < 1u64 << self.line_bits, "line index out of range");
+        let packed = (self.tables.iter())
+            .zip(line.to_le_bytes())
+            .fold(0, |acc, (t, byte)| acc ^ t[usize::from(byte)]);
+        let field =
+            |f: OutField| (packed >> self.shifts[f as usize]) & self.field_masks[f as usize];
+        DramAddress {
+            channel: field(OutField::Channel) as usize,
+            rank: field(OutField::Rank) as usize,
+            bankgroup: field(OutField::BankGroup) as usize,
+            bank: field(OutField::Bank) as usize,
+            row: field(OutField::Row) as u32,
+            col: field(OutField::Col) as u32,
+        }
+    }
+
+    /// The bit-serial definition the tables are derived from: one parity
+    /// per output bit. The oracle [`map_line`](Self::map_line) is tested
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn map_line_reference(&self, line: u64) -> DramAddress {
         let mut d = DramAddress::default();
         for b in &self.bits {
             let v = parity(line & b.mask);
@@ -224,6 +306,47 @@ mod tests {
     }
 
     #[test]
+    fn repeated_or_out_of_range_field_bit_rejected() {
+        let cfg = chopim_dram::DramConfig::table_ii();
+        let bits = presets::naive(&cfg).bits;
+        let row0 = (bits.iter()).position(|b| b.field == OutField::Row && b.bit == 0);
+        let row0 = row0.expect("naive preset has row bit 0");
+        for bit in [1, 16] {
+            let mut bad = bits.clone();
+            bad[row0].bit = bit;
+            let err = LinearMapping::new(&cfg, bad).expect_err("bad row bit accepted");
+            assert!(err.contains("exactly once"), "{err}");
+        }
+    }
+
+    /// Every geometry the table oracle covers: channels {1..16} x ranks
+    /// {1..8}, each under both presets.
+    fn oracle_mappings() -> impl Iterator<Item = LinearMapping> {
+        let geometries = [1, 2, 4, 8, 16].into_iter().flat_map(|channels| {
+            [1, 2, 4, 8].into_iter().map(move |ranks| {
+                chopim_dram::DramConfig::table_ii()
+                    .with_channels(channels)
+                    .with_ranks(ranks)
+            })
+        });
+        geometries.flat_map(|cfg| [presets::skylake_like(&cfg), presets::naive(&cfg)])
+    }
+
+    #[test]
+    fn tables_match_reference_on_zero_and_every_single_bit_line() {
+        for m in oracle_mappings() {
+            let lines = std::iter::once(0).chain((0..m.line_bits).map(|j| 1u64 << j));
+            for line in lines {
+                assert_eq!(
+                    m.map_line(line),
+                    m.map_line_reference(line),
+                    "line {line:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn skylake_preset_is_bijective_on_samples() {
         let cfg = chopim_dram::DramConfig::table_ii();
         let m = presets::skylake_like(&cfg);
@@ -290,6 +413,16 @@ mod tests {
             let m = presets::naive(&cfg);
             let d = m.map_line(line);
             prop_assert_eq!(m.unmap_line(&d), line);
+        }
+
+        /// The byte tables agree with the bit-serial definition on random
+        /// lines of every oracle geometry.
+        #[test]
+        fn prop_tables_match_reference(line in any::<u64>()) {
+            for m in oracle_mappings() {
+                let line = line & ((1 << m.line_bits) - 1);
+                prop_assert_eq!(m.map_line(line), m.map_line_reference(line));
+            }
         }
 
         #[test]

@@ -206,6 +206,27 @@ mod tests {
             prop_assert_eq!(m.unmap(&d), pa);
         }
 
+        /// Over the table oracle's geometries and 0-3 reserved banks, the
+        /// partitioned map is the fix-up of the bit-serial reference map
+        /// and stays a bijection.
+        #[test]
+        fn prop_matches_reference_and_round_trips(
+            pa in any::<u64>(),
+            channels in prop::sample::select(vec![1usize, 2, 4, 8, 16]),
+            ranks in prop::sample::select(vec![1usize, 2, 4, 8]),
+            skylake in any::<bool>(),
+        ) {
+            let cfg = DramConfig::table_ii().with_channels(channels).with_ranks(ranks);
+            let inner = if skylake { presets::skylake_like(&cfg) } else { presets::naive(&cfg) };
+            for reserved in 0..=3 {
+                let m = PartitionedMapping::new(&cfg, inner.clone(), reserved);
+                let line = (pa >> 6) & ((1 << m.line_bits()) - 1);
+                let d = m.map_pa(line << 6);
+                prop_assert_eq!(d, m.fixup(m.inner().map_line_reference(line)));
+                prop_assert_eq!(m.unmap(&d), line << 6);
+            }
+        }
+
         /// No two distinct lines collide (spot check via random pairs).
         #[test]
         fn prop_no_alias(a in 0u64..(1u64 << 29), b in 0u64..(1u64 << 29)) {

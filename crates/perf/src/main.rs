@@ -45,13 +45,15 @@
 //!   advisory elsewhere). The `faulty_colocated_8ch` scenario runs with
 //!   an *active* plan, so its row tracks what injection + recovery cost
 //!   when actually firing.
-//! * The wide 8- and 16-channel scenarios additionally run with a
-//!   4-thread shard worker pool (`sim_threads = 4`); the harness asserts
-//!   the parallel report is bit-identical to the serial one and records
-//!   the parallel-vs-serial speedup. `--check` enforces a floor on that
-//!   speedup scaled to the machine: ≥2x with 8+ hardware threads (hard
-//!   failure), ≥1.2x advisory (warning only) with 4-7, skipped below 4,
-//!   where the pool cannot physically win.
+//! * The wide 8- and 16-channel scenarios additionally run on the shard
+//!   worker pool with 4 threads, or as many as the machine has hardware
+//!   threads if fewer, but never fewer than 2; the harness asserts the
+//!   parallel report is bit-identical to the serial one and records the
+//!   pool size and the parallel-vs-serial speedup. `--check` enforces a
+//!   floor on that speedup scaled to the machine: ≥2x with 8+ hardware
+//!   threads (hard failure), advisory (warning only) ≥1.2x with 4-7 and
+//!   ≥1.0x with 2-3, skipped with one hardware thread, where the pool
+//!   cannot physically win.
 
 #![forbid(unsafe_code)]
 
@@ -115,8 +117,22 @@ const ABSOLUTE_FLOOR: f64 = 0.95;
 /// (warning only) otherwise.
 const FAULT_OVERHEAD_FLOOR: f64 = 0.98;
 
-/// Worker threads for the parallel measurement of the wide scenarios.
+/// Most threads for the parallel measurement of the wide scenarios.
 const PAR_THREADS: usize = 4;
+
+fn hardware_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Pool size for the parallel measurement: [`PAR_THREADS`] capped at the
+/// hardware threads, so a small machine measures a pool it can run
+/// rather than an oversubscribed one, but at least 2 (one thread is the
+/// serial engine).
+fn par_threads() -> usize {
+    PAR_THREADS.min(hardware_threads()).max(2)
+}
 
 /// Scenarios measured with the shard worker pool as well.
 const PAR_SCENARIOS: &[&str] = &[
@@ -131,23 +147,24 @@ enum ParGate {
     /// Enough cores that the pool must win decisively: failing the
     /// floor fails the gate.
     Enforced(f64),
-    /// Exactly as many cores as workers (small CI runners): the floor
-    /// is advisory — measured and reported, but contention with the OS
-    /// and the dispatcher makes a hard gate flaky, so a miss only
-    /// warns.
+    /// Fewer than two cores per pool thread (small CI runners, 2-vCPU
+    /// machines): the floor is advisory — measured and reported, but
+    /// contention with the OS and the dispatcher makes a hard gate
+    /// flaky, so a miss only warns. With 2-3 cores the floor is parity.
     Advisory(f64),
-    /// Too few cores to host the workers; the ratio is meaningless.
+    /// One hardware thread: the pool cannot run in parallel, so the
+    /// ratio is meaningless.
     Skip,
 }
 
 fn par_gate() -> ParGate {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = hardware_threads();
     if cores >= 2 * PAR_THREADS {
         ParGate::Enforced(2.0)
     } else if cores >= PAR_THREADS {
         ParGate::Advisory(1.2)
+    } else if cores >= 2 {
+        ParGate::Advisory(1.0)
     } else {
         ParGate::Skip
     }
@@ -160,7 +177,7 @@ struct Measurement {
     wall_ms_fast: f64,
     cps_naive: f64,
     cps_fast: f64,
-    /// Fast loop on the `PAR_THREADS`-worker pool (wide scenarios only).
+    /// Fast loop on the [`par_threads`]-thread pool (wide scenarios only).
     wall_ms_par: Option<f64>,
     cps_par: Option<f64>,
 }
@@ -220,11 +237,13 @@ fn measure(name: &'static str, spec: &ScenarioSpec) -> Measurement {
              run `cargo test -p chopim-exp --test ff_lockstep`"
         );
         if measure_par {
-            let (t_par, par) = run(true, PAR_THREADS);
+            let (t_par, par) = run(true, par_threads());
             assert_eq!(
-                fast, par,
-                "{PAR_THREADS}-thread execution diverged from serial on `{name}`; \
-                 run `cargo test -p chopim-exp --test shard_lockstep`"
+                fast,
+                par,
+                "{}-thread execution diverged from serial on `{name}`; \
+                 run `cargo test -p chopim-exp --test shard_lockstep`",
+                par_threads()
             );
             wall_ms_par = wall_ms_par.min(t_par);
         }
@@ -389,10 +408,9 @@ fn to_json(results: &[Measurement]) -> String {
     // a 1-thread container records the pool's pure overhead.
     out.push_str(&format!(
         "  \"hardware_threads\": {},\n",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        hardware_threads()
     ));
+    out.push_str(&format!("  \"par_threads\": {},\n", par_threads()));
     out.push_str("  \"scenarios\": [\n");
     for (i, m) in results.iter().enumerate() {
         if i > 0 {
@@ -538,12 +556,7 @@ fn check(results: &[Measurement], baseline_path: &str, filter: Option<&str>) -> 
     let same_machine = text
         .lines()
         .find_map(|l| field_num(l, "hardware_threads"))
-        .is_some_and(|t| {
-            t as usize
-                == std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-        });
+        .is_some_and(|t| t as usize == hardware_threads());
     let mut failures = Vec::new();
     for row in &baseline {
         let name = &row.name;
@@ -588,8 +601,11 @@ fn check(results: &[Measurement], baseline_path: &str, filter: Option<&str>) -> 
                 if sp < floor {
                     failures.push(format!(
                         "`{}` parallel speedup {:.2}x < {:.2}x floor \
-                         ({PAR_THREADS} threads; sharded engine must beat serial here)",
-                        m.name, sp, floor
+                         ({} threads; sharded engine must beat serial here)",
+                        m.name,
+                        sp,
+                        floor,
+                        par_threads()
                     ));
                 }
             }
@@ -600,15 +616,19 @@ fn check(results: &[Measurement], baseline_path: &str, filter: Option<&str>) -> 
                 if sp < floor {
                     eprintln!(
                         "perf gate: WARNING `{}` parallel speedup {:.2}x < {:.2}x \
-                         advisory floor (machine has only ~{PAR_THREADS} hardware threads)",
-                        m.name, sp, floor
+                         advisory floor ({} threads on {} hardware threads)",
+                        m.name,
+                        sp,
+                        floor,
+                        par_threads(),
+                        hardware_threads()
                     );
                 }
             }
         }
         ParGate::Skip => eprintln!(
             "perf gate: skipping parallel-speedup floor \
-             (machine has < {PAR_THREADS} hardware threads)"
+             (machine has one hardware thread)"
         ),
     }
     // Per-scenario absolute floors (independent of the baseline file).
@@ -694,8 +714,8 @@ fn main() {
             );
             if let (Some(wall), Some(cps), Some(sp)) = (m.wall_ms_par, m.cps_par, m.par_speedup()) {
                 eprintln!(
-                    "{:<18} {:>9} cycles  {PAR_THREADS}-thread pool {:>8.1} ms ({:>10.0} c/s)  parallel speedup {:.2}x",
-                    "", "", wall, cps, sp
+                    "{:<18} {:>9} cycles  {}-thread pool {:>8.1} ms ({:>10.0} c/s)  parallel speedup {:.2}x",
+                    "", "", par_threads(), wall, cps, sp
                 );
             }
             if verbose {
