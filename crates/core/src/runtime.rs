@@ -40,6 +40,29 @@
 //! submit, dependency retirement, credit return, retry expiry, fault
 //! quarantine, job admission — can actually change what they may stage.
 //!
+//! ## Credit waitlists
+//!
+//! A session whose candidate op is blocked on a full NDA queue parks on
+//! that NDA's waitlist: a min-heap keyed `(band, vtime, session, stamp)`,
+//! the order the band heaps pop in. An entry is live while its session
+//! is parked and the entry carries the session's whole current key;
+//! wakes drop the stale entries they pop past. The index keeps one
+//! invariant: whenever NDA `k` has a free credit at a staging pass and
+//! sessions are parked on it, a session that `k` woke, and that sorts
+//! before all of them, sits in its band heap. Four rules keep it, so a
+//! returned credit costs one wake, not one per waiter:
+//!
+//! 1. A credit returned to `k` (`Runtime::credit_returned`), or left
+//!    unspent by a staged launch that fault recovery drops, wakes `k`'s
+//!    smallest live waiter and records `k` as the session's waker.
+//! 2. A popped session woken by `k` that does not take `k`'s credit (it
+//!    is served on another NDA through an unordered op, or it re-parks)
+//!    hands the credit on: if `k` still has one after the pass's
+//!    launches, `k`'s next waiter wakes.
+//! 3. [`set_qos`](Runtime::set_qos) re-notifies a parked session, whose
+//!    waitlist keys went stale, and makes a woken one hand its credit on.
+//! 4. Fault quarantine wakes every waiter of every NDA (the cold path).
+//!
 //! On top of direct submission sits a batched executor:
 //! [`Runtime::submit_job`] accepts a declarative [`JobGraph`] under
 //! per-tenant admission control ([`TenantLimits`]) and returns a
@@ -617,6 +640,9 @@ struct SessionState {
     /// Validates this session's live band-heap entry; entries carrying
     /// an older stamp are stale and dropped on pop.
     heap_stamp: u32,
+    /// The NDA whose returned credit woke this session, until its band
+    /// heap entry is popped (rule 2 of the module docs).
+    woken_by: Option<u32>,
     /// Live (submitted, not terminal) ops — the admission-control gauge.
     live_ops: u32,
     /// Admission-control limits (executor API).
@@ -693,8 +719,8 @@ chopim_dram::codec! {
     }
 }
 
-// The ready-index membership (`sched`, `heap_stamp`) and the live-op
-// gauge are derived: rebuilt on resume.
+// The ready-index membership (`sched`, `heap_stamp`, `woken_by`) and the
+// live-op gauge are derived: rebuilt on resume.
 chopim_dram::codec! {
     SessionState {
         ops,
@@ -708,9 +734,13 @@ chopim_dram::codec! {
         job_queue,
         sched: skip,
         heap_stamp: skip,
+        woken_by: skip,
         live_ops: skip,
     }
 }
+
+/// A credit-waitlist entry: `(band, vtime, session, heap stamp)`.
+type WaitKey = Reverse<(usize, u64, u32, u32)>;
 
 /// The Chopim runtime: arrays, colored allocation, sessions, op-graph
 /// splitting/staging, and functional execution.
@@ -724,8 +754,9 @@ pub struct Runtime {
     /// Per-band virtual clock: the floor for sessions (re)entering the
     /// band, so a long-idle tenant cannot monopolize on ancient credit.
     vnow: [u64; 2],
-    /// Per-NDA waitlists of sessions parked on a credit return.
-    waitlists: Vec<Vec<u32>>,
+    /// Per-NDA min-heaps of sessions parked on a credit return (see the
+    /// module docs' credit waitlists).
+    waitlists: Vec<BinaryHeap<WaitKey>>,
     /// Retry-hold wake-ups: `(cycle, session)` min-heap (stale entries
     /// tolerated — only still-parked sessions get woken).
     wake: BinaryHeap<Reverse<(u64, u32)>>,
@@ -836,7 +867,7 @@ impl Runtime {
             sessions: vec![SessionState::default()],
             ready: [BinaryHeap::new(), BinaryHeap::new()],
             vnow: [0; 2],
-            waitlists: vec![Vec::new(); n],
+            waitlists: vec![BinaryHeap::new(); n],
             wake: BinaryHeap::new(),
             admit_pending: VecDeque::new(),
             finished_ops: VecDeque::new(),
@@ -901,7 +932,7 @@ impl Runtime {
             // Redirect targets changed: every credit-parked session must
             // re-classify against the survivor set.
             for n in 0..self.waitlists.len() {
-                self.credit_returned(n);
+                while self.credit_returned(n) {}
             }
         }
     }
@@ -1587,22 +1618,26 @@ impl Runtime {
         perfcount::bump(Counter::ReadyIndexOps);
     }
 
-    /// A credit for NDA `nda` returned to the front-end: wake every
-    /// session parked on its waitlist. O(woken), not O(sessions); stale
-    /// entries (sessions that moved on) are dropped here.
-    pub(crate) fn credit_returned(&mut self, nda: usize) {
-        if self.waitlists[nda].is_empty() {
-            return;
-        }
-        let mut list = std::mem::take(&mut self.waitlists[nda]);
-        for s in list.drain(..) {
+    /// A credit for NDA `nda` returned to the front-end, or handed on
+    /// unused: wake the smallest-key session parked on its waitlist
+    /// (rule 1 of the module docs), dropping the stale entries popped on
+    /// the way. One wake per credit, whatever the waitlist's length.
+    /// Returns `false` once the waitlist is empty.
+    pub(crate) fn credit_returned(&mut self, nda: usize) -> bool {
+        while let Some(Reverse((band, vtime, s, stamp))) = self.waitlists[nda].pop() {
             perfcount::bump(Counter::ReadyIndexOps);
-            if self.sessions[s as usize].sched == SchedState::Parked {
+            let ss = &self.sessions[s as usize];
+            // Live only under the session's whole current key: a classify
+            // that parks ops and then finds one to serve leaves entries
+            // at the pre-service virtual time under an unchanged stamp.
+            let key = (ss.qos.band(), ss.vtime, ss.heap_stamp);
+            if ss.sched == SchedState::Parked && key == (band, vtime, stamp) {
                 self.ready_notify(s as usize);
+                self.sessions[s as usize].woken_by = Some(nda as u32);
+                return true;
             }
         }
-        // Hand the emptied buffer back so the hot path never reallocates.
-        self.waitlists[nda] = list;
+        false
     }
 
     /// Per-executed-cycle index maintenance, run by the front-end just
@@ -1652,6 +1687,7 @@ impl Runtime {
             let alive = &self.alive;
             let waitlists = &mut self.waitlists;
             let ss = &sessions[s];
+            let key = (ss.qos.band(), ss.vtime, s as u32, ss.heap_stamp);
             let mut prior_all_done = true;
             let mut found = None;
             for i in ss.first_live..ss.ops.len() {
@@ -1681,7 +1717,7 @@ impl Runtime {
                             }
                             // Credit-blocked: only a return on this NDA
                             // (or a quarantine flush) opens it.
-                            waitlists[target].push(s as u32);
+                            waitlists[target].push(Reverse(key));
                             perfcount::bump(Counter::ReadyIndexOps);
                             parked = true;
                         }
@@ -1821,52 +1857,63 @@ impl Runtime {
                     continue; // stale entry
                 }
                 self.sessions[s].sched = SchedState::Untracked; // entry consumed
-                let Some(i) = self.classify_and_park(s, &space, now) else {
-                    continue; // woken but blocked: classify re-parked it
-                };
-                // Serve this session: advance the band's virtual clock to
-                // its tag and release up to `max` launches from the
-                // candidate op.
-                self.vnow[band] = self.vnow[band].max(self.sessions[s].vtime);
-                let recovery = self.recovery;
-                let mut released = 0u64;
-                {
-                    let alive = &self.alive;
-                    let op = &mut self.sessions[s].ops[i];
-                    if op.first_staged_at.is_none() {
-                        op.first_staged_at = Some(now);
+                let woken_by = self.sessions[s].woken_by.take().map(|k| k as usize);
+                let found = self.classify_and_park(s, &space, now);
+                if let Some(i) = found {
+                    // Serve this session: advance the band's virtual clock
+                    // to its tag and release up to `max` launches from the
+                    // candidate op.
+                    self.vnow[band] = self.vnow[band].max(self.sessions[s].vtime);
+                    let recovery = self.recovery;
+                    let mut released = 0u64;
+                    {
+                        let alive = &self.alive;
+                        let op = &mut self.sessions[s].ops[i];
+                        if op.first_staged_at.is_none() {
+                            op.first_staged_at = Some(now);
+                        }
+                        while out.len() - start < max {
+                            let Some(head) = op.pending.front() else {
+                                break;
+                            };
+                            if op.barrier && head.chunk > op.released_chunks {
+                                break; // previous chunk not fully complete
+                            }
+                            let target = if recovery {
+                                Self::redirect(alive, head.nda_idx)
+                            } else {
+                                head.nda_idx
+                            };
+                            if space(target) == 0 {
+                                break;
+                            }
+                            let mut launch = op.pending.pop_front().expect("checked");
+                            launch.nda_idx = target;
+                            out.push_back(launch);
+                            released += 1;
+                        }
                     }
-                    while out.len() - start < max {
-                        let Some(head) = op.pending.front() else {
-                            break;
-                        };
-                        if op.barrier && head.chunk > op.released_chunks {
-                            break; // previous chunk not fully complete
-                        }
-                        let target = if recovery {
-                            Self::redirect(alive, head.nda_idx)
-                        } else {
-                            head.nda_idx
-                        };
-                        if space(target) == 0 {
-                            break;
-                        }
-                        let mut launch = op.pending.pop_front().expect("checked");
-                        launch.nda_idx = target;
-                        out.push_back(launch);
-                        released += 1;
+                    // Charge virtual time and re-index the session.
+                    let weight = self.sessions[s].qos.weight();
+                    self.sessions[s].vtime = self.sessions[s]
+                        .vtime
+                        .saturating_add(released * (QUANTUM / weight));
+                    if self.classify_and_park(s, &space, now).is_some() {
+                        self.ready_notify(s);
                     }
                 }
-                // Charge virtual time and re-index the session.
-                let weight = self.sessions[s].qos.weight();
-                self.sessions[s].vtime = self.sessions[s]
-                    .vtime
-                    .saturating_add(released * (QUANTUM / weight));
-                if self.classify_and_park(s, &space, now).is_some() {
-                    self.ready_notify(s);
+                // Re-parked, or served on another NDA than the one whose
+                // credit woke it: that credit passes to the NDA's next
+                // waiter (rule 2).
+                if let Some(k) = woken_by {
+                    if space(k) > 0 && !out.range(start..).any(|l| l.nda_idx == k) {
+                        self.credit_returned(k);
+                    }
                 }
-                staged = Some(s);
-                break 'bands; // one op per call; candidates guarantee progress
+                if found.is_some() {
+                    staged = Some(s);
+                    break 'bands; // one op per call; candidates guarantee progress
+                }
             }
         }
         #[cfg(debug_assertions)]
@@ -2407,13 +2454,25 @@ impl Runtime {
         let ss = &mut self.sessions[s];
         ss.qos = class;
         ss.vtime = vt;
-        if ss.sched == SchedState::Ready {
-            // Re-home the live heap entry into the new band; the old
-            // entry's stamp goes stale and is dropped on pop.
-            ss.heap_stamp = ss.heap_stamp.wrapping_add(1);
-            let stamp = ss.heap_stamp;
-            self.ready[band].push(Reverse((vt, s as u32, stamp)));
-            perfcount::bump(Counter::ReadyIndexOps);
+        match ss.sched {
+            SchedState::Ready => {
+                // Re-home the live heap entry into the new band; the old
+                // entry's stamp goes stale and is dropped on pop.
+                ss.heap_stamp = ss.heap_stamp.wrapping_add(1);
+                let stamp = ss.heap_stamp;
+                let woken_by = ss.woken_by.take();
+                self.ready[band].push(Reverse((vt, s as u32, stamp)));
+                perfcount::bump(Counter::ReadyIndexOps);
+                // Its new key may sort after waiters it was woken ahead
+                // of: hand the credit that woke it on (rule 3).
+                if let Some(k) = woken_by {
+                    self.credit_returned(k as usize);
+                }
+            }
+            // Its waitlist keys went stale: the next pass re-parks it
+            // under the new key (rule 3).
+            SchedState::Parked => self.ready_notify(s),
+            SchedState::Untracked => {}
         }
     }
 
@@ -2953,4 +3012,150 @@ impl Session {
 /// tails reuse the final span; functional results are exact regardless).
 fn x_layout_guard(a: &ArrayData, span: u64) -> u64 {
     a.layouts[0].lines().saturating_sub(span)
+}
+
+#[cfg(test)]
+mod tests {
+    //! The credit-waitlist wake rules, driven through `next_launches` with
+    //! credits modelled as the system keeps them: one spent per staged
+    //! launch, one back per `credit_returned`. In debug builds (and under
+    //! `release-checked`) the full-scan oracle in `next_launches` checks
+    //! every pick, so a missing wake fails the pass that should have
+    //! served the parked session.
+
+    use super::*;
+    use chopim_mapping::presets;
+
+    /// A Table II runtime: 2 channels x 2 ranks, so four NDAs.
+    fn runtime() -> Runtime {
+        let cfg = DramConfig::table_ii();
+        let mapper = Arc::new(PartitionedMapping::new(
+            &cfg,
+            presets::skylake_like(&cfg),
+            0,
+        ));
+        let allocator = ColoredAllocator::new(&cfg, mapper.inner(), cfg.rows as u32);
+        let ndas = (0..cfg.channels)
+            .flat_map(|c| (0..cfg.ranks_per_channel).map(move |r| (c, r)))
+            .collect();
+        Runtime::new(cfg, mapper, allocator, ndas, false)
+    }
+
+    /// One staging pass against `credits`: the launch it stages, if any,
+    /// spends its NDA's credit.
+    fn pass(rt: &mut Runtime, credits: &mut [usize]) -> Option<(u32, usize)> {
+        let mut out = VecDeque::new();
+        let now = rt.clock;
+        rt.next_launches(|k| credits[k], 1, now, &mut out);
+        let launch = out.pop_front()?;
+        credits[launch.nda_idx] -= 1;
+        Some((launch.op.sess, launch.nda_idx))
+    }
+
+    fn return_credit(rt: &mut Runtime, credits: &mut [usize], nda: usize) {
+        credits[nda] += 1;
+        rt.credit_returned(nda);
+    }
+
+    /// A one-chunk copy for `sess`: four launches, NDAs 0 to 3.
+    fn copy(rt: &mut Runtime, sess: Session) -> OpBuilder<'_> {
+        let x = rt.vector(1 << 12, Sharing::Shared);
+        let y = rt.vector(1 << 12, Sharing::Shared);
+        sess.elementwise(rt, Opcode::Copy, vec![], vec![x], Some(y))
+    }
+
+    /// A session woken by NDA 0's credit that does not take it passes it
+    /// to NDA 0's next waiter: served on NDA 1 through its other
+    /// unordered op, or left with nothing to stage. A credit wakes only a
+    /// waiter whose entry carries its current key.
+    #[test]
+    fn arbitration_unused_credit_wakes_the_next_waiter() {
+        // Served elsewhere.
+        let mut rt = runtime();
+        let a = rt.create_session();
+        let b = rt.create_session();
+        rt.set_qos(b, QosClass::Batch { weight: 4 });
+        for sess in [a, a, b, b] {
+            copy(&mut rt, sess).unordered().submit();
+        }
+        let mut credits = vec![2, 1, 1, 1];
+        // A releases one launch and B four, so both reach vtime QUANTUM;
+        // A wins the tie on its session id.
+        let served: Vec<_> = (0..5).map(|_| pass(&mut rt, &mut credits)).collect();
+        let (sa, sb) = (a.id, b.id);
+        let want = [(sa, 0), (sb, 0), (sb, 1), (sb, 2), (sb, 3)];
+        assert_eq!(served, want.map(Some));
+        // A parks on NDA 1 (its first op's head) and NDA 0 (its second
+        // op's head), ahead of B on NDA 0.
+        assert_eq!(pass(&mut rt, &mut credits), None);
+        return_credit(&mut rt, &mut credits, 0);
+        return_credit(&mut rt, &mut credits, 1);
+        assert_eq!(pass(&mut rt, &mut credits), Some((sa, 1)));
+        assert_eq!(pass(&mut rt, &mut credits), Some((sb, 0)));
+
+        // Re-parked: A's only op times out between its wake and the pass.
+        let mut rt = runtime();
+        let a = rt.create_session();
+        let b = rt.create_session();
+        copy(&mut rt, a).deadline(10).submit();
+        copy(&mut rt, b).submit();
+        let mut credits = vec![0; 4];
+        assert_eq!(pass(&mut rt, &mut credits), None);
+        return_credit(&mut rt, &mut credits, 0);
+        rt.clock = 10;
+        rt.check_deadlines(10);
+        assert_eq!(pass(&mut rt, &mut credits), Some((b.id, 0)));
+
+        // Served after parking an earlier op: that op's entry stays on
+        // NDA 1 at the pre-service virtual time, under the same stamp.
+        let mut rt = runtime();
+        let s = rt.create_session();
+        let t = rt.create_session();
+        for _ in 0..2 {
+            copy(&mut rt, s).unordered().submit();
+        }
+        copy(&mut rt, t).submit();
+        let mut credits = vec![2, 0, 0, 0];
+        assert_eq!(pass(&mut rt, &mut credits), Some((s.id, 0)));
+        assert_eq!(pass(&mut rt, &mut credits), Some((t.id, 0)));
+        assert_eq!(pass(&mut rt, &mut credits), None);
+        // S wakes on NDA 0 at vtime QUANTUM: its first op parks on NDA 1
+        // at that key, its second is served. S then parks at 2 QUANTUM.
+        return_credit(&mut rt, &mut credits, 0);
+        assert_eq!(pass(&mut rt, &mut credits), Some((s.id, 0)));
+        // T (vtime QUANTUM) sorts before S on NDA 1.
+        return_credit(&mut rt, &mut credits, 1);
+        assert_eq!(pass(&mut rt, &mut credits), Some((t.id, 1)));
+    }
+
+    /// A re-classed session must be arbitrated under its new key, whether
+    /// it was parked or already woken when its class changed.
+    #[test]
+    fn arbitration_set_qos_rekeys_waiting_sessions() {
+        // Parked: the later of two batch waiters turns latency-sensitive.
+        let mut rt = runtime();
+        let c = rt.create_session();
+        let d = rt.create_session();
+        copy(&mut rt, c).submit();
+        copy(&mut rt, d).submit();
+        let mut credits = vec![0; 4];
+        assert_eq!(pass(&mut rt, &mut credits), None);
+        rt.set_qos(d, QosClass::LatencySensitive);
+        return_credit(&mut rt, &mut credits, 0);
+        assert_eq!(pass(&mut rt, &mut credits), Some((d.id, 0)));
+
+        // Woken: the credit's latency-sensitive waiter turns batch and
+        // now sorts after the batch waiter it was woken ahead of.
+        let mut rt = runtime();
+        let u = rt.create_session();
+        let t = rt.create_session();
+        rt.set_qos(t, QosClass::LatencySensitive);
+        copy(&mut rt, u).submit();
+        copy(&mut rt, t).submit();
+        let mut credits = vec![0; 4];
+        assert_eq!(pass(&mut rt, &mut credits), None);
+        return_credit(&mut rt, &mut credits, 0);
+        rt.set_qos(t, QosClass::Batch { weight: 1 });
+        assert_eq!(pass(&mut rt, &mut credits), Some((u.id, 0)));
+    }
 }

@@ -29,9 +29,19 @@
 //!   [`state epoch`](chopim_dram::Rank::epoch). The device model bumps a
 //!   rank's epoch exactly when its `plan_access`/`ready_at` answers may
 //!   change, so a transaction on an untouched rank is judged from two
-//!   integer compares instead of a full timing recomputation. The memo is
-//!   also what makes [`next_event_cycle`](HostMc::next_event_cycle) cheap
-//!   enough to call after every idle tick.
+//!   integer compares instead of a full timing recomputation.
+//!
+//! ## The wake-up hint
+//!
+//! A tick that issues nothing has just looked at every command that could
+//! issue, so it caches the earliest cycle any of them becomes ready (see
+//! [`tick`](HostMc::tick)). Until then every tick is a no-op, and the
+//! fast-forward loop skips it; the channel shard's event horizon reads
+//! the same hint. The hint is dropped by the controller's own issue and
+//! by an NDA row command on the channel, and a push lowers it to the new
+//! transaction's ready time (or drops it when the push will latch the
+//! write drain). No other scan derives wake-ups, and nothing throttles
+//! how often a tick refreshes the hint.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -315,11 +325,11 @@ pub struct HostMc {
     /// inner value is the predictor answer itself. Invalidated on every
     /// read-queue mutation.
     oldest_read: Cell<Option<Option<usize>>>,
-    /// Cached wake-up from [`next_event_cycle`](Self::next_event_cycle):
-    /// no command can issue before this cycle. Invalidated whenever the
-    /// inputs change — a transaction arrives, any command issues, a
-    /// refresh timer fires, or (by the caller) an NDA commands this
-    /// channel.
+    /// Wake-up cached by the last tick that issued nothing: no command
+    /// can issue before this cycle. Dropped when the inputs change — any
+    /// command issues, (by the caller) an NDA row command lands on this
+    /// channel, or a push latches the write drain — and lowered by other
+    /// pushes.
     wake_hint: Option<Cycle>,
     /// Column commands issued.
     pub cols_issued: u64,
@@ -411,8 +421,9 @@ impl HostMc {
     /// [`try_push`](Self::try_push), but instead of dropping the cached
     /// wake-up it lowers it to the new transaction's own ready time — the
     /// only way one arrival can make the controller actionable earlier.
-    /// (Deferred drain-flag latching stays exact: the flag can only
-    /// matter on a cycle that issues, and the hint proves none can.)
+    /// The exception is a write that fills the write queue to the drain
+    /// watermark: the next tick latches the drain and serves writes, which
+    /// the hint may not have covered, so the hint is dropped.
     pub fn try_push_hinted(&mut self, tx: HostTransaction, ch: &Channel, now: Cycle) -> bool {
         if !self.push_inner(tx) {
             return false;
@@ -428,9 +439,11 @@ impl HostMc {
         }
         .expect("just pushed");
         entry.ensure_memo(ch);
-        if let Some(h) = self.wake_hint {
+        let ready = entry.memo_ready.max(now);
+        if use_write_q && !self.drain && self.write_q.len() >= self.drain_hi {
+            self.wake_hint = None;
+        } else if let Some(h) = self.wake_hint {
             if h > now {
-                let ready = entry.memo_ready.max(now);
                 self.wake_hint = Some(h.min(ready));
             }
         }
@@ -483,8 +496,8 @@ impl HostMc {
 
     /// The cached wake-up, if any. While `now < wake_hint` a whole
     /// [`tick`](Self::tick) is provably a no-op (nothing can issue, no
-    /// refresh timer fires, no latched flag transitions — all of those
-    /// invalidate the hint), so the caller may skip it.
+    /// refresh timer fires, no latched flag transitions), so the caller
+    /// may skip it. `None` means the next tick must run.
     pub fn wake_hint(&self) -> Option<Cycle> {
         self.wake_hint
     }
@@ -591,129 +604,71 @@ impl HostMc {
         out
     }
 
-    /// Conservative earliest cycle at or after `now` at which this
-    /// controller could issue any command, assuming no new transactions
-    /// arrive and no other agent touches the memory system first (either
-    /// would be an event that re-computes horizons). Used by the
-    /// event-horizon fast-forward; a too-early answer only costs a wasted
-    /// wake-up, never correctness.
-    pub fn next_event_cycle(&mut self, ch: &Channel, now: Cycle) -> Cycle {
-        // The write-drain hysteresis flag latches once per executed tick;
-        // if the queue length already crossed a watermark, the flag flips
-        // on the very next tick and that transition must not be skipped.
-        if (self.drain && self.write_q.len() <= self.drain_lo)
-            || (!self.drain && self.write_q.len() >= self.drain_hi)
-        {
-            return now;
-        }
-        if let Some(h) = self.wake_hint {
-            if h > now {
-                return h;
-            }
-        }
-        perfcount::bump(Counter::HorizonScans);
-        let mut h = Cycle::MAX;
-        // Refresh: an armed timer fires at its due cycle; a pending
-        // refresh issues REF (or precharges toward it) when timing allows.
-        if ch.config().timing.refresh_enabled() {
-            for rank in 0..self.refresh_due.len() {
-                if self.refresh_pending[rank] {
-                    let cmd = if ch.all_banks_closed(rank) {
-                        Command::ref_ab(rank)
-                    } else {
-                        Command::pre_all(rank)
-                    };
-                    if let Some(r) = ch.ready_at(&cmd, Issuer::Host) {
-                        h = h.min(r);
-                    }
-                } else {
-                    h = h.min(self.refresh_due[rank]);
-                }
-            }
-        }
-        // Closed-page policy: an open row with no queued hit is eagerly
-        // precharged; any open bank is a conservative wake-up candidate.
-        if self.page_policy == PagePolicy::Closed {
-            for rank in 0..ch.config().ranks_per_channel {
-                for (flat, &row) in ch.open_rows_of(rank).iter().enumerate() {
-                    if row != CLOSED_ROW {
-                        let cmd = Command::pre(
-                            rank,
-                            flat / self.banks_per_group,
-                            flat % self.banks_per_group,
-                        );
-                        if let Some(r) = ch.ready_at(&cmd, Issuer::Host) {
-                            h = h.min(r);
-                        }
-                    }
-                }
-            }
-        }
-        // Queued transactions: earliest cycle the next command of any
-        // transaction satisfies timing (ranks preparing a refresh are
-        // skipped by the scheduler until the refresh issues, which is an
-        // event of its own).
-        for e in self.read_q.iter_mut().chain(self.write_q.iter_mut()) {
-            if self.refresh_pending[e.tx.addr.rank] {
-                continue;
-            }
-            e.ensure_memo(ch);
-            h = h.min(e.memo_ready);
-            if h <= now {
-                return now;
-            }
-        }
-        let h = h.max(now);
-        self.wake_hint = Some(h);
-        h
-    }
-
     /// One scheduler tick: issue at most one command on the channel.
+    ///
+    /// A tick that issues nothing caches as [`wake_hint`](Self::wake_hint)
+    /// the earliest cycle any command could issue, taken from the scan it
+    /// just made: pending refreshes' REF/PREA ready times, armed refresh
+    /// timers, closed-page precharge candidates, and the memoized ready
+    /// time of every transaction the FR-FCFS passes looked at. Entries on
+    /// ranks awaiting refresh, and ready precharges the served queue's
+    /// demand map vetoes, are left out: only an issue, an NDA row command
+    /// or a push can change them, and each of those drops or lowers the
+    /// hint.
     pub fn tick(&mut self, ch: &mut Channel, now: Cycle) -> Option<Issued> {
-        let issued = self.tick_inner(ch, now);
-        if issued.is_some() {
-            // Any issued command changes timing/bank state.
-            self.wake_hint = None;
-        }
+        let mut wake = Cycle::MAX;
+        let issued = self.tick_inner(ch, now, &mut wake);
+        self.wake_hint = match issued {
+            Some(_) => None,
+            None => {
+                perfcount::bump(Counter::HorizonScans);
+                if ch.cmd_bus_busy(now) {
+                    // Another host command took the bus this cycle.
+                    Some(now + 1)
+                } else {
+                    debug_assert!(wake > now, "a ready command did not issue");
+                    Some(wake)
+                }
+            }
+        };
         issued
     }
 
-    fn tick_inner(&mut self, ch: &mut Channel, now: Cycle) -> Option<Issued> {
-        // 1. Refresh management.
+    fn tick_inner(&mut self, ch: &mut Channel, now: Cycle, wake: &mut Cycle) -> Option<Issued> {
+        // 1. Refresh management: an armed timer fires at its due cycle; a
+        // pending refresh issues REF (or precharges toward it) when timing
+        // allows.
         for rank in 0..self.refresh_due.len() {
-            if now >= self.refresh_due[rank] && !self.refresh_pending[rank] {
+            if now >= self.refresh_due[rank] {
                 self.refresh_pending[rank] = true;
-                // Pending refresh changes what the scheduler may do.
-                self.wake_hint = None;
             }
         }
         for rank in 0..self.refresh_pending.len() {
             if !self.refresh_pending[rank] {
+                *wake = (*wake).min(self.refresh_due[rank]);
                 continue;
             }
-            let refi = Cycle::from(ch.config().timing.refi);
-            if ch.all_banks_closed(rank) {
-                let cmd = Command::ref_ab(rank);
-                if ch.can_issue(&cmd, Issuer::Host, now) {
-                    let data = ch.issue_prechecked(&cmd, Issuer::Host, now);
-                    self.refresh_pending[rank] = false;
-                    self.refresh_due[rank] += refi;
-                    return Some(Issued {
-                        cmd,
-                        data,
-                        completed: None,
-                    });
-                }
+            let all_closed = ch.all_banks_closed(rank);
+            let cmd = if all_closed {
+                Command::ref_ab(rank)
             } else {
-                let cmd = Command::pre_all(rank);
-                if ch.can_issue(&cmd, Issuer::Host, now) {
+                Command::pre_all(rank)
+            };
+            match ch.ready_at(&cmd, Issuer::Host) {
+                Some(ready) if ready <= now && !ch.cmd_bus_busy(now) => {
                     let data = ch.issue_prechecked(&cmd, Issuer::Host, now);
+                    if all_closed {
+                        self.refresh_pending[rank] = false;
+                        self.refresh_due[rank] += Cycle::from(ch.config().timing.refi);
+                    }
                     return Some(Issued {
                         cmd,
                         data,
                         completed: None,
                     });
                 }
+                Some(ready) => *wake = (*wake).min(ready),
+                None => {}
             }
             // Rank is blocked preparing refresh; don't schedule new work
             // to it below (handled by the skip in candidate passes).
@@ -722,7 +677,7 @@ impl HostMc {
         // 1b. Closed-page policy: eagerly precharge host-opened rows with
         // no pending hit in either queue.
         if self.page_policy == PagePolicy::Closed {
-            if let Some(iss) = self.eager_close(ch, now) {
+            if let Some(iss) = self.eager_close(ch, now, wake) {
                 return Some(iss);
             }
         }
@@ -737,22 +692,24 @@ impl HostMc {
 
         // 3. FR-FCFS over the selected queue.
         let result = if serve_writes && !self.write_q.is_empty() {
-            self.schedule(ch, now, true)
+            self.schedule(ch, now, true, wake)
         } else {
-            self.schedule(ch, now, false)
+            self.schedule(ch, now, false, wake)
         };
         // Opportunistic fallback: if the chosen queue couldn't issue and
         // the other has work, let it try (keeps the channel busy).
         match result {
             Some(r) => Some(r),
-            None if serve_writes && !self.read_q.is_empty() => self.schedule(ch, now, false),
+            None if serve_writes && !self.read_q.is_empty() => self.schedule(ch, now, false, wake),
             None => None,
         }
     }
 
     /// Precharge one bank whose open row no queued transaction wants.
-    /// The demand maps answer "is this row still wanted?" in O(1).
-    fn eager_close(&mut self, ch: &mut Channel, now: Cycle) -> Option<Issued> {
+    /// The demand maps answer "is this row still wanted?" in O(1). Folds
+    /// the ready time of every candidate that cannot issue yet into
+    /// `wake`.
+    fn eager_close(&mut self, ch: &mut Channel, now: Cycle, wake: &mut Cycle) -> Option<Issued> {
         let ranks = ch.config().ranks_per_channel;
         for rank in 0..ranks {
             let mut found: Option<Command> = None;
@@ -769,9 +726,13 @@ impl HostMc {
                     flat / self.banks_per_group,
                     flat % self.banks_per_group,
                 );
-                if ch.can_issue(&cmd, Issuer::Host, now) {
-                    found = Some(cmd);
-                    break;
+                match ch.ready_at(&cmd, Issuer::Host) {
+                    Some(ready) if ready <= now && !ch.cmd_bus_busy(now) => {
+                        found = Some(cmd);
+                        break;
+                    }
+                    Some(ready) => *wake = (*wake).min(ready),
+                    None => {}
                 }
             }
             if let Some(cmd) = found {
@@ -786,7 +747,16 @@ impl HostMc {
         None
     }
 
-    fn schedule(&mut self, ch: &mut Channel, now: Cycle, writes: bool) -> Option<Issued> {
+    /// One FR-FCFS pass over the read or write queue. Folds the ready
+    /// time of every scanned transaction that cannot issue yet into
+    /// `wake`.
+    fn schedule(
+        &mut self,
+        ch: &mut Channel,
+        now: Cycle,
+        writes: bool,
+        wake: &mut Cycle,
+    ) -> Option<Issued> {
         let q = if writes {
             &mut self.write_q
         } else {
@@ -835,20 +805,22 @@ impl HostMc {
                 continue;
             }
             e.ensure_memo_at(ch, ch.rank_epoch(e.tx.addr.rank));
+            if e.memo_ready > now {
+                *wake = (*wake).min(e.memo_ready);
+                continue;
+            }
             match e.memo_kind {
                 CommandKind::Rd | CommandKind::Wr => {
-                    if e.memo_ready <= now {
-                        hit_idx = Some(i);
-                        break;
-                    }
+                    hit_idx = Some(i);
+                    break;
                 }
                 CommandKind::Act => {
-                    if row_pick.is_none() && e.memo_ready <= now {
+                    if row_pick.is_none() {
                         row_pick = Some((e.memo_cmd(), true));
                     }
                 }
                 CommandKind::Pre => {
-                    if row_pick.is_none() && e.memo_ready <= now {
+                    if row_pick.is_none() {
                         let open = ch
                             .bank(e.tx.addr.rank, e.tx.addr.bankgroup, e.tx.addr.bank)
                             .open_row()

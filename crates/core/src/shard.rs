@@ -328,10 +328,6 @@ pub(crate) struct ChannelShard {
     cycles_skipped: u64,
     ff_streak: u32,
     ff_backoff: u32,
-    /// Wake-hint computation throttle for a saturated MC (see the
-    /// monolithic engine's `mc_hint_backoff`; per-shard now).
-    hint_backoff: u32,
-    hint_penalty: u32,
 }
 
 impl ChannelShard {
@@ -461,8 +457,6 @@ impl ChannelShard {
             cycles_skipped: 0,
             ff_streak: 0,
             ff_backoff: 0,
-            hint_backoff: 0,
-            hint_penalty: 0,
         }
     }
 
@@ -671,9 +665,10 @@ impl ChannelShard {
     }
 
     fn mc_cycle(&mut self, now: Cycle) {
-        // In fast-forward mode a valid wake-up hint proves the whole
-        // controller tick is a no-op; the naive loop evaluates every
-        // cycle (reference behavior).
+        // In fast-forward mode a valid wake-up hint (cached by the last
+        // tick that issued nothing) proves the whole controller tick is a
+        // no-op; the naive loop evaluates every cycle (reference
+        // behavior).
         if self.params.fast_forward {
             if let Some(h) = self.mc.wake_hint() {
                 if now < h {
@@ -681,27 +676,7 @@ impl ChannelShard {
                 }
             }
         }
-        let issued = self.mc.tick(&mut self.channel, now);
-        if issued.is_none() && self.params.fast_forward {
-            // Idle tick: compute and cache the wake-up so the following
-            // no-op ticks are skipped outright — unless this channel's
-            // recent hints all expired immediately (a saturated
-            // controller is ready again within a cycle or two), in which
-            // case back off before scanning again.
-            if self.hint_backoff > 0 {
-                self.hint_backoff -= 1;
-            } else {
-                let h = self.mc.next_event_cycle(&self.channel, now);
-                if h <= now + 1 {
-                    let p = (self.hint_penalty * 2).clamp(2, 32);
-                    self.hint_penalty = p;
-                    self.hint_backoff = p;
-                } else {
-                    self.hint_penalty = 0;
-                }
-            }
-        }
-        if let Some(iss) = issued {
+        if let Some(iss) = self.mc.tick(&mut self.channel, now) {
             if self.fault.active && iss.cmd.kind == CommandKind::Rd {
                 // Host column read: draw the bit-flip/ECC streams
                 // (host-side uncorrectable errors are counted only).
@@ -902,7 +877,8 @@ impl ChannelShard {
         if h <= now {
             return now;
         }
-        h = h.min(self.mc.next_event_cycle(&self.channel, now));
+        // No cached MC wake-up means the next tick must run.
+        h = h.min(self.mc.wake_hint().unwrap_or(now));
         if h <= now {
             return now;
         }
@@ -1013,14 +989,16 @@ impl ChannelShard {
     /// against `n_cores`, completion NDA indexes against the
     /// machine-wide `n_ndas`, completion statuses, every op handle the
     /// shard holds against `handle_ok` (the runtime's session table),
-    /// the launch-write accounting, a completion tag for every
-    /// instruction an NDA holds, and every shadow FSM equal to its NDA's.
+    /// launch ids against the front-end's `next_launch` and the
+    /// launch-write accounting, a completion tag for every instruction an
+    /// NDA holds, and every shadow FSM equal to its NDA's.
     #[cold]
     pub(crate) fn validate(
         &self,
         egress: &[(Cycle, ShardInbound)],
         n_cores: usize,
         n_ndas: usize,
+        next_launch: u64,
         handle_ok: &dyn Fn(OpHandle) -> bool,
     ) -> Result<(), CodecError> {
         self.channel.validate()?;
@@ -1043,7 +1021,7 @@ impl ChannelShard {
                 check(handle_ok(*tag), "op handle out of range")?;
             }
         }
-        self.validate_launch_writes(queued())?;
+        self.validate_launches(queued(), next_launch)?;
         let tags = self.completion_tags.iter().flatten();
         check(tags.map(|t| t.1).all(handle_ok), "op handle out of range")?;
         // Retirement looks each instruction's tag up in its NDA's bucket.
@@ -1064,17 +1042,25 @@ impl ChannelShard {
         Ok(())
     }
 
-    /// Every launch-write completion event, and every launch write still
-    /// queued (MC, then `queued` messages in delivery order), must count
-    /// against a launch record — delivered, or queued ahead of the write
-    /// — that still expects it. A resumed shard looks the record up on
-    /// each completion and decrements its count.
+    /// Launch ids reach the slab strictly increasing, from the front-end's
+    /// counter: every slot and every `queued` launch message must be below
+    /// `next_launch`, and queued launches must rise above the slab's last
+    /// slot. Every launch-write completion event, and every launch write
+    /// still queued (MC, then `queued` messages in delivery order), must
+    /// count against a launch record — delivered, or queued ahead of the
+    /// write — that still expects it. A resumed shard looks the record up
+    /// on each completion and decrements its count.
     #[cold]
-    fn validate_launch_writes<'a>(
+    fn validate_launches<'a>(
         &self,
         queued: impl Iterator<Item = &'a (Cycle, ShardInbound)>,
+        next_launch: u64,
     ) -> Result<(), CodecError> {
-        let mut expected: BTreeMap<u64, u32> = (self.launches.records())
+        let slab = &self.launches;
+        let end = slab.base.checked_add(slab.slots.len() as u64);
+        let mut floor = (end.filter(|&end| end <= next_launch))
+            .ok_or(CodecError::Corrupt("launch id at or above the next id"))?;
+        let mut expected: BTreeMap<u64, u32> = (slab.records())
             .map(|(id, lf)| (id, lf.writes_remaining))
             .collect();
         fn count(expected: &mut BTreeMap<u64, u32>, id: u64) -> Result<(), CodecError> {
@@ -1094,6 +1080,8 @@ impl ChannelShard {
         for (_, item) in queued {
             match item {
                 ShardInbound::Launch { id, writes, .. } => {
+                    check(floor <= *id && *id < next_launch, "launch ids out of order")?;
+                    floor = id + 1;
                     expected.insert(*id, *writes);
                 }
                 ShardInbound::Tx(tx) => {
@@ -1152,8 +1140,6 @@ chopim_dram::codec! {
         cycles_skipped,
         ff_streak,
         ff_backoff,
-        hint_backoff,
-        hint_penalty,
         fault,
         local_of_rank: skip,
         global_idx: skip,

@@ -848,13 +848,16 @@ impl ChopimSystem {
         if self.recovery_active {
             // Staged heads can go stale under recovery: their op may have
             // concluded (timeout/failure), or their target NDA may have
-            // been quarantined since staging.
+            // been quarantined since staging. A dropped head never spends
+            // the credit it was staged against, so that credit wakes the
+            // NDA's next waiter as a returned one would.
             while self
                 .launch_stage
                 .front()
                 .is_some_and(|h| self.runtime.op_done(h.op))
             {
-                self.launch_stage.pop_front();
+                let head = self.launch_stage.pop_front().expect("checked");
+                self.runtime.credit_returned(head.nda_idx);
             }
             if let Some(cur) = self.launch_stage.front().map(|h| h.nda_idx) {
                 let red = self.runtime.redirect_live(cur);
@@ -1591,7 +1594,10 @@ impl ChopimSystem {
             "NDA launch credit over capacity",
         )?;
         let mut shards = self.shards.iter().zip(&self.egress);
-        shards.try_for_each(|(s, egress)| s.validate(egress, n_cores, n_ndas, &handle_ok))
+        let next_launch = self.next_launch;
+        shards.try_for_each(|(s, egress)| {
+            s.validate(egress, n_cores, n_ndas, next_launch, &handle_ok)
+        })
     }
 
     // --- Event-trace capture ------------------------------------------
@@ -1765,8 +1771,10 @@ const SNAPSHOT_MAGIC: [u8; 4] = *b"CHSS";
 /// runtime: per-op submission stamps, per-session QoS class /
 /// virtual-time / admission limits / job table / metering, the per-band
 /// virtual clocks, pending admissions, and the finished-op feed (the
-/// ready index itself is derived and rebuilt on resume).
-const SNAPSHOT_VERSION: u32 = 3;
+/// ready index itself is derived and rebuilt on resume). v4 dropped the
+/// shard's MC hint-backoff fields; the cached MC wake-up hints it carries
+/// now come from the controller's own tick.
+const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why [`ChopimSystem::snapshot`] refused to capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1800,6 +1808,7 @@ mod tests {
     use std::cmp::Reverse;
 
     use chopim_dram::DramAddress;
+    use chopim_nda::isa::{NdaInstr, Opcode};
 
     use super::*;
     use crate::exchange::COMPLETION_OK;
@@ -1934,6 +1943,95 @@ mod tests {
             *left = 0;
         }
         assert_rejected(&sys, "launch record expecting no more writes");
+    }
+
+    #[test]
+    fn corrupt_index_launch_id_rewind_is_rejected() {
+        let (mut sys, ch) = machine_with_launch_in_flight();
+        let (id, _) = sys.shards[ch].launch_writes_remaining_mut()[0];
+        sys.next_launch = id;
+        assert_rejected(&sys, "next launch id at a live launch's id");
+
+        let launch = |id| {
+            let instr = NdaInstr {
+                op: Opcode::Copy,
+                phases: Vec::new().into(),
+                id: 0,
+            };
+            let tag = OpHandle { sess: 0, idx: 0 };
+            let (nda_local, writes) = (0, 1);
+            ShardInbound::Launch {
+                id,
+                nda_local,
+                instr,
+                writes,
+                tag,
+            }
+        };
+        let (mut sys, ch) = machine_with_launch_in_flight();
+        let (id, _) = sys.shards[ch].launch_writes_remaining_mut()[0];
+        let at = sys.now + 1;
+        sys.egress[ch].push((at, launch(id)));
+        assert_rejected(&sys, "queued launch at the slab's last id");
+
+        let (mut sys, ch) = machine_with_launch_in_flight();
+        let (at, next) = (sys.now + 1, sys.next_launch);
+        sys.next_launch = next + 4;
+        sys.egress[ch].push((at, launch(next + 2)));
+        sys.egress[ch].push((at, launch(next + 1)));
+        assert_rejected(&sys, "queued launches out of order");
+    }
+
+    /// Under fault recovery, a staged launch whose op concludes before
+    /// it egresses is dropped with its credit unspent. That credit must
+    /// wake the NDA's next waiter: without the wake, the full-scan
+    /// oracle in `next_launches` fires at the next staging pass.
+    #[test]
+    fn arbitration_dropped_staged_launch_passes_its_credit_on() {
+        fn copy(rt: &mut Runtime, sess: Session) -> crate::runtime::OpBuilder<'_> {
+            let x = rt.vector(1 << 12, Sharing::Shared);
+            let y = rt.vector(1 << 12, Sharing::Shared);
+            sess.elementwise(rt, Opcode::Copy, vec![], vec![x], Some(y))
+        }
+        let mut sys = ChopimSystem::new(ChopimConfig {
+            mix: None,
+            sim_threads: 1,
+            fixed_window: false,
+            trace_path: None,
+            // Recovery on; the plan's one fault lies beyond the test.
+            faults: FaultPlan {
+                rank_death_cycle: u64::MAX,
+                ..FaultPlan::NONE
+            },
+            ..ChopimConfig::default()
+        });
+        let rt = &mut sys.runtime;
+        let (a, b) = (rt.create_session(), rt.create_session());
+        let op_a = copy(rt, a).deadline(10).submit();
+        let op_b = copy(rt, b).submit();
+        let staged = |sys: &ChopimSystem| sys.launch_stage.front().map(|l| (l.op, l.nda_idx));
+
+        // No credits: both sessions park on NDA 0, A first.
+        sys.nda_credit.fill(0);
+        sys.fe_tick();
+        assert_eq!(staged(&sys), None);
+        // NDA 0's credit returns and wakes A, whose launch then waits in
+        // the stage behind a full ingress queue.
+        sys.nda_credit[0] = 1;
+        sys.runtime.credit_returned(0);
+        let (ch, _) = sys.nda_local[0];
+        sys.ingress_seen[ch] = INGRESS_CAP;
+        sys.now = 1;
+        sys.fe_tick();
+        assert_eq!(staged(&sys), Some((op_a, 0)));
+        // A's op times out: the stage drops its launch, and B takes the
+        // credit at the next pass.
+        sys.now = 10;
+        sys.fe_tick();
+        assert_eq!(staged(&sys), None);
+        sys.now = 11;
+        sys.fe_tick();
+        assert_eq!(staged(&sys), Some((op_b, 0)));
     }
 
     /// The shard-local index of an NDA holding an instruction.

@@ -47,7 +47,8 @@ pub enum Counter {
     SchedMemoHit,
     /// Host-scheduler memo misses (epoch moved; plan+ready recomputed).
     SchedMemoMiss,
-    /// Controller wake-up/horizon scans (`next_event_cycle` bodies).
+    /// Host-MC wake-up derivations: ticks that issued nothing and cached
+    /// the earliest cycle their own scan found (`HostMc::tick`).
     HorizonScans,
     /// NDA-controller memo hits.
     NdaMemoHit,

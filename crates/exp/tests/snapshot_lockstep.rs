@@ -401,7 +401,7 @@ fn fingerprint(image: &[u8]) -> (usize, u64) {
     (image.len(), chopim_dram::codec::fnv1a(image))
 }
 
-/// The CHSS v3 bytes of four fixed machines, pinned. Any change to the
+/// The CHSS v4 bytes of four fixed machines, pinned. Any change to the
 /// encoded layout — a field added, dropped, reordered, or re-encoded in
 /// any component codec — moves at least one of these and must come with
 /// a format version bump (`docs/SNAPSHOT_FORMAT.md`, "Versioning").
@@ -416,7 +416,7 @@ fn snapshot_bytes_are_pinned() {
     assert_eq!(
         image[..48],
         [
-            0x43, 0x48, 0x53, 0x53, 0x03, 0x00, 0x00, 0x00, 0x96, 0xc4, 0x02, 0x00, 0x00, 0x00,
+            0x43, 0x48, 0x53, 0x53, 0x04, 0x00, 0x00, 0x00, 0x92, 0xc4, 0x02, 0x00, 0x00, 0x00,
             0x00, 0x00, 0xd6, 0x89, 0x55, 0x41, 0xe5, 0x68, 0xf9, 0xf9, 0x00, 0x00, 0x00, 0x00,
             0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
             0x00, 0x10, 0x10, 0x10, 0x10, 0x00,
@@ -425,7 +425,7 @@ fn snapshot_bytes_are_pinned() {
     );
     assert_eq!(
         fingerprint(&image),
-        (181_422, 0x46c7_4609_d937_0600),
+        (181_418, 0xf45c_6805_52c1_ec23),
         "default"
     );
 
@@ -454,7 +454,7 @@ fn snapshot_bytes_are_pinned() {
     let image = sys.snapshot().expect("mid-flight capture");
     assert_eq!(
         fingerprint(&image),
-        (207_820, 0x85ff_cae1_aa09_947b),
+        (207_818, 0xe8fe_6d4f_051d_e4b5),
         "faulty"
     );
 
@@ -470,11 +470,11 @@ fn snapshot_bytes_are_pinned() {
     let (mut sys, _, _) = dag_machine(cfg(), 1);
     sys.run(777);
     let image = sys.snapshot().expect("no streams");
-    assert_eq!(fingerprint(&image), (323_870, 0x0127_8102_9f39_7cfa), "dag");
+    assert_eq!(fingerprint(&image), (323_868, 0xcb70_4f1c_30d3_6a1d), "dag");
     let (mut sys, _, _) = qos_machine(cfg(), 1);
     sys.run(777);
     let image = sys.snapshot().expect("no streams");
-    assert_eq!(fingerprint(&image), (455_225, 0xd308_247c_ec53_c844), "qos");
+    assert_eq!(fingerprint(&image), (455_223, 0xf080_eb5a_0f64_480e), "qos");
 }
 
 /// Capture → replay: re-issuing the recorded command stream through the
