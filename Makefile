@@ -1,7 +1,7 @@
 # Convenience entry points. Everything here is plain cargo underneath so
 # local runs and CI are identical.
 
-.PHONY: all test perf perf-check perf-verbose perf-micro lockstep lockstep-shard lockstep-snapshot chaos docs examples lint lint-chopim checked-release
+.PHONY: all test perf perf-check perf-verbose perf-micro lockstep lockstep-shard lockstep-snapshot chaos docs examples lint lint-chopim checked-release benchmark
 
 all: test
 
@@ -96,3 +96,12 @@ checked-release:
 	cargo test --profile release-checked -p chopim-exp --test ff_lockstep --test shard_lockstep --test snapshot_lockstep
 	cargo test --profile release-checked -p chopim-core --test qos_sched_props --test session_dag_props --test runtime_props
 	cargo test --profile release-checked -p chopim-core --lib arbitration
+
+# The repository benchmark (chopim-benchmark/, a workspace of its own that
+# no other target compiles): both build variants run.sh uses, then its
+# tests. A public item it calls that goes missing fails here (the CI
+# `benchmark` job).
+benchmark:
+	cargo build --release --locked --manifest-path chopim-benchmark/Cargo.toml
+	cargo build --release --locked --manifest-path chopim-benchmark/Cargo.toml --features perf-counters
+	cargo test --locked --manifest-path chopim-benchmark/Cargo.toml

@@ -3,7 +3,7 @@
 //! track simulator performance (cycles simulated per second), not paper
 //! results.
 
-use chopim_dram::{Command, DramConfig, DramSystem, Issuer, TimingParams};
+use chopim_dram::{Channel, Command, DramConfig, Issuer, TimingParams};
 use chopim_host::{CoreConfig, OooCore, WorkloadProfile};
 use chopim_mapping::{presets, AddressMapper, PartitionedMapping};
 use chopim_nda::fsm::NdaFsm;
@@ -27,25 +27,25 @@ fn bench_mapping(c: &mut Criterion) {
 fn bench_dram_issue(c: &mut Criterion) {
     c.bench_function("dram/act_rd_pre_cycle", |b| {
         let cfg = DramConfig::table_ii().with_timing(TimingParams::ddr4_2400_no_refresh());
-        let mut mem = DramSystem::new(cfg);
+        let mut ch = Channel::new(&cfg);
         let mut now = 0u64;
         let mut row = 0u32;
         b.iter(|| {
             let act = Command::act(0, 0, 0, row);
-            while !mem.can_issue(0, &act, Issuer::Host, now) {
+            while !ch.can_issue(&act, Issuer::Host, now) {
                 now += 1;
             }
-            mem.issue(0, &act, Issuer::Host, now).unwrap();
+            ch.issue(&act, Issuer::Host, now).unwrap();
             let rd = Command::rd(0, 0, 0, row, 0);
-            while !mem.can_issue(0, &rd, Issuer::Host, now) {
+            while !ch.can_issue(&rd, Issuer::Host, now) {
                 now += 1;
             }
-            mem.issue(0, &rd, Issuer::Host, now).unwrap();
+            ch.issue(&rd, Issuer::Host, now).unwrap();
             let pre = Command::pre(0, 0, 0);
-            while !mem.can_issue(0, &pre, Issuer::Host, now) {
+            while !ch.can_issue(&pre, Issuer::Host, now) {
                 now += 1;
             }
-            mem.issue(0, &pre, Issuer::Host, now).unwrap();
+            ch.issue(&pre, Issuer::Host, now).unwrap();
             row = row.wrapping_add(1) % 1024;
             black_box(now)
         })

@@ -1934,7 +1934,7 @@ impl Runtime {
     /// `false` when a launch could stage: every event that creates
     /// stageability notifies the index. Extra executed cycles never
     /// change staging decisions — the lockstep suites pin this.
-    pub fn launch_ready(&self, _space: impl Fn(usize) -> usize, _now: u64) -> bool {
+    pub fn launch_ready(&self) -> bool {
         !self.ready[0].is_empty() || !self.ready[1].is_empty()
     }
 
@@ -2282,7 +2282,7 @@ impl Runtime {
             OpKind::MacroAxpyRows { a_pvt, alphas, x } => {
                 let (_, cols) = self.arrays[x.0].shape.expect("matrix");
                 let x_data = self.arrays[x.0].backing.clone();
-                let owners = self.line_owners(*x, cols);
+                let owners = self.line_owners(*x);
                 let lines_per_row = cols / 16;
                 let privates = self.arrays[a_pvt.0]
                     .private
@@ -2312,7 +2312,7 @@ impl Runtime {
 
     /// Which NDA owns each cache line of a shared array (exact, via the
     /// mapping), cycled for timing-padded tails.
-    fn line_owners(&self, m: MatId, _cols: usize) -> Vec<usize> {
+    fn line_owners(&self, m: MatId) -> Vec<usize> {
         let a = &self.arrays[m.0];
         match &a.region {
             Some(region) => {

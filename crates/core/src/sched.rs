@@ -383,13 +383,6 @@ impl HostMc {
         }
     }
 
-    /// Override the write-drain watermarks (ablation studies).
-    pub fn set_drain_watermarks(&mut self, hi: usize, lo: usize) {
-        assert!(lo < hi && hi <= self.write_cap, "lo < hi <= capacity");
-        self.drain_hi = hi;
-        self.drain_lo = lo;
-    }
-
     /// Select the scheduling discipline (ablation studies).
     pub fn set_scheduler(&mut self, kind: SchedulerKind) {
         self.scheduler = kind;

@@ -326,8 +326,6 @@ pub(crate) struct ChannelShard {
     quiet_until: Cycle,
     ticks_executed: u64,
     cycles_skipped: u64,
-    ff_streak: u32,
-    ff_backoff: u32,
 }
 
 impl ChannelShard {
@@ -337,8 +335,6 @@ impl ChannelShard {
         self.params.record_events = on;
     }
 
-    /// Build the shard for `channel_idx`, owning `ndas` (paired with
-    /// their global indexes, in rank order) behind `channel`.
     /// Build the shard for channel `channel_idx` from configuration
     /// alone: the channel device, its host MC (scheduler and page
     /// policy applied), and the rank controllers for every NDA rank
@@ -455,8 +451,6 @@ impl ChannelShard {
             quiet_until: 0,
             ticks_executed: 0,
             cycles_skipped: 0,
-            ff_streak: 0,
-            ff_backoff: 0,
         }
     }
 
@@ -960,24 +954,16 @@ impl ChannelShard {
     }
 
     /// In fast-forward mode, leap to the shard's next event horizon
-    /// (never past `limit`), with the same busy-streak backoff the
-    /// monolithic engine used: executing a skippable cycle is always
-    /// sound; only skipping a cycle with work would not be.
+    /// (never past `limit`). Run after every executed cycle: on a busy
+    /// shard the horizon answers `now` from cached wake-ups (the MC's
+    /// `wake_hint`, the NDAs' ready hints) after a few compares.
     fn maybe_skip(&mut self, limit: Cycle) {
         if !self.params.fast_forward || self.now >= limit {
-            return;
-        }
-        if self.ff_backoff > 0 {
-            self.ff_backoff -= 1;
             return;
         }
         let h = self.horizon().min(limit);
         if h > self.now {
             self.skip_to(h);
-            self.ff_streak = 0;
-        } else {
-            self.ff_streak = (self.ff_streak + 1).min(6);
-            self.ff_backoff = (1u32 << self.ff_streak) >> 1;
         }
     }
 
@@ -1113,12 +1099,13 @@ impl ChannelShard {
     }
 }
 
-// The fast-forward backoffs and the launch slab's `base` anchor are
-// stored verbatim, so a resumed shard replays the exact tick/skip
-// sequence. Kept from construction: the static topology (`local_of_rank`,
-// `global_idx`, computed by `build` from the NDA-rank configuration), the
-// `ShardParams` configuration copy, and the trace-capture event logs
-// (capture sessions never span a snapshot).
+// Every skip decision is a function of the state stored here (the
+// cached horizon `quiet_until` and the launch slab's `base` anchor are
+// stored verbatim), so a resumed shard replays the exact tick/skip
+// sequence from this image alone. Kept from construction: the static
+// topology (`local_of_rank`, `global_idx`, computed by `build` from the
+// NDA-rank configuration), the `ShardParams` configuration copy, and the
+// trace-capture event logs (capture sessions never span a snapshot).
 chopim_dram::codec! {
     in_place(pub(crate)) ChannelShard {
         channel_idx: expect,
@@ -1138,8 +1125,6 @@ chopim_dram::codec! {
         quiet_until,
         ticks_executed,
         cycles_skipped,
-        ff_streak,
-        ff_backoff,
         fault,
         local_of_rank: skip,
         global_idx: skip,

@@ -649,8 +649,7 @@ impl ChopimSystem {
         &self.shards[ch].channel
     }
 
-    /// Aggregate device statistics across every channel (the monolithic
-    /// `DramSystem::stats` view, reassembled over the shards).
+    /// Aggregate device statistics across every channel.
     pub fn mem_stats(&self) -> DramStats {
         let mut s = DramStats::default();
         for shard in &self.shards {
@@ -1020,11 +1019,8 @@ impl ChopimSystem {
         if self.runtime.has_pending_admissions() {
             return now;
         }
-        {
-            let credit = &self.nda_credit;
-            if self.runtime.launch_ready(|i| credit[i], now) {
-                return now;
-            }
+        if self.runtime.launch_ready() {
+            return now;
         }
         let mut h = Cycle::MAX;
         if let Some(&(t, _, _, _, _)) = self.completions.peek() {
@@ -1773,8 +1769,10 @@ const SNAPSHOT_MAGIC: [u8; 4] = *b"CHSS";
 /// virtual clocks, pending admissions, and the finished-op feed (the
 /// ready index itself is derived and rebuilt on resume). v4 dropped the
 /// shard's MC hint-backoff fields; the cached MC wake-up hints it carries
-/// now come from the controller's own tick.
-const SNAPSHOT_VERSION: u32 = 4;
+/// now come from the controller's own tick. v5 dropped the shard's
+/// busy-streak backoff fields (`maybe_skip` computes the horizon after
+/// every executed cycle).
+const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why [`ChopimSystem::snapshot`] refused to capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

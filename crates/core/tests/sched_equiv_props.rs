@@ -11,7 +11,7 @@
 //! scratch along the way.
 
 use chopim_core::sched::{HostMc, HostTransaction, PagePolicy, SchedulerKind, TxMeta};
-use chopim_dram::{Command, DramAddress, DramSystem, Issuer, TimingParams};
+use chopim_dram::{Channel, Command, DramAddress, Issuer, TimingParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -47,14 +47,14 @@ impl Oracle {
 
     /// The command the naive controller would issue at `now` (and the
     /// queue+index of a completing column command).
-    fn expected(&mut self, mem: &DramSystem, now: u64) -> Option<(Command, Option<(bool, usize)>)> {
+    fn expected(&mut self, ch: &Channel, now: u64) -> Option<(Command, Option<(bool, usize)>)> {
         // Closed-page eager precharge, scanning both queues per bank.
         if self.page_policy == PagePolicy::Closed {
-            let cfg = mem.config();
+            let cfg = ch.config();
             for rank in 0..cfg.ranks_per_channel {
                 for bg in 0..cfg.bankgroups {
                     for bk in 0..cfg.banks_per_group {
-                        let Some(open) = mem.channel(0).bank(rank, bg, bk).open_row() else {
+                        let Some(open) = ch.bank(rank, bg, bk).open_row() else {
                             continue;
                         };
                         let wanted = self.read_q.iter().chain(self.write_q.iter()).any(|t| {
@@ -67,7 +67,7 @@ impl Oracle {
                             continue;
                         }
                         let cmd = Command::pre(rank, bg, bk);
-                        if mem.can_issue(0, &cmd, Issuer::Host, now) {
+                        if ch.can_issue(&cmd, Issuer::Host, now) {
                             return Some((cmd, None));
                         }
                     }
@@ -82,20 +82,20 @@ impl Oracle {
         }
         let serve_writes = self.drain || self.read_q.is_empty();
         let first = if serve_writes && !self.write_q.is_empty() {
-            self.schedule(mem, now, true)
+            self.schedule(ch, now, true)
         } else {
-            self.schedule(mem, now, false)
+            self.schedule(ch, now, false)
         };
         match first {
             Some(r) => Some(r),
-            None if serve_writes && !self.read_q.is_empty() => self.schedule(mem, now, false),
+            None if serve_writes && !self.read_q.is_empty() => self.schedule(ch, now, false),
             None => None,
         }
     }
 
     fn schedule(
         &self,
-        mem: &DramSystem,
+        ch: &Channel,
         now: u64,
         writes: bool,
     ) -> Option<(Command, Option<(bool, usize)>)> {
@@ -110,14 +110,14 @@ impl Oracle {
         // Pass 1: oldest ready row hit.
         for (i, tx) in q.iter().take(horizon).enumerate() {
             let a = &tx.addr;
-            let bank = mem.channel(0).bank(a.rank, a.bankgroup, a.bank);
+            let bank = ch.bank(a.rank, a.bankgroup, a.bank);
             if bank.is_row_hit(a.row) {
                 let cmd = if tx.is_write {
                     Command::wr(a.rank, a.bankgroup, a.bank, a.row, a.col)
                 } else {
                     Command::rd(a.rank, a.bankgroup, a.bank, a.row, a.col)
                 };
-                if mem.can_issue(0, &cmd, Issuer::Host, now) {
+                if ch.can_issue(&cmd, Issuer::Host, now) {
                     return Some((cmd, Some((writes, i))));
                 }
             }
@@ -126,7 +126,7 @@ impl Oracle {
         // (full-scan keep-open guard over the served queue's horizon).
         for tx in q.iter().take(horizon) {
             let a = &tx.addr;
-            let bank = mem.channel(0).bank(a.rank, a.bankgroup, a.bank);
+            let bank = ch.bank(a.rank, a.bankgroup, a.bank);
             let cmd = match bank.open_row() {
                 None => Command::act(a.rank, a.bankgroup, a.bank, a.row),
                 Some(open) if open != a.row => {
@@ -134,10 +134,7 @@ impl Oracle {
                         t.addr.rank == a.rank
                             && t.addr.bankgroup == a.bankgroup
                             && t.addr.bank == a.bank
-                            && mem
-                                .channel(0)
-                                .bank(a.rank, a.bankgroup, a.bank)
-                                .is_row_hit(t.addr.row)
+                            && ch.bank(a.rank, a.bankgroup, a.bank).is_row_hit(t.addr.row)
                     });
                     if keep {
                         continue;
@@ -146,7 +143,7 @@ impl Oracle {
                 }
                 Some(_) => continue,
             };
-            if mem.can_issue(0, &cmd, Issuer::Host, now) {
+            if ch.can_issue(&cmd, Issuer::Host, now) {
                 return Some((cmd, None));
             }
         }
@@ -187,7 +184,7 @@ fn rand_tx(rng: &mut StdRng, cfg: &chopim_dram::DramConfig, now: u64) -> HostTra
 
 fn run_case(seed: u64, scheduler: SchedulerKind, page_policy: PagePolicy, cycles: u64) {
     let cfg = chopim_dram::DramConfig::table_ii().with_timing(TimingParams::ddr4_2400_no_refresh());
-    let mut mem = DramSystem::new(cfg.clone());
+    let mut ch = Channel::new(&cfg);
     let mut mc = HostMc::new(
         cfg.ranks_per_channel,
         cfg.bankgroups,
@@ -218,8 +215,8 @@ fn run_case(seed: u64, scheduler: SchedulerKind, page_policy: PagePolicy, cycles
             "oldest-read predictor diverged at {now}"
         );
 
-        let expected = oracle.expected(&mem, now);
-        let actual = mc.tick(mem.channel_mut(0), now);
+        let expected = oracle.expected(&ch, now);
+        let actual = mc.tick(&mut ch, now);
         match (&expected, &actual) {
             (None, None) => {}
             (Some((cmd, completes)), Some(iss)) => {

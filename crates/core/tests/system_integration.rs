@@ -279,6 +279,98 @@ fn macro_axpy_rows_matches_reference_and_reduce() {
     }
 }
 
+/// Runs up to `iters` conjugate-gradient iterations for `A x = b` on the
+/// NDAs, with `A` a synthetic SPD matrix, and returns the final residual
+/// norm. Each iteration chains GEMV → DOT → an unordered AXPY pair → DOT
+/// → AXPBY, so the residual shrinks only if every op reads the values its
+/// producers wrote.
+fn cg_residual(sys: &mut ChopimSystem, b_data: &[f32], iters: usize) -> f32 {
+    let n = b_data.len();
+    let a = sys.runtime.matrix(n, n);
+    let mut a_data = vec![0.0f32; n * n];
+    for i in 0..n {
+        for j in 0..n {
+            a_data[i * n + j] = 1.0 / (1.0 + (i as f32 - j as f32).abs());
+        }
+        a_data[i * n + i] += n as f32 * 0.05;
+    }
+    sys.runtime.write_matrix(a, &a_data);
+    let [b, x, r, p, ap] = [(); 5].map(|_| sys.runtime.vector(n, Sharing::Shared));
+    sys.runtime.write_vector(b, b_data);
+    // x = 0, r = b, p = b.
+    sys.runtime.write_vector(r, b_data);
+    sys.runtime.write_vector(p, b_data);
+
+    let budget = 500_000_000;
+    let sess = sys.runtime.create_session();
+    let op = sess
+        .elementwise(&mut sys.runtime, Opcode::Dot, vec![], vec![r, r], None)
+        .submit();
+    sys.drive(op, budget);
+    let mut rsold = sys.runtime.op_result(op).expect("dot result");
+    for _ in 0..iters {
+        let g = sess.gemv(&mut sys.runtime, ap, a, p).submit();
+        let d = sess
+            .elementwise(&mut sys.runtime, Opcode::Dot, vec![], vec![p, ap], None)
+            .after(g)
+            .submit();
+        sys.drive(d, budget);
+        let alpha = rsold / sys.runtime.op_result(d).expect("dot");
+        // x += alpha p and r -= alpha Ap touch disjoint operands, so they
+        // overlap on the NDAs and are awaited together with the residual
+        // DOT that depends on the second.
+        let updates: Vec<_> = [(x, p, alpha), (r, ap, -alpha)]
+            .into_iter()
+            .map(|(dst, src, coef)| {
+                sess.elementwise(
+                    &mut sys.runtime,
+                    Opcode::Axpy,
+                    vec![coef],
+                    vec![src],
+                    Some(dst),
+                )
+                .unordered()
+                .submit()
+            })
+            .collect();
+        let d2 = sess
+            .elementwise(&mut sys.runtime, Opcode::Dot, vec![], vec![r, r], None)
+            .after(updates[1])
+            .submit();
+        sys.drive(Waitable::all_of(updates.into_iter().chain([d2])), budget);
+        let rsnew = sys.runtime.op_result(d2).expect("dot");
+        if rsnew.sqrt() < 1e-4 {
+            return rsnew.sqrt();
+        }
+        // p = r + (rsnew / rsold) p.
+        let opp = sess
+            .elementwise(
+                &mut sys.runtime,
+                Opcode::Axpby,
+                vec![1.0, rsnew / rsold],
+                vec![r, p],
+                Some(p),
+            )
+            .submit();
+        sys.drive(opp, budget);
+        rsold = rsnew;
+    }
+    rsold.sqrt()
+}
+
+#[test]
+fn cg_converges_on_the_simulator() {
+    let mut sys = ChopimSystem::new(base_cfg());
+    let b: Vec<f32> = (0..64).map(|i| ((i % 17) as f32) - 8.0).collect();
+    let b_norm = b.iter().map(|v| v * v).sum::<f32>().sqrt();
+    let residual = cg_residual(&mut sys, &b, 12);
+    assert!(sys.now() > 0);
+    assert!(
+        residual < 0.05 * b_norm,
+        "CG must reduce the residual: {residual} vs ||b||={b_norm}"
+    );
+}
+
 #[test]
 fn refresh_on_configuration_also_runs_cleanly() {
     let mut sys = ChopimSystem::new(ChopimConfig {

@@ -8,37 +8,37 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use chopim_core::sched::{HostMc, HostTransaction, TxMeta};
-use chopim_dram::{Command, DramAddress, DramConfig, DramSystem, Issuer, TimingParams};
+use chopim_dram::{Channel, Command, DramAddress, DramConfig, Issuer, TimingParams};
 
-fn busy_system() -> DramSystem {
+fn busy_channel() -> Channel {
     let cfg = DramConfig::table_ii().with_timing(TimingParams::ddr4_2400_no_refresh());
-    let mut mem = DramSystem::new(cfg);
+    let mut ch = Channel::new(&cfg);
     // Open a spread of rows and issue some columns so every timing
     // register holds a nontrivial value.
     let mut now = 0;
     for rank in 0..2 {
         for bg in 0..4 {
             let act = Command::act(rank, bg, 0, (bg % 3) as u32);
-            while !mem.can_issue(0, &act, Issuer::Host, now) {
+            while !ch.can_issue(&act, Issuer::Host, now) {
                 now += 1;
             }
-            mem.issue(0, &act, Issuer::Host, now).unwrap();
+            ch.issue(&act, Issuer::Host, now).unwrap();
             now += 1;
         }
     }
     for rank in 0..2 {
         let rd = Command::rd(rank, 0, 0, 0, 0);
-        while !mem.can_issue(0, &rd, Issuer::Host, now) {
+        while !ch.can_issue(&rd, Issuer::Host, now) {
             now += 1;
         }
-        mem.issue(0, &rd, Issuer::Host, now).unwrap();
+        ch.issue(&rd, Issuer::Host, now).unwrap();
         now += 1;
     }
-    mem
+    ch
 }
 
 fn bench_ready_at(c: &mut Criterion) {
-    let mem = busy_system();
+    let ch = busy_channel();
     let cmds = [
         Command::rd(0, 0, 0, 0, 1),
         Command::wr(1, 0, 0, 0, 2),
@@ -49,8 +49,8 @@ fn bench_ready_at(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0u64;
             for cmd in &cmds {
-                acc ^= mem.ready_at(0, cmd, Issuer::Host).unwrap_or(0);
-                acc ^= mem.ready_at(0, cmd, Issuer::Nda).unwrap_or(0);
+                acc ^= ch.ready_at(cmd, Issuer::Host).unwrap_or(0);
+                acc ^= ch.ready_at(cmd, Issuer::Nda).unwrap_or(0);
             }
             acc
         })
@@ -58,10 +58,9 @@ fn bench_ready_at(c: &mut Criterion) {
 }
 
 fn bench_plan_access(c: &mut Criterion) {
-    let mem = busy_system();
+    let ch = busy_channel();
     c.bench_function("plan_kind_and_ready (8 accesses)", |b| {
         b.iter(|| {
-            let ch = mem.channel(0);
             let mut acc = 0u64;
             for k in 0..8usize {
                 let (_, ready) = ch.plan_kind_and_ready(
@@ -88,7 +87,7 @@ fn bench_sched_pick(c: &mut Criterion) {
     // A full 32-entry read queue over a spread of banks/rows, against a
     // device state where some banks are open: the canonical busy pick.
     let mk = || {
-        let mem = busy_system();
+        let ch = busy_channel();
         let mut mc = HostMc::new(
             cfg.ranks_per_channel,
             cfg.bankgroups,
@@ -114,15 +113,15 @@ fn bench_sched_pick(c: &mut Criterion) {
             });
             assert!(ok);
         }
-        (mem, mc)
+        (ch, mc)
     };
     c.bench_function("scheduler pick (32-entry queue, memo warm)", |b| {
-        let (mut mem, mut mc) = mk();
+        let (mut ch, mut mc) = mk();
         // Warm the memos once; ticks at a far-future cycle where the bus
         // is free but many candidates exist.
         let mut now = 10_000;
         b.iter(|| {
-            let r = mc.tick(mem.channel_mut(0), now);
+            let r = mc.tick(&mut ch, now);
             now += 1;
             r.is_some()
         })

@@ -42,8 +42,66 @@ use crate::config::DramConfig;
 use crate::perfcount;
 use crate::rank::{BankGroupTiming, Rank};
 use crate::stats::ChannelStats;
-use crate::system::{DataReady, IssueError};
 use crate::Cycle;
+
+/// Result of a column command: the interval the data burst occupies on the
+/// bus. For a read, `end` is also the fill-completion time at the
+/// controller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DataReady {
+    /// First cycle of the burst (tCL/tCWL after the command).
+    pub start: Option<Cycle>,
+    /// One past the last cycle of the burst.
+    pub end: Option<Cycle>,
+}
+
+impl DataReady {
+    /// No data movement (row commands).
+    pub fn none() -> Self {
+        Self::default()
+    }
+
+    /// A burst over `[start, end)`.
+    pub fn burst(start: Cycle, end: Cycle) -> Self {
+        Self {
+            start: Some(start),
+            end: Some(end),
+        }
+    }
+}
+
+/// Why a command could not issue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IssueError {
+    /// Channel/rank/bank indices out of range.
+    BadAddress,
+    /// ACT to an already-open bank, or REF with open banks.
+    BankOpen,
+    /// Column command to a closed bank.
+    BankClosed,
+    /// Column command row differs from the open row.
+    RowMismatch,
+    /// A timing constraint is not yet satisfied.
+    TooEarly,
+    /// The command/address bus already carried a command this cycle.
+    CmdBusBusy,
+}
+
+impl std::fmt::Display for IssueError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let s = match self {
+            IssueError::BadAddress => "address out of range",
+            IssueError::BankOpen => "bank already open",
+            IssueError::BankClosed => "bank is closed",
+            IssueError::RowMismatch => "different row is open",
+            IssueError::TooEarly => "timing constraint not satisfied",
+            IssueError::CmdBusBusy => "command bus already used this cycle",
+        };
+        f.write_str(s)
+    }
+}
+
+impl std::error::Error for IssueError {}
 
 /// A single memory channel with its ranks and bus state.
 #[derive(Debug, Clone)]

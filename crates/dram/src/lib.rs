@@ -13,18 +13,18 @@
 //! ## Quick example
 //!
 //! ```
-//! use chopim_dram::{Command, CommandKind, DramConfig, DramSystem, Issuer};
+//! use chopim_dram::{Channel, Command, DramConfig, Issuer};
 //!
 //! let cfg = DramConfig::table_ii();
-//! let mut mem = DramSystem::new(cfg);
+//! let mut ch = Channel::new(&cfg);
 //! let act = Command::act(0, 0, 0, 42);
-//! assert!(mem.can_issue(0, &act, Issuer::Host, 0));
-//! mem.issue(0, &act, Issuer::Host, 0).unwrap();
+//! assert!(ch.can_issue(&act, Issuer::Host, 0));
+//! ch.issue(&act, Issuer::Host, 0).unwrap();
 //! // The bank needs tRCD before a column read can issue.
 //! let rd = Command::rd(0, 0, 0, 42, 3);
-//! assert!(!mem.can_issue(0, &rd, Issuer::Host, 1));
-//! let t = mem.config().timing.rcd as u64;
-//! assert!(mem.can_issue(0, &rd, Issuer::Host, t));
+//! assert!(!ch.can_issue(&rd, Issuer::Host, 1));
+//! let t = ch.config().timing.rcd as u64;
+//! assert!(ch.can_issue(&rd, Issuer::Host, t));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,20 +41,18 @@ pub mod fault;
 pub mod perfcount;
 pub mod rank;
 pub mod stats;
-pub mod system;
 pub mod timing;
 pub mod trace;
 
 pub use addr::DramAddress;
 pub use bank::{BankRef, BankState, Banks, CLOSED_ROW};
-pub use channel::Channel;
+pub use channel::{Channel, DataReady, IssueError};
 pub use checker::{CheckError, TimingChecker};
 pub use command::{Command, CommandKind, Issuer};
 pub use config::DramConfig;
 pub use fault::FaultPlan;
 pub use rank::{BankGroupTiming, Rank};
 pub use stats::{DramStats, IdleBucket, IdleHistogram, RankStats};
-pub use system::{DataReady, DramSystem, IssueError};
 pub use timing::TimingParams;
 
 /// Simulation time measured in DRAM bus-clock cycles (1.2 GHz for the

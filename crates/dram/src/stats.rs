@@ -362,10 +362,9 @@ pub struct DramStats {
 }
 
 impl DramStats {
-    /// Fold one channel's statistics into this aggregate. Both the
-    /// monolithic [`crate::DramSystem`] and the channel-sharded engine
-    /// (which owns its [`Channel`](crate::Channel)s directly) build their
-    /// system view through this, so the two always aggregate identically.
+    /// Fold one channel's statistics into this aggregate. The engine's
+    /// system view and trace replay both build their totals through this,
+    /// so the two always aggregate identically.
     pub fn add_channel(&mut self, ch: &ChannelStats) {
         self.turnarounds += ch.turnarounds();
         self.ecc_corrected += ch.ecc_corrected;
@@ -448,5 +447,29 @@ mod tests {
         assert_eq!(s.turnarounds(), 1);
         s.record_col(0, Issuer::Host, false, 40, 44, 20);
         assert_eq!(s.turnarounds(), 2);
+    }
+
+    #[test]
+    fn stats_aggregate_over_channels() {
+        use crate::{Channel, Command, DramConfig};
+        let cfg = DramConfig::table_ii();
+        let (mut c0, mut c1) = (Channel::new(&cfg), Channel::new(&cfg));
+        c0.issue(&Command::act(0, 0, 0, 1), Issuer::Host, 0)
+            .unwrap();
+        c1.issue(&Command::act(0, 0, 0, 1), Issuer::Nda, 0).unwrap();
+        let rcd = u64::from(cfg.timing.rcd);
+        c0.issue(&Command::rd(0, 0, 0, 1, 0), Issuer::Host, rcd)
+            .unwrap();
+        c1.issue(&Command::wr(0, 0, 0, 1, 0), Issuer::Nda, rcd)
+            .unwrap();
+        let mut s = DramStats::default();
+        s.add_channel(&c0.stats);
+        s.add_channel(&c1.stats);
+        assert_eq!(s.acts, 2);
+        assert_eq!(s.acts_nda, 1);
+        assert_eq!(s.reads_host, 1);
+        assert_eq!(s.writes_nda, 1);
+        assert_eq!(s.host_data_cycles, 4);
+        assert_eq!(s.nda_data_cycles, 4);
     }
 }

@@ -21,11 +21,11 @@
 
 #![warn(clippy::cast_possible_truncation)]
 
+use crate::channel::IssueError;
 use crate::codec::{read_framed, write_framed, ByteReader, ByteWriter, CodecError};
 use crate::command::{Command, CommandKind, Issuer};
 use crate::config::DramConfig;
 use crate::stats::DramStats;
-use crate::system::IssueError;
 use crate::{Channel, Cycle};
 
 /// Magic bytes opening every trace file.

@@ -8,7 +8,7 @@
 //! every intermediate cycle — for bank-state timers, refresh counters,
 //! and the idle-gap histogram.
 
-use chopim_dram::{Command, CommandKind, Cycle, DramConfig, DramSystem, Issuer, RankStats};
+use chopim_dram::{Channel, Command, CommandKind, Cycle, DramConfig, Issuer, RankStats};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,17 +16,17 @@ use rand::{Rng, SeedableRng};
 /// The first cycle at or after `from` at which `cmd` may issue, found the
 /// naive way: probing one cycle at a time.
 fn first_legal_by_scan(
-    mem: &DramSystem,
+    ch: &Channel,
     cmd: &Command,
     issuer: Issuer,
     from: Cycle,
     limit: Cycle,
 ) -> Option<Cycle> {
-    (from..from + limit).find(|&t| mem.can_issue(0, cmd, issuer, t))
+    (from..from + limit).find(|&t| ch.can_issue(cmd, issuer, t))
 }
 
 /// Generate a structurally legal random command for the current state.
-fn gen_cmd(rng: &mut StdRng, mem: &DramSystem, cfg: &DramConfig) -> (Command, Issuer) {
+fn gen_cmd(rng: &mut StdRng, ch: &Channel, cfg: &DramConfig) -> (Command, Issuer) {
     let rank = rng.gen_range(0..cfg.ranks_per_channel);
     let bg = rng.gen_range(0..cfg.bankgroups);
     let bank = rng.gen_range(0..cfg.banks_per_group);
@@ -35,10 +35,10 @@ fn gen_cmd(rng: &mut StdRng, mem: &DramSystem, cfg: &DramConfig) -> (Command, Is
     } else {
         Issuer::Nda
     };
-    let open = mem.channel(0).bank(rank, bg, bank).open_row();
+    let open = ch.bank(rank, bg, bank).open_row();
     let cmd = match (open, rng.gen_range(0..4u32)) {
         // Refresh requires every bank in the rank closed.
-        (_, 0) if mem.channel(0).all_banks_closed(rank) => Command::ref_ab(rank),
+        (_, 0) if ch.all_banks_closed(rank) => Command::ref_ab(rank),
         (Some(row), 1) => Command::rd(rank, bg, bank, row, rng.gen_range(0..4)),
         (Some(row), 2) => Command::wr(rank, bg, bank, row, rng.gen_range(0..4)),
         (Some(_), _) => Command::pre(rank, bg, bank),
@@ -65,20 +65,20 @@ proptest! {
     fn prop_ready_at_equals_per_cycle_scan(seed in any::<u64>()) {
         let cfg = DramConfig::tiny();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut mem = DramSystem::new(cfg.clone());
+        let mut ch = Channel::new(&cfg);
         let mut now: Cycle = 0;
         for _ in 0..60 {
-            let (cmd, issuer) = gen_cmd(&mut rng, &mem, &cfg);
-            let Some(ready) = mem.ready_at(0, &cmd, issuer) else {
+            let (cmd, issuer) = gen_cmd(&mut rng, &ch, &cfg);
+            let Some(ready) = ch.ready_at(&cmd, issuer) else {
                 continue; // structurally illegal right now
             };
             let ready = ready.max(now);
-            let scanned = first_legal_by_scan(&mem, &cmd, issuer, now, 3000);
+            let scanned = first_legal_by_scan(&ch, &cmd, issuer, now, 3000);
             prop_assert_eq!(
                 scanned, Some(ready),
                 "scan vs ready_at for {:?} ({:?}) from {}", cmd, issuer, now
             );
-            mem.issue(0, &cmd, issuer, ready).unwrap();
+            ch.issue(&cmd, issuer, ready).unwrap();
             // Advance past the issue cycle (the command/mux bus blocks
             // same-cycle re-probes by design; `ready_at` is timing-only).
             now = ready + rng.gen_range(1..4u64);
@@ -120,14 +120,14 @@ proptest! {
     #[test]
     fn prop_refresh_blackout_is_jump_invariant(jump in 1u64..600) {
         let cfg = DramConfig::table_ii();
-        let mut mem = DramSystem::new(cfg.clone());
-        mem.issue(0, &Command::ref_ab(0), Issuer::Host, 10).unwrap();
+        let mut ch = Channel::new(&cfg);
+        ch.issue(&Command::ref_ab(0), Issuer::Host, 10).unwrap();
         let done = 10 + u64::from(cfg.timing.rfc);
         let act = Command::act(0, 0, 0, 1);
         // Probe at an arbitrary jumped-to cycle: legality depends only on
         // the absolute clock, never on intermediate probes.
         let probe = 10 + jump;
-        prop_assert_eq!(mem.can_issue(0, &act, Issuer::Host, probe), probe >= done);
-        prop_assert_eq!(mem.ready_at(0, &act, Issuer::Host), Some(done));
+        prop_assert_eq!(ch.can_issue(&act, Issuer::Host, probe), probe >= done);
+        prop_assert_eq!(ch.ready_at(&act, Issuer::Host), Some(done));
     }
 }

@@ -12,7 +12,7 @@
 //!   [`chopim_dram::Rank::nda_epoch`]);
 //! * epochs never move backwards.
 
-use chopim_dram::{Command, CommandKind, Cycle, DramConfig, DramSystem, Issuer, TimingParams};
+use chopim_dram::{Channel, Command, CommandKind, Cycle, DramConfig, Issuer, TimingParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,20 +36,19 @@ struct Memo {
     ready: Cycle,
 }
 
-fn compute(mem: &DramSystem, p: &Probe) -> (Command, Cycle) {
-    mem.channel(0)
-        .plan_and_ready(p.rank, p.bg, p.bank, p.row, p.col, p.write, p.issuer)
+fn compute(ch: &Channel, p: &Probe) -> (Command, Cycle) {
+    ch.plan_and_ready(p.rank, p.bg, p.bank, p.row, p.col, p.write, p.issuer)
 }
 
-fn epoch_of(mem: &DramSystem, p: &Probe) -> u64 {
+fn epoch_of(ch: &Channel, p: &Probe) -> u64 {
     match p.issuer {
-        Issuer::Host => mem.channel(0).rank_epoch(p.rank),
-        Issuer::Nda => mem.channel(0).rank_nda_epoch(p.rank),
+        Issuer::Host => ch.rank_epoch(p.rank),
+        Issuer::Nda => ch.rank_nda_epoch(p.rank),
     }
 }
 
 /// Generate a structurally legal random command for the current state.
-fn gen_cmd(rng: &mut StdRng, mem: &DramSystem, cfg: &DramConfig) -> (Command, Issuer) {
+fn gen_cmd(rng: &mut StdRng, ch: &Channel, cfg: &DramConfig) -> (Command, Issuer) {
     let rank = rng.gen_range(0..cfg.ranks_per_channel);
     let bg = rng.gen_range(0..cfg.bankgroups);
     let bank = rng.gen_range(0..cfg.banks_per_group);
@@ -58,9 +57,9 @@ fn gen_cmd(rng: &mut StdRng, mem: &DramSystem, cfg: &DramConfig) -> (Command, Is
     } else {
         Issuer::Nda
     };
-    let open = mem.channel(0).bank(rank, bg, bank).open_row();
+    let open = ch.bank(rank, bg, bank).open_row();
     let cmd = match (open, rng.gen_range(0..5u32)) {
-        (_, 0) if mem.channel(0).all_banks_closed(rank) => Command::ref_ab(rank),
+        (_, 0) if ch.all_banks_closed(rank) => Command::ref_ab(rank),
         (Some(row), 1) => Command::rd(rank, bg, bank, row, rng.gen_range(0..4)),
         (Some(row), 2) => Command::wr(rank, bg, bank, row, rng.gen_range(0..4)),
         (Some(_), 3) => Command::pre_all(rank),
@@ -82,7 +81,7 @@ fn run_case(seed: u64, refresh: bool, steps: usize) {
     } else {
         DramConfig::table_ii().with_timing(TimingParams::ddr4_2400_no_refresh())
     };
-    let mut mem = DramSystem::new(cfg.clone());
+    let mut ch = Channel::new(&cfg);
     let mut rng = StdRng::seed_from_u64(seed);
 
     // A spread of probes over ranks/banks/rows, both issuers.
@@ -107,9 +106,9 @@ fn run_case(seed: u64, refresh: bool, steps: usize) {
     let mut memos: Vec<Memo> = probes
         .iter()
         .map(|p| {
-            let (cmd, ready) = compute(&mem, p);
+            let (cmd, ready) = compute(&ch, p);
             Memo {
-                epoch: epoch_of(&mem, p),
+                epoch: epoch_of(&ch, p),
                 cmd,
                 ready,
             }
@@ -119,26 +118,26 @@ fn run_case(seed: u64, refresh: bool, steps: usize) {
     let mut now: Cycle = 0;
     let mut issued = 0;
     while issued < steps {
-        let (cmd, issuer) = gen_cmd(&mut rng, &mem, &cfg);
+        let (cmd, issuer) = gen_cmd(&mut rng, &ch, &cfg);
         let epochs_before: Vec<u64> = (0..cfg.ranks_per_channel)
-            .map(|r| mem.channel(0).rank_epoch(r))
+            .map(|r| ch.rank_epoch(r))
             .collect();
-        if mem.issue(0, &cmd, issuer, now).is_ok() {
+        if ch.issue(&cmd, issuer, now).is_ok() {
             issued += 1;
             // Epoch monotonicity: never backwards, own rank always bumped.
             for (r, &before) in epochs_before.iter().enumerate() {
-                assert!(mem.channel(0).rank_epoch(r) >= before);
+                assert!(ch.rank_epoch(r) >= before);
             }
             assert!(
-                mem.channel(0).rank_epoch(cmd.rank) > epochs_before[cmd.rank],
+                ch.rank_epoch(cmd.rank) > epochs_before[cmd.rank],
                 "command to rank {} must bump its epoch",
                 cmd.rank
             );
             // The memo contract: matching epoch ⇒ memo equals a fresh
             // computation, for every probe after every issue.
             for (p, m) in probes.iter().zip(memos.iter_mut()) {
-                let epoch = epoch_of(&mem, p);
-                let (cmd_now, ready_now) = compute(&mem, p);
+                let epoch = epoch_of(&ch, p);
+                let (cmd_now, ready_now) = compute(&ch, p);
                 if m.epoch == epoch {
                     assert_eq!(
                         (m.cmd, m.ready),

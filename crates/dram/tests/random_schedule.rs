@@ -4,23 +4,21 @@
 //! [`TimingChecker`], and the model must never accept a structurally
 //! illegal command.
 
-use chopim_dram::{
-    Command, CommandKind, DramConfig, DramSystem, Issuer, TimingChecker, TimingParams,
-};
+use chopim_dram::{Channel, Command, CommandKind, DramConfig, Issuer, TimingChecker, TimingParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 type TraceEntry = (u64, Command, Issuer);
 
-/// Run a randomized open-page workload on channel 0 and return the trace.
+/// Run a randomized open-page workload on one channel and return the trace.
 /// Each cycle tries one host command first (host priority), then offers
 /// each rank's NDA controller a try — mirroring the real arbitration.
 fn random_trace(seed: u64, cycles: u64, cfg: &DramConfig, with_nda: bool) -> Vec<TraceEntry> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut mem = DramSystem::new(cfg.clone());
+    let mut ch = Channel::new(cfg);
     let mut trace = Vec::new();
-    let gen_cmd = |rng: &mut StdRng, mem: &DramSystem, rank: usize| {
+    let gen_cmd = |rng: &mut StdRng, ch: &Channel, rank: usize| {
         let bg = rng.gen_range(0..cfg.bankgroups);
         let bank = rng.gen_range(0..cfg.banks_per_group);
         let row = rng.gen_range(0..4u32);
@@ -36,19 +34,11 @@ fn random_trace(seed: u64, cycles: u64, cfg: &DramConfig, with_nda: bool) -> Vec
             CommandKind::Act => Command::act(rank, bg, bank, row),
             CommandKind::Pre => Command::pre(rank, bg, bank),
             CommandKind::Rd => {
-                let open = mem
-                    .channel(0)
-                    .bank(rank, bg, bank)
-                    .open_row()
-                    .unwrap_or(row);
+                let open = ch.bank(rank, bg, bank).open_row().unwrap_or(row);
                 Command::rd(rank, bg, bank, open, col)
             }
             CommandKind::Wr => {
-                let open = mem
-                    .channel(0)
-                    .bank(rank, bg, bank)
-                    .open_row()
-                    .unwrap_or(row);
+                let open = ch.bank(rank, bg, bank).open_row().unwrap_or(row);
                 Command::wr(rank, bg, bank, open, col)
             }
             CommandKind::RefAb => Command::ref_ab(rank),
@@ -59,9 +49,9 @@ fn random_trace(seed: u64, cycles: u64, cfg: &DramConfig, with_nda: bool) -> Vec
         // Host tries a handful of random commands; first accepted wins.
         for _ in 0..6 {
             let rank = rng.gen_range(0..cfg.ranks_per_channel);
-            let cmd = gen_cmd(&mut rng, &mem, rank);
-            if mem.can_issue(0, &cmd, Issuer::Host, now) {
-                mem.issue(0, &cmd, Issuer::Host, now)
+            let cmd = gen_cmd(&mut rng, &ch, rank);
+            if ch.can_issue(&cmd, Issuer::Host, now) {
+                ch.issue(&cmd, Issuer::Host, now)
                     .expect("can_issue implies issue");
                 trace.push((now, cmd, Issuer::Host));
                 break;
@@ -74,12 +64,12 @@ fn random_trace(seed: u64, cycles: u64, cfg: &DramConfig, with_nda: bool) -> Vec
         // row commands only — refresh stays host-managed).
         for rank in 0..cfg.ranks_per_channel {
             for _ in 0..3 {
-                let cmd = gen_cmd(&mut rng, &mem, rank);
+                let cmd = gen_cmd(&mut rng, &ch, rank);
                 if cmd.kind == CommandKind::RefAb {
                     continue;
                 }
-                if mem.can_issue(0, &cmd, Issuer::Nda, now) {
-                    mem.issue(0, &cmd, Issuer::Nda, now)
+                if ch.can_issue(&cmd, Issuer::Nda, now) {
+                    ch.issue(&cmd, Issuer::Nda, now)
                         .expect("can_issue implies issue");
                     trace.push((now, cmd, Issuer::Nda));
                     break;
@@ -145,27 +135,27 @@ proptest! {
     fn prop_ready_at_is_tight(seed in any::<u64>()) {
         let cfg = DramConfig::tiny();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut mem = DramSystem::new(cfg.clone());
-        mem.issue(0, &Command::act(0, 0, 0, 1), Issuer::Host, 0).unwrap();
+        let mut ch = Channel::new(&cfg);
+        ch.issue(&Command::act(0, 0, 0, 1), Issuer::Host, 0).unwrap();
         let mut now = 1u64;
         for _ in 0..50 {
             let rank = rng.gen_range(0..cfg.ranks_per_channel);
             let bg = rng.gen_range(0..cfg.bankgroups);
             let bank = rng.gen_range(0..cfg.banks_per_group);
             let issuer = if rng.gen_bool(0.5) { Issuer::Host } else { Issuer::Nda };
-            let open = mem.channel(0).bank(rank, bg, bank).open_row();
+            let open = ch.bank(rank, bg, bank).open_row();
             let cmd = match (open, rng.gen_bool(0.5)) {
                 (Some(row), true) => Command::rd(rank, bg, bank, row, 0),
                 (Some(_), false) => Command::pre(rank, bg, bank),
                 (None, _) => Command::act(rank, bg, bank, rng.gen_range(0..4)),
             };
-            if let Some(ready) = mem.channel(0).ready_at(&cmd, issuer) {
+            if let Some(ready) = ch.ready_at(&cmd, issuer) {
                 let ready = ready.max(now);
                 if ready > now {
-                    prop_assert!(!mem.can_issue(0, &cmd, issuer, ready - 1));
+                    prop_assert!(!ch.can_issue(&cmd, issuer, ready - 1));
                 }
-                prop_assert!(mem.can_issue(0, &cmd, issuer, ready));
-                mem.issue(0, &cmd, issuer, ready).unwrap();
+                prop_assert!(ch.can_issue(&cmd, issuer, ready));
+                ch.issue(&cmd, issuer, ready).unwrap();
                 now = ready + 1;
             }
         }

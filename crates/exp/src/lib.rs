@@ -13,7 +13,7 @@
 //!   seed from the tag set (stable under reordering and threading);
 //! * [`SweepRunner`] — executes points across threads (or serially; the
 //!   results are bit-identical either way) and collects them into a
-//!   tagged [`SweepResult`] with CSV/JSON emit and table helpers.
+//!   tagged [`SweepResult`] with CSV emit and table helpers.
 //!
 //! ## Example
 //!

@@ -1,4 +1,4 @@
-//! Tagged sweep results with lookup, table, CSV, and JSON helpers.
+//! Tagged sweep results with lookup, table, and CSV helpers.
 
 use chopim_core::SimReport;
 
@@ -17,7 +17,7 @@ pub struct SweepResult<R> {
     pub points: Vec<SweepPoint<R>>,
 }
 
-/// Named scalar metrics extracted from a result, for CSV/JSON emit.
+/// Named scalar metrics extracted from a result, for CSV emit.
 pub trait Metrics {
     fn metrics(&self) -> Vec<(&'static str, f64)>;
 }
@@ -118,42 +118,6 @@ impl<R: Metrics> SweepResult<R> {
         }
         out
     }
-
-    /// JSON: an array of `{tags: {...}, metrics: {...}}` objects.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str("  {\"tags\": {");
-            for (j, (k, v)) in p.spec.tags.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("{}: {}", json_string(k), json_string(v)));
-            }
-            out.push_str("}, \"metrics\": {");
-            for (j, (k, v)) in p.result.metrics().iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("{}: {}", json_string(k), json_number(*v)));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("\n]\n");
-        out
-    }
-
-    /// Write `to_csv()` to `path`, creating parent directories.
-    pub fn write_csv(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, self.to_csv())
-    }
 }
 
 /// CSV-encode an arbitrary header + rows table. For sweeps whose results
@@ -194,33 +158,6 @@ fn csv_escape(s: &str) -> String {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
         s.to_string()
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        // JSON has no Inf/NaN; encode as null.
-        "null".to_string()
     }
 }
 
@@ -269,15 +206,6 @@ mod tests {
         assert_eq!(lines.next(), Some("a,b,value,twice"));
         assert_eq!(lines.next(), Some("1,x,1,2"));
         assert_eq!(csv.lines().count(), 5);
-    }
-
-    #[test]
-    fn json_is_wellformed_enough() {
-        let json = fake_sweep().to_json();
-        assert!(json.starts_with("[\n"));
-        assert!(json.contains("\"tags\": {\"a\": \"1\", \"b\": \"x\"}"));
-        assert!(json.contains("\"metrics\": {\"value\": 1, \"twice\": 2}"));
-        assert_eq!(json.matches("{\"tags\"").count(), 4);
     }
 
     #[test]

@@ -401,7 +401,7 @@ fn fingerprint(image: &[u8]) -> (usize, u64) {
     (image.len(), chopim_dram::codec::fnv1a(image))
 }
 
-/// The CHSS v4 bytes of four fixed machines, pinned. Any change to the
+/// The CHSS v5 bytes of four fixed machines, pinned. Any change to the
 /// encoded layout — a field added, dropped, reordered, or re-encoded in
 /// any component codec — moves at least one of these and must come with
 /// a format version bump (`docs/SNAPSHOT_FORMAT.md`, "Versioning").
@@ -416,7 +416,7 @@ fn snapshot_bytes_are_pinned() {
     assert_eq!(
         image[..48],
         [
-            0x43, 0x48, 0x53, 0x53, 0x04, 0x00, 0x00, 0x00, 0x92, 0xc4, 0x02, 0x00, 0x00, 0x00,
+            0x43, 0x48, 0x53, 0x53, 0x05, 0x00, 0x00, 0x00, 0x8e, 0xc4, 0x02, 0x00, 0x00, 0x00,
             0x00, 0x00, 0xd6, 0x89, 0x55, 0x41, 0xe5, 0x68, 0xf9, 0xf9, 0x00, 0x00, 0x00, 0x00,
             0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
             0x00, 0x10, 0x10, 0x10, 0x10, 0x00,
@@ -425,7 +425,7 @@ fn snapshot_bytes_are_pinned() {
     );
     assert_eq!(
         fingerprint(&image),
-        (181_418, 0xf45c_6805_52c1_ec23),
+        (181_414, 0x7d5f_7b34_9d21_c7ca),
         "default"
     );
 
@@ -454,7 +454,7 @@ fn snapshot_bytes_are_pinned() {
     let image = sys.snapshot().expect("mid-flight capture");
     assert_eq!(
         fingerprint(&image),
-        (207_818, 0xe8fe_6d4f_051d_e4b5),
+        (207_814, 0x9164_5137_aa67_ba68),
         "faulty"
     );
 
@@ -470,11 +470,11 @@ fn snapshot_bytes_are_pinned() {
     let (mut sys, _, _) = dag_machine(cfg(), 1);
     sys.run(777);
     let image = sys.snapshot().expect("no streams");
-    assert_eq!(fingerprint(&image), (323_868, 0xcb70_4f1c_30d3_6a1d), "dag");
+    assert_eq!(fingerprint(&image), (323_862, 0xa00f_a785_0900_01f1), "dag");
     let (mut sys, _, _) = qos_machine(cfg(), 1);
     sys.run(777);
     let image = sys.snapshot().expect("no streams");
-    assert_eq!(fingerprint(&image), (455_223, 0xf080_eb5a_0f64_480e), "qos");
+    assert_eq!(fingerprint(&image), (455_216, 0xc496_f317_797c_f0d3), "qos");
 }
 
 /// Capture → replay: re-issuing the recorded command stream through the

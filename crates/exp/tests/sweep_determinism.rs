@@ -71,13 +71,10 @@ fn different_base_seeds_change_the_simulation() {
 }
 
 #[test]
-fn csv_and_json_cover_every_point() {
+fn csv_covers_every_point() {
     let specs = grid(2_000, 5);
-    let res = SweepRunner::with_threads(4).run_reports(&specs);
-    let csv = res.to_csv();
+    let csv = SweepRunner::with_threads(4).run_reports(&specs).to_csv();
     // Header + 8 points.
     assert_eq!(csv.lines().count(), 9);
     assert!(csv.lines().next().unwrap().starts_with("banks,op,mix,"));
-    let json = res.to_json();
-    assert_eq!(json.matches("\"tags\"").count(), 8);
 }

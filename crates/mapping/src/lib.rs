@@ -12,13 +12,7 @@
 //!   (it is an involution on the DRAM coordinate space);
 //! * [`color`] — the OS model: coarse *system-row* allocation with page
 //!   coloring so that all operands of an NDA instruction interleave across
-//!   ranks identically (paper §III-A);
-//! * [`layout`] — data layout across the chips of a rank: baseline striped
-//!   words vs. Chopim's word-per-chip layout that keeps every word local to
-//!   one PE;
-//! * [`drama`] — DRAMA-style reverse engineering: recover the XOR masks
-//!   (and the OS color mask) from an address→coordinate oracle, as the
-//!   paper's OS support assumes is possible \[67\].
+//!   ranks identically (paper §III-A).
 //!
 //! ```
 //! use chopim_dram::DramConfig;
@@ -33,15 +27,11 @@
 #![forbid(unsafe_code)]
 
 pub mod color;
-pub mod drama;
-pub mod layout;
 pub mod linear;
 pub mod partition;
 pub mod presets;
 
 pub use color::{Color, ColoredAllocator, Region, SystemRow};
-pub use drama::{recover, RecoverError, RecoveredMapping};
-pub use layout::{ChipLayout, WordLocation};
 pub use linear::LinearMapping;
 pub use partition::PartitionedMapping;
 

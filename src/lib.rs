@@ -7,13 +7,13 @@
 //!
 //! * [`dram`] — cycle-level DDR4 device/channel timing model,
 //! * [`mapping`] — XOR-hash address mapping, bank partitioning, OS
-//!   coloring/allocation, chip data layout,
+//!   coloring/allocation,
 //! * [`host`] — multi-core out-of-order host model with SPEC-like mixes,
 //! * [`nda`] — near-data accelerator PEs, microcode, write buffer, FSMs,
 //! * [`core`] — the Chopim system: FR-FCFS host controller, NDA issue
 //!   policies, replicated FSM coordination, runtime/API, energy model,
 //! * [`ml`] — SVRG logistic regression (host-only / accelerated /
-//!   delayed-update), CG and streamcluster drivers,
+//!   delayed-update) and its simulator-measured time model,
 //! * [`exp`] — the experiment subsystem: declarative [`exp::ScenarioSpec`]s,
 //!   cartesian sweep grids, and the deterministic parallel
 //!   [`exp::SweepRunner`] every figure bench runs on.
