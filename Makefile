@@ -20,7 +20,7 @@ perf:
 perf-check:
 	CHOPIM_BENCH_CYCLES=200000 cargo run --release -p chopim-perf -- --check BENCH_baseline.json
 
-# Harness with per-phase simulator-cost counters (sched scans, memo
+# Harness with per-phase simulator-cost counters (sched scans, NDA memo
 # hits/misses, ready_at calls) printed per scenario — the first stop when
 # a perf regression needs attributing.
 perf-verbose:

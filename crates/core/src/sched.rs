@@ -2,34 +2,20 @@
 //! with 32-entry read/write queues, open-page policy, write-drain
 //! watermarks, and refresh management (Table II).
 //!
-//! ## Busy-path indexes and memos
+//! ## Planning on the busy path
 //!
-//! The controller is evaluated every DRAM cycle while the machine is
-//! busy, so its per-cycle cost must scale with *state changes*, not with
-//! `queue length x bank count`. Two structures make that true, both
-//! updated incrementally and both invisible in behavior (the property
-//! tests in `tests/sched_equiv_props.rs` assert the indexed decisions
-//! equal a naive full-scan oracle):
-//!
-//! * **Queue indexes** (`QueueIndex`, one per queue): per-(rank,bank)
-//!   occupancy counters and an open-row *demand map* counting queued
-//!   transactions per `(bank, row)`. Updated on every push and pop.
-//!   Invariants (checked by [`HostMc::assert_index_invariants`]):
-//!   `occ[slot]` equals the number of queued transactions targeting flat
-//!   bank `slot`; `demand[(slot, row)]` equals the number of queued
-//!   transactions targeting exactly `(slot, row)`, with absent keys
-//!   meaning zero. Together they answer "does anything still want this
-//!   open row?" in O(1) (occupancy zero-test first, then one map probe)
-//!   — the FR-FCFS precharge guard and `eager_close` used to rescan
-//!   both queues per bank for this. The oldest-read predictor keeps a
-//!   cache invalidated by the same push/pop hooks.
-//!
-//! * **Epoch memos** (per queued transaction): the planned next command
-//!   and its `ready_at`, keyed on the target rank's
-//!   [`state epoch`](chopim_dram::Rank::epoch). The device model bumps a
-//!   rank's epoch exactly when its `plan_access`/`ready_at` answers may
-//!   change, so a transaction on an untouched rank is judged from two
-//!   integer compares instead of a full timing recomputation.
+//! The controller is evaluated every DRAM cycle that the wake-up hint
+//! below does not let the caller skip. Each scan plans every entry it
+//! looks at fresh, from one fused
+//! [`plan_kind_and_ready`](Channel::plan_kind_and_ready) call (the next
+//! command kind and its ready cycle in one bank-state lookup), and answers
+//! the FR-FCFS keep-open guard ("does anything in the served queue still
+//! want this open row?") by scanning that queue: both queues hold at most
+//! 32 entries. The one cache kept is the oldest-read rank, which every
+//! NDA offer reads and which would otherwise scan past every queued
+//! launch write. The property tests in `tests/sched_equiv_props.rs` pin
+//! the fused one-pass scan and the wake-up hint against a two-pass naive
+//! oracle.
 //!
 //! ## The wake-up hint
 //!
@@ -44,8 +30,7 @@
 //! how often a tick refreshes the hint.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
 use chopim_dram::codec::{check, CodecError};
 use chopim_dram::perfcount::{self, Counter};
@@ -116,74 +101,28 @@ pub struct Issued {
     pub completed: Option<HostTransaction>,
 }
 
-/// Epoch sentinel marking a memo as never computed / stale.
-const MEMO_INVALID: u64 = u64::MAX;
-
-/// A queued transaction plus its epoch-keyed timing memo. The memo keeps
-/// only the planned command *kind* — the full command is reconstructed
-/// from the transaction on the rare issue path, keeping the entry small
-/// for the per-cycle scans.
-#[derive(Debug, Clone, Copy)]
-struct QTx {
-    tx: HostTransaction,
-    /// Flat bank slot: `rank * banks_per_rank + bankgroup *
-    /// banks_per_group + bank`.
-    slot: u32,
-    /// Rank epoch under which `memo_kind`/`memo_ready` are exact
-    /// ([`MEMO_INVALID`] = must recompute).
-    memo_epoch: u64,
-    /// Planned next command kind (hit → RD/WR, conflict → PRE, closed →
-    /// ACT).
-    memo_kind: CommandKind,
-    /// Earliest cycle the planned command satisfies every timing
-    /// constraint.
-    memo_ready: Cycle,
-}
-
-impl QTx {
-    fn new(tx: HostTransaction, slot: u32) -> Self {
-        Self {
-            tx,
-            slot,
-            memo_epoch: MEMO_INVALID,
-            memo_kind: CommandKind::Pre,
-            memo_ready: 0,
-        }
-    }
-
-    /// Refresh the memo if the target rank moved since it was computed
-    /// (`epoch` is the rank's current epoch, hoisted by the caller).
+impl HostTransaction {
+    /// The command this transaction needs next (RD/WR on a row hit, PRE
+    /// on a conflict, ACT on a closed bank) and the earliest cycle it
+    /// satisfies every timing constraint.
     #[inline]
-    fn ensure_memo_at(&mut self, ch: &Channel, epoch: u64) {
-        if self.memo_epoch == epoch {
-            perfcount::bump(Counter::SchedMemoHit);
-            return;
-        }
-        perfcount::bump(Counter::SchedMemoMiss);
-        let (kind, ready) = ch.plan_kind_and_ready(
-            self.tx.addr.rank,
-            self.tx.addr.bankgroup,
-            self.tx.addr.bank,
-            self.tx.addr.row,
-            self.tx.is_write,
+    fn plan(&self, ch: &Channel) -> (CommandKind, Cycle) {
+        let a = &self.addr;
+        ch.plan_kind_and_ready(
+            a.rank,
+            a.bankgroup,
+            a.bank,
+            a.row,
+            self.is_write,
             Issuer::Host,
-        );
-        self.memo_kind = kind;
-        self.memo_ready = ready;
-        self.memo_epoch = epoch;
+        )
     }
 
-    /// Refresh the memo, reading the rank epoch itself.
+    /// The full command of a planned `kind`.
     #[inline]
-    fn ensure_memo(&mut self, ch: &Channel) {
-        self.ensure_memo_at(ch, ch.rank_epoch(self.tx.addr.rank));
-    }
-
-    /// Materialize the memoized plan as a full command.
-    #[inline]
-    fn memo_cmd(&self) -> Command {
-        let a = &self.tx.addr;
-        match self.memo_kind {
+    fn cmd(&self, kind: CommandKind) -> Command {
+        let a = &self.addr;
+        match kind {
             CommandKind::Rd => Command::rd(a.rank, a.bankgroup, a.bank, a.row, a.col),
             CommandKind::Wr => Command::wr(a.rank, a.bankgroup, a.bank, a.row, a.col),
             CommandKind::Pre => Command::pre(a.rank, a.bankgroup, a.bank),
@@ -202,114 +141,26 @@ chopim_dram::codec! {
 
 chopim_dram::codec! { HostTransaction { addr, is_write, meta, arrival } }
 
-// Queue entries carry their epoch memos verbatim: memos are a pure cache,
-// but re-deriving them on resume would perturb the memo hit/miss perf
-// counters, and keeping them costs a few bytes. `slot` is derived from
-// the address and rebuilt with the queue indexes.
-chopim_dram::codec! {
-    QTx {
-        tx,
-        memo_epoch: fixed,
-        memo_kind,
-        memo_ready,
-        slot: skip,
-    }
-}
-
-/// Multiply-xor hasher for the demand map's already-mixed `u64` keys
-/// (avoids SipHash on the per-push/pop hot path).
-#[derive(Default)]
-struct SlotRowHasher(u64);
-
-impl Hasher for SlotRowHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        let h = x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 29);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-// chopim-lint: allow(determinism) -- keyed probes and len() only, never iterated; the custom hasher keeps lookups O(1) on the command-issue path
-type DemandMap = HashMap<u64, u32, BuildHasherDefault<SlotRowHasher>>;
-
-/// Incrementally maintained per-(rank,bank) aggregates for one queue.
-#[derive(Debug, Clone, Default)]
-struct QueueIndex {
-    /// `(slot << 32) | row` → number of queued transactions to that row.
-    demand: DemandMap,
-    /// Queued transactions per flat bank slot — the zero test
-    /// short-circuits the demand-map probe for banks nothing targets.
-    occ: Vec<u32>,
-}
-
-impl QueueIndex {
-    fn new(ranks: usize, banks_per_rank: usize, queue_cap: usize) -> Self {
-        // Live entries never exceed the queue capacity (one key per
-        // queued transaction), but push/pop churn leaves tombstones that
-        // hashbrown periodically cleans up. Reserving 4x the live bound
-        // keeps every such cleanup an in-place rehash — the map never
-        // touches the allocator after construction.
-        Self {
-            demand: DemandMap::with_capacity_and_hasher(4 * queue_cap, Default::default()),
-            occ: vec![0; ranks * banks_per_rank],
-        }
-    }
-
-    #[inline]
-    fn key(slot: u32, row: u32) -> u64 {
-        (u64::from(slot) << 32) | u64::from(row)
-    }
-
-    #[inline]
-    fn on_push(&mut self, slot: u32, row: u32) {
-        *self.demand.entry(Self::key(slot, row)).or_insert(0) += 1;
-        self.occ[slot as usize] += 1;
-    }
-
-    #[inline]
-    fn on_pop(&mut self, slot: u32, row: u32) {
-        match self.demand.entry(Self::key(slot, row)) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                *e.get_mut() -= 1;
-                if *e.get() == 0 {
-                    e.remove();
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(_) => {
-                unreachable!("pop of unindexed transaction")
-            }
-        }
-        self.occ[slot as usize] -= 1;
-    }
-
-    /// True when some queued transaction targets exactly `(slot, row)`.
-    /// The occupancy counter answers the common all-clear case without
-    /// touching the map.
-    #[inline]
-    fn wants(&self, slot: u32, row: u32) -> bool {
-        self.occ[slot as usize] > 0 && self.demand.contains_key(&Self::key(slot, row))
-    }
+/// True when some transaction in `q` targets exactly `(rank, bankgroup,
+/// bank, row)`.
+fn wants(
+    q: &VecDeque<HostTransaction>,
+    rank: usize,
+    bankgroup: usize,
+    bank: usize,
+    row: u32,
+) -> bool {
+    q.iter().any(|t| {
+        let a = &t.addr;
+        a.rank == rank && a.bankgroup == bankgroup && a.bank == bank && a.row == row
+    })
 }
 
 /// Per-channel FR-FCFS host memory controller.
 #[derive(Debug, Clone)]
 pub struct HostMc {
-    read_q: VecDeque<QTx>,
-    write_q: VecDeque<QTx>,
-    read_idx: QueueIndex,
-    write_idx: QueueIndex,
+    read_q: VecDeque<HostTransaction>,
+    write_q: VecDeque<HostTransaction>,
     read_cap: usize,
     write_cap: usize,
     drain: bool,
@@ -317,8 +168,8 @@ pub struct HostMc {
     drain_lo: usize,
     refresh_due: Vec<Cycle>,
     refresh_pending: Vec<bool>,
+    bankgroups: usize,
     banks_per_group: usize,
-    banks_per_rank: usize,
     scheduler: SchedulerKind,
     page_policy: PagePolicy,
     /// Cached "rank of the oldest queued read" (`None` = recompute); the
@@ -357,12 +208,9 @@ impl HostMc {
                 }
             })
             .collect();
-        let banks_per_rank = bankgroups * banks_per_group;
         Self {
             read_q: VecDeque::with_capacity(32),
             write_q: VecDeque::with_capacity(32),
-            read_idx: QueueIndex::new(ranks, banks_per_rank, 32),
-            write_idx: QueueIndex::new(ranks, banks_per_rank, 32),
             read_cap: 32,
             write_cap: 32,
             drain: false,
@@ -370,8 +218,8 @@ impl HostMc {
             drain_lo: 8,
             refresh_due,
             refresh_pending: vec![false; ranks],
+            bankgroups,
             banks_per_group,
-            banks_per_rank,
             scheduler: SchedulerKind::FrFcfs,
             page_policy: PagePolicy::Open,
             oldest_read: Cell::new(Some(None)),
@@ -391,11 +239,6 @@ impl HostMc {
     /// Select the row-buffer policy (ablation studies).
     pub fn set_page_policy(&mut self, policy: PagePolicy) {
         self.page_policy = policy;
-    }
-
-    #[inline]
-    fn slot_of(&self, a: &DramAddress) -> u32 {
-        (a.rank * self.banks_per_rank + a.bankgroup * self.banks_per_group + a.bank) as u32
     }
 
     /// Queue a transaction.
@@ -421,64 +264,35 @@ impl HostMc {
         if !self.push_inner(tx) {
             return false;
         }
-        // Pre-fill the freshly pushed entry's memo: the push already
-        // tells us the scheduler will need its plan, and the hint (when
-        // live) needs its ready time anyway.
-        let use_write_q = matches!(tx.meta, TxMeta::CoreWrite);
-        let entry = if use_write_q {
-            self.write_q.back_mut()
-        } else {
-            self.read_q.back_mut()
-        }
-        .expect("just pushed");
-        entry.ensure_memo(ch);
-        let ready = entry.memo_ready.max(now);
-        if use_write_q && !self.drain && self.write_q.len() >= self.drain_hi {
+        if matches!(tx.meta, TxMeta::CoreWrite)
+            && !self.drain
+            && self.write_q.len() >= self.drain_hi
+        {
             self.wake_hint = None;
         } else if let Some(h) = self.wake_hint {
             if h > now {
-                self.wake_hint = Some(h.min(ready));
+                self.wake_hint = Some(h.min(tx.plan(ch).1.max(now)));
             }
         }
         true
     }
 
-    /// The shared admission rule: queue selection + capacity + enqueue +
-    /// index maintenance.
+    /// The shared admission rule: queue selection + capacity + enqueue.
     fn push_inner(&mut self, tx: HostTransaction) -> bool {
         let use_write_q = matches!(tx.meta, TxMeta::CoreWrite);
-        let (q, idx, cap) = if use_write_q {
-            (&mut self.write_q, &mut self.write_idx, self.write_cap)
+        let (q, cap) = if use_write_q {
+            (&mut self.write_q, self.write_cap)
         } else {
-            (&mut self.read_q, &mut self.read_idx, self.read_cap)
+            (&mut self.read_q, self.read_cap)
         };
         if q.len() >= cap {
             return false;
         }
-        let slot = (tx.addr.rank * self.banks_per_rank
-            + tx.addr.bankgroup * self.banks_per_group
-            + tx.addr.bank) as u32;
-        idx.on_push(slot, tx.addr.row);
-        q.push_back(QTx::new(tx, slot));
+        q.push_back(tx);
         if !use_write_q {
             self.oldest_read.set(None);
         }
         true
-    }
-
-    /// Remove entry `i` from a queue, maintaining the indexes.
-    fn remove_at(&mut self, writes: bool, i: usize) -> HostTransaction {
-        let (q, idx) = if writes {
-            (&mut self.write_q, &mut self.write_idx)
-        } else {
-            (&mut self.read_q, &mut self.read_idx)
-        };
-        let e = q.remove(i).expect("index valid");
-        idx.on_pop(e.slot, e.tx.addr.row);
-        if !writes {
-            self.oldest_read.set(None);
-        }
-        e.tx
     }
 
     /// Drop the cached wake-up because an NDA commanded this channel (its
@@ -520,8 +334,8 @@ impl HostMc {
         let ans = self
             .read_q
             .iter()
-            .find(|e| !e.tx.is_write)
-            .map(|e| e.tx.addr.rank);
+            .find(|tx| !tx.is_write)
+            .map(|tx| tx.addr.rank);
         self.oldest_read.set(Some(ans));
         ans
     }
@@ -531,41 +345,9 @@ impl HostMc {
         self.cols_issued.saturating_sub(self.row_misses)
     }
 
-    /// Validate every index invariant against a full queue recount
-    /// (test/debug aid; O(queue x banks)).
-    #[doc(hidden)]
-    pub fn assert_index_invariants(&self) {
-        for (q, idx) in [
-            (&self.read_q, &self.read_idx),
-            (&self.write_q, &self.write_idx),
-        ] {
-            let mut demand: BTreeMap<u64, u32> = BTreeMap::new();
-            let mut occ = vec![0u32; idx.occ.len()];
-            for e in q {
-                let slot = self.slot_of(&e.tx.addr);
-                assert_eq!(slot, e.slot, "stale slot");
-                *demand
-                    .entry(QueueIndex::key(slot, e.tx.addr.row))
-                    .or_insert(0) += 1;
-                occ[slot as usize] += 1;
-            }
-            assert_eq!(occ, idx.occ, "occupancy counters diverged");
-            assert_eq!(demand.len(), idx.demand.len(), "demand key sets diverged");
-            for (k, v) in &demand {
-                assert_eq!(idx.demand.get(k), Some(v), "demand count diverged");
-            }
-        }
-        if let Some(cached) = self.oldest_read.get() {
-            let fresh = self
-                .read_q
-                .iter()
-                .find(|e| !e.tx.is_write)
-                .map(|e| e.tx.addr.rank);
-            assert_eq!(cached, fresh, "oldest-read cache diverged");
-        }
-    }
-
-    /// Dump queue entries with bank state and readiness (debugging aid).
+    /// Dump queue entries with bank state and readiness (debugging aid):
+    /// each entry prints the command it needs next and that command's
+    /// ready cycle, as the scheduler's scan plans them.
     pub fn explain(&self, ch: &Channel, now: Cycle) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -575,22 +357,15 @@ impl HostMc {
             self.drain, self.refresh_pending, self.refresh_due
         );
         for (name, q) in [("R", &self.read_q), ("W", &self.write_q)] {
-            for e in q.iter() {
-                let tx = &e.tx;
-                let (bg, bk) = (tx.addr.bankgroup, tx.addr.bank);
-                let bank = ch.bank(tx.addr.rank, bg, bk);
-                let cmd = if tx.is_write {
-                    Command::wr(tx.addr.rank, bg, bk, tx.addr.row, tx.addr.col)
-                } else {
-                    Command::rd(tx.addr.rank, bg, bk, tx.addr.row, tx.addr.col)
-                };
+            for tx in q {
+                let a = &tx.addr;
+                let (kind, ready) = tx.plan(ch);
                 let _ = writeln!(
                     out,
-                    "{name} {} arrival={} open={:?} ready={:?}",
-                    cmd,
+                    "{name} {} arrival={} open={:?} ready={ready}",
+                    tx.cmd(kind),
                     tx.arrival,
-                    bank.open_row(),
-                    ch.ready_at(&cmd, Issuer::Host),
+                    ch.bank(a.rank, a.bankgroup, a.bank).open_row(),
                 );
             }
         }
@@ -602,12 +377,11 @@ impl HostMc {
     /// A tick that issues nothing caches as [`wake_hint`](Self::wake_hint)
     /// the earliest cycle any command could issue, taken from the scan it
     /// just made: pending refreshes' REF/PREA ready times, armed refresh
-    /// timers, closed-page precharge candidates, and the memoized ready
+    /// timers, closed-page precharge candidates, and the planned ready
     /// time of every transaction the FR-FCFS passes looked at. Entries on
-    /// ranks awaiting refresh, and ready precharges the served queue's
-    /// demand map vetoes, are left out: only an issue, an NDA row command
-    /// or a push can change them, and each of those drops or lowers the
-    /// hint.
+    /// ranks awaiting refresh, and ready precharges the keep-open guard
+    /// vetoes, are left out: only an issue, an NDA row command or a push
+    /// can change them, and each of those drops or lowers the hint.
     pub fn tick(&mut self, ch: &mut Channel, now: Cycle) -> Option<Issued> {
         let mut wake = Cycle::MAX;
         let issued = self.tick_inner(ch, now, &mut wake);
@@ -699,8 +473,7 @@ impl HostMc {
     }
 
     /// Precharge one bank whose open row no queued transaction wants.
-    /// The demand maps answer "is this row still wanted?" in O(1). Folds
-    /// the ready time of every candidate that cannot issue yet into
+    /// Folds the ready time of every candidate that cannot issue yet into
     /// `wake`.
     fn eager_close(&mut self, ch: &mut Channel, now: Cycle, wake: &mut Cycle) -> Option<Issued> {
         let ranks = ch.config().ranks_per_channel;
@@ -710,15 +483,13 @@ impl HostMc {
                 if open == CLOSED_ROW {
                     continue;
                 }
-                let slot = (rank * self.banks_per_rank + flat) as u32;
-                if self.read_idx.wants(slot, open) || self.write_idx.wants(slot, open) {
+                let (bg, bank) = (flat / self.banks_per_group, flat % self.banks_per_group);
+                if wants(&self.read_q, rank, bg, bank, open)
+                    || wants(&self.write_q, rank, bg, bank, open)
+                {
                     continue;
                 }
-                let cmd = Command::pre(
-                    rank,
-                    flat / self.banks_per_group,
-                    flat % self.banks_per_group,
-                );
+                let cmd = Command::pre(rank, bg, bank);
                 match ch.ready_at(&cmd, Issuer::Host) {
                     Some(ready) if ready <= now && !ch.cmd_bus_busy(now) => {
                         found = Some(cmd);
@@ -769,66 +540,66 @@ impl HostMc {
         // anywhere in the horizon beats a row command (ACT/PRE) earlier in
         // it, so the scan runs in age order remembering the first ready
         // row command and stops at the first ready hit. A transaction
-        // whose memoized plan is a column command *is* a row hit, so each
-        // entry costs two integer compares while its target rank is
-        // unchanged. Strict FCFS only ever looks at the queue head.
+        // whose plan is a column command *is* a row hit, so each entry
+        // costs one plan. Strict FCFS only ever looks at the queue head.
         let horizon = match self.scheduler {
             SchedulerKind::FrFcfs => q.len(),
             SchedulerKind::Fcfs => 1,
         };
-        let idx = if writes {
-            &self.write_idx
-        } else {
-            &self.read_idx
-        };
         let any_refresh = self.refresh_pending.iter().any(|&p| p);
-        let mut hit_idx: Option<usize> = None;
+        let mut hit: Option<(usize, CommandKind)> = None;
         // First age-ordered ready row command (`is_act` distinguishes ACT
         // from PRE for the miss statistics). A conflicting row is only
         // precharged when no other transaction *in the served queue*
-        // still hits it (the demand map answers that in O(1); considering
-        // the other queue here can deadlock: reads would defer to a write
-        // hit that is never served while reads are pending). Strict FCFS
-        // sees only the queue head, which — being the conflicting
-        // transaction itself — never holds its own row open.
+        // still hits it (considering the other queue here can deadlock:
+        // reads would defer to a write hit that is never served while
+        // reads are pending). Strict FCFS sees only the queue head, which
+        // — being the conflicting transaction itself — never holds its
+        // own row open.
         let mut row_pick: Option<(Command, bool)> = None;
-        for (i, e) in q.iter_mut().take(horizon).enumerate() {
+        for (i, tx) in q.iter().take(horizon).enumerate() {
             perfcount::bump(Counter::SchedEntriesScanned);
-            if any_refresh && self.refresh_pending[e.tx.addr.rank] {
+            let a = &tx.addr;
+            if any_refresh && self.refresh_pending[a.rank] {
                 continue;
             }
-            e.ensure_memo_at(ch, ch.rank_epoch(e.tx.addr.rank));
-            if e.memo_ready > now {
-                *wake = (*wake).min(e.memo_ready);
+            let (kind, ready) = tx.plan(ch);
+            if ready > now {
+                *wake = (*wake).min(ready);
                 continue;
             }
-            match e.memo_kind {
+            match kind {
                 CommandKind::Rd | CommandKind::Wr => {
-                    hit_idx = Some(i);
+                    hit = Some((i, kind));
                     break;
                 }
                 CommandKind::Act => {
                     if row_pick.is_none() {
-                        row_pick = Some((e.memo_cmd(), true));
+                        row_pick = Some((tx.cmd(kind), true));
                     }
                 }
                 CommandKind::Pre => {
                     if row_pick.is_none() {
                         let open = ch
-                            .bank(e.tx.addr.rank, e.tx.addr.bankgroup, e.tx.addr.bank)
+                            .bank(a.rank, a.bankgroup, a.bank)
                             .open_row()
                             .expect("conflict implies open row");
-                        if !(self.scheduler == SchedulerKind::FrFcfs && idx.wants(e.slot, open)) {
-                            row_pick = Some((e.memo_cmd(), false));
+                        if !(self.scheduler == SchedulerKind::FrFcfs
+                            && wants(q, a.rank, a.bankgroup, a.bank, open))
+                        {
+                            row_pick = Some((tx.cmd(kind), false));
                         }
                     }
                 }
                 _ => unreachable!("plan is always ACT/PRE/RD/WR"),
             }
         }
-        if let Some(i) = hit_idx {
-            let cmd = q[i].memo_cmd();
-            let tx = self.remove_at(writes, i);
+        if let Some((i, kind)) = hit {
+            let tx = q.remove(i).expect("index valid");
+            if !writes {
+                self.oldest_read.set(None);
+            }
+            let cmd = tx.cmd(kind);
             let data = ch.issue_prechecked(&cmd, Issuer::Host, now);
             self.cols_issued += 1;
             if !tx.is_write {
@@ -862,20 +633,20 @@ impl HostMc {
     #[cold]
     pub(crate) fn validate(&self, n_cores: usize) -> Result<(), CodecError> {
         let ranks = self.refresh_pending.len();
-        let bankgroups = self.banks_per_rank / self.banks_per_group;
         for (q, cap, writes) in [
             (&self.read_q, self.read_cap, false),
             (&self.write_q, self.write_cap, true),
         ] {
             check(q.len() <= cap, "MC queue over capacity")?;
-            for e in q {
-                let a = &e.tx.addr;
-                let in_geometry =
-                    a.rank < ranks && a.bankgroup < bankgroups && a.bank < self.banks_per_group;
+            for tx in q {
+                let a = &tx.addr;
+                let in_geometry = a.rank < ranks
+                    && a.bankgroup < self.bankgroups
+                    && a.bank < self.banks_per_group;
                 check(in_geometry, "MC transaction address out of range")?;
-                let is_write = matches!(e.tx.meta, TxMeta::CoreWrite);
+                let is_write = matches!(tx.meta, TxMeta::CoreWrite);
                 check(is_write == writes, "transaction in wrong MC queue")?;
-                check(tx_core_ok(&e.tx, n_cores), "read core out of range")?;
+                check(tx_core_ok(tx, n_cores), "read core out of range")?;
             }
         }
         if self.refresh_due.len() != ranks {
@@ -892,29 +663,10 @@ impl HostMc {
         self.read_q
             .iter()
             .chain(&self.write_q)
-            .filter_map(|e| match e.tx.meta {
+            .filter_map(|tx| match tx.meta {
                 TxMeta::Launch { launch } => Some(launch),
                 _ => None,
             })
-    }
-
-    /// Rebuild the derived state a snapshot does not carry — each queued
-    /// entry's bank slot and both queue indexes — after [`validate`](Self::validate).
-    #[cold]
-    pub(crate) fn rebuild_indexes(&mut self) {
-        let (bpr, bpg) = (self.banks_per_rank, self.banks_per_group);
-        for (q, idx) in [
-            (&mut self.read_q, &mut self.read_idx),
-            (&mut self.write_q, &mut self.write_idx),
-        ] {
-            idx.demand.clear();
-            idx.occ.fill(0);
-            for e in q.iter_mut() {
-                let a = &e.tx.addr;
-                e.slot = (a.rank * bpr + a.bankgroup * bpg + a.bank) as u32;
-                idx.on_push(e.slot, a.row);
-            }
-        }
     }
 }
 
@@ -924,8 +676,8 @@ pub(crate) fn tx_core_ok(tx: &HostTransaction, n_cores: usize) -> bool {
     !matches!(tx.meta, TxMeta::CoreRead { core, .. } if core >= n_cores)
 }
 
-// The derived queue indexes and construction-time configuration are not
-// stored; `validate` and `rebuild_indexes` finish the restore.
+// Construction-time configuration is not stored; `validate` checks the
+// restored queues against it.
 chopim_dram::codec! {
     in_place(pub(crate)) HostMc {
         read_q,
@@ -939,14 +691,12 @@ chopim_dram::codec! {
         row_misses,
         read_latency_sum,
         reads_completed,
-        read_idx: skip,
-        write_idx: skip,
         read_cap: skip,
         write_cap: skip,
         drain_hi: skip,
         drain_lo: skip,
+        bankgroups: skip,
         banks_per_group: skip,
-        banks_per_rank: skip,
         scheduler: skip,
         page_policy: skip,
     }
@@ -1044,7 +794,6 @@ mod tests {
         assert_eq!(cols, vec![5, 5, 9]);
         assert_eq!(mc.row_hits(), 1, "second row-5 access is the hit");
         assert_eq!(mc.row_misses, 2);
-        mc.assert_index_invariants();
     }
 
     #[test]
@@ -1069,7 +818,6 @@ mod tests {
             }
         }
         assert!(writes_done >= 30 - 8, "drained {writes_done}");
-        mc.assert_index_invariants();
     }
 
     #[test]
@@ -1081,7 +829,6 @@ mod tests {
         assert!(!mc.try_push(read_tx(0, 0, 0, 99, 0, 0)));
         // Write queue is separate.
         assert!(mc.try_push(write_tx(0, 0, 0, 0)));
-        mc.assert_index_invariants();
     }
 
     #[test]
@@ -1101,7 +848,32 @@ mod tests {
         assert_eq!(mc.oldest_read_rank(), None);
         assert!(mc.try_push(read_tx(1, 0, 0, 5, 0, 1)));
         assert_eq!(mc.oldest_read_rank(), Some(1));
-        mc.assert_index_invariants();
+    }
+
+    #[test]
+    fn explain_shows_the_command_each_entry_needs_next() {
+        let (mut ch, mut mc) = setup();
+        ch.issue(&Command::act(0, 0, 0, 5), Issuer::Host, 0)
+            .expect("ACT to a closed bank");
+        assert!(mc.try_push(read_tx(0, 1, 0, 7, 2, 0)));
+        assert!(mc.try_push(read_tx(0, 0, 0, 9, 3, 1)));
+        let dump = mc.explain(&ch, 1);
+        let entries: Vec<&str> = dump.lines().skip(1).collect();
+        assert_eq!(entries.len(), 2, "{dump}");
+        let ready_of = |line: &str| -> Option<Cycle> {
+            let (_, ready) = line.split_once("ready=")?;
+            ready.parse().ok()
+        };
+        // A closed bank: the read needs an ACT first.
+        assert!(entries[0].starts_with("R ACT  r0 bg1 b0 row7 "), "{dump}");
+        assert!(entries[0].contains("open=None"), "{dump}");
+        let act = Command::act(0, 1, 0, 7);
+        assert_eq!(ready_of(entries[0]), ch.ready_at(&act, Issuer::Host));
+        // Row 5 is open in the target bank: the read needs a PRE.
+        assert!(entries[1].starts_with("R PRE  r0 bg0 b0 "), "{dump}");
+        assert!(entries[1].contains("open=Some(5)"), "{dump}");
+        let pre = Command::pre(0, 0, 0);
+        assert_eq!(ready_of(entries[1]), ch.ready_at(&pre, Issuer::Host));
     }
 
     #[test]

@@ -1080,13 +1080,6 @@ impl ChannelShard {
         Ok(())
     }
 
-    /// Rebuild the derived state a snapshot does not carry, after
-    /// [`validate`](Self::validate).
-    #[cold]
-    pub(crate) fn rebuild_derived(&mut self) {
-        self.mc.rebuild_indexes();
-    }
-
     /// Fold this shard's injected-fault counters into `fr` (report
     /// support; ECC counts flow through the channel's `DramStats`).
     #[cold]

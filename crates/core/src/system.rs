@@ -1551,9 +1551,6 @@ impl ChopimSystem {
         }
         sys.validate()?;
         sys.runtime.rebuild_derived();
-        for shard in &mut sys.shards {
-            shard.rebuild_derived();
-        }
         Ok(sys)
     }
 
@@ -1771,8 +1768,10 @@ const SNAPSHOT_MAGIC: [u8; 4] = *b"CHSS";
 /// shard's MC hint-backoff fields; the cached MC wake-up hints it carries
 /// now come from the controller's own tick. v5 dropped the shard's
 /// busy-streak backoff fields (`maybe_skip` computes the horizon after
-/// every executed cycle).
-const SNAPSHOT_VERSION: u32 = 5;
+/// every executed cycle). v6 dropped the host memoization epoch from each
+/// rank and the plan memo from each MC queue entry (the controller plans
+/// every scanned entry fresh).
+const SNAPSHOT_VERSION: u32 = 6;
 
 /// Why [`ChopimSystem::snapshot`] refused to capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

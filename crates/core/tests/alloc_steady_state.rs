@@ -72,8 +72,8 @@ fn pooled_message_path_is_allocation_free() {
 fn assert_host_traffic_allocation_free(cfg: ChopimConfig) {
     let _audit = AUDIT.lock().unwrap();
     let mut sys = ChopimSystem::new(cfg);
-    // Warm-up: reach steady state — queue capacities, arena sizes, memo
-    // tables and stats all stop growing well before this (the ingress
+    // Warm-up: reach steady state — queue capacities, arena sizes and
+    // stats all stop growing well before this (the ingress
     // arena high-water keeps creeping past 60k cycles, so the warm-up
     // must cover the full periodic schedule once).
     sys.run(120_000);

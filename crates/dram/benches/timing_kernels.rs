@@ -1,9 +1,9 @@
 //! Micro-benchmarks for the busy-path kernels: `ready_at`,
 //! `plan_access`/`plan_kind_and_ready`, and the host scheduler's
-//! candidate pick over a full queue. These are the per-cycle costs the
-//! epoch memos and queue indexes exist to avoid — run them when touching
-//! the timing checker or the scheduler to see the kernel cost directly
-//! (`make perf-micro`, or `cargo bench -p chopim-dram`).
+//! candidate pick over a full queue, which plans every scanned entry with
+//! `plan_kind_and_ready`. Run them when touching the timing checker or
+//! the scheduler to see the kernel cost directly (`make perf-micro`, or
+//! `cargo bench -p chopim-dram`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -115,10 +115,10 @@ fn bench_sched_pick(c: &mut Criterion) {
         }
         (ch, mc)
     };
-    c.bench_function("scheduler pick (32-entry queue, memo warm)", |b| {
+    c.bench_function("scheduler pick (32-entry queue)", |b| {
         let (mut ch, mut mc) = mk();
-        // Warm the memos once; ticks at a far-future cycle where the bus
-        // is free but many candidates exist.
+        // Ticks at a far-future cycle where the bus is free but many
+        // candidates exist.
         let mut now = 10_000;
         b.iter(|| {
             let r = mc.tick(&mut ch, now);

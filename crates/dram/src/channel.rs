@@ -19,7 +19,7 @@
 //! This is exactly why NDA writes hurt host reads in the same rank
 //! (paper §III-B) while idle-rank bandwidth is free for the taking.
 //!
-//! ## Hot-path layout and epochs
+//! ## Hot-path layout and the NDA epoch
 //!
 //! Bank state and bank-group timing live in contiguous per-channel arrays
 //! (`banks`, `bg_timing`) rather than per-rank `Vec`s: the schedulers walk
@@ -28,12 +28,12 @@
 //! structure-of-arrays ([`Banks`]): the open-row sweeps
 //! ([`open_rows_of`](Channel::open_rows_of)) and the per-rank timing
 //! scans (PREA/REF readiness) run over one dense array each, which the
-//! compiler autovectorizes. Every rank carries a *state epoch*
-//! ([`Rank::epoch`]) bumped by `Channel::apply` for exactly the
-//! commands that can change that rank's `plan_access`/`ready_at` answers;
-//! callers memoize `(epoch, plan, ready_at)` per pending transaction and
-//! recompute only for ranks actually touched since the last look (see
-//! `chopim_core::sched` and `chopim_nda::controller`).
+//! compiler autovectorizes. Every rank carries an *NDA epoch*
+//! ([`Rank::nda_epoch`]) that `Channel::apply` bumps on every command
+//! addressed to the rank — the only commands that can change an NDA
+//! access's `plan_access`/`ready_at` answers there. Each NDA rank
+//! controller memoizes `(epoch, plan, ready_at)` for its next access
+//! (see `chopim_nda::controller`); the host scheduler keeps no memo.
 
 use crate::bank::{BankRef, BankState, Banks, CLOSED_ROW};
 use crate::codec::CodecError;
@@ -182,12 +182,6 @@ impl Channel {
         &self.ranks[rank]
     }
 
-    /// The host-access memoization epoch of `rank` (see [`Rank::epoch`]).
-    #[inline]
-    pub fn rank_epoch(&self, rank: usize) -> u64 {
-        self.ranks[rank].epoch()
-    }
-
     /// The NDA-access memoization epoch of `rank` (see
     /// [`Rank::nda_epoch`]).
     #[inline]
@@ -274,9 +268,12 @@ impl Channel {
 
     /// The command a controller must issue next to perform a column access
     /// to `(rank, bankgroup, bank, row)`: the column command itself on a
-    /// row hit, PRE on a conflict, ACT on a closed bank. Both the host
-    /// scheduler and the NDA rank controllers plan accesses this way, and
-    /// the event-horizon fast-forward uses it to predict wake-up times.
+    /// row hit, PRE on a conflict, ACT on a closed bank. This is the
+    /// reference definition: the controllers plan with the fused
+    /// [`plan_and_ready`](Self::plan_and_ready) and
+    /// [`plan_kind_and_ready`](Self::plan_kind_and_ready) kernels, and the
+    /// tests check those against `plan_access` plus
+    /// [`ready_at`](Self::ready_at).
     pub fn plan_access(
         &self,
         rank: usize,
@@ -304,9 +301,9 @@ impl Channel {
     /// [`ready_at`](Self::ready_at): plan the next command for a column
     /// access and compute its earliest issue cycle in one bank-state
     /// lookup. The planned command is structurally legal by construction,
-    /// so the ready time is always defined. This is the kernel the
-    /// epoch-keyed memos in the host scheduler and NDA controllers fill;
-    /// the result stays exact while `rank`'s epoch is unchanged.
+    /// so the ready time is always defined. The NDA rank controllers plan
+    /// with it and memoize the result, which stays exact while `rank`'s
+    /// [NDA epoch](Rank::nda_epoch) is unchanged.
     #[allow(clippy::too_many_arguments)]
     pub fn plan_and_ready(
         &self,
@@ -332,8 +329,8 @@ impl Channel {
     /// plan the next command for a column access and compute its earliest
     /// issue cycle in a *single* pass over the bank/bank-group/rank
     /// registers (timing never depends on the column, so the full
-    /// [`Command`] is not materialized). This is the host scheduler's
-    /// memo-fill kernel.
+    /// [`Command`] is not materialized). The host scheduler plans every
+    /// queued transaction it scans with it.
     pub fn plan_kind_and_ready(
         &self,
         rank: usize,
@@ -522,14 +519,12 @@ impl Channel {
             Issuer::Nda => self.ranks[cmd.rank].last_nda_cmd_at = Some(now),
         }
         // Epoch discipline: every command changes its own rank's timing or
-        // bank state (both epochs); host column commands additionally move
-        // other ranks' external-bus registers (and the channel-wide
-        // `next_wr`), so they bump every rank's *host* epoch — but not the
-        // NDA epochs, which external-bus state can never reach. Anything a
-        // memoized `(plan, ready_at)` could observe is covered by these
-        // bumps — the property tests in `tests/epoch_memo_props.rs` pin
-        // this down.
-        self.ranks[cmd.rank].epoch += 1;
+        // bank state, so it bumps that rank's NDA epoch. Host column
+        // commands also move other ranks' external-bus registers (and the
+        // channel-wide `next_wr`), but an NDA access never reads those, so
+        // other ranks' NDA epochs stay. Anything a memoized NDA
+        // `(plan, ready_at)` could observe is covered by this bump — the
+        // property tests in `tests/epoch_memo_props.rs` pin this down.
         self.ranks[cmd.rank].nda_epoch += 1;
 
         let t = self.config.timing;
@@ -593,7 +588,6 @@ impl Channel {
                     for r in 0..nranks {
                         if r != cmd.rank {
                             let other = &mut self.ranks[r];
-                            other.epoch += 1;
                             other.ext_next_rd = other
                                 .ext_next_rd
                                 .max(now + Cycle::from(t.col_to_col_diff_rank()));
@@ -627,7 +621,6 @@ impl Channel {
                     for r in 0..nranks {
                         if r != cmd.rank {
                             let other = &mut self.ranks[r];
-                            other.epoch += 1;
                             other.ext_next_wr = other
                                 .ext_next_wr
                                 .max(now + Cycle::from(t.col_to_col_diff_rank()));
@@ -688,7 +681,6 @@ impl Channel {
     pub fn force_activate(&mut self, rank: usize, bankgroup: usize, bank: usize, row: u32) {
         let idx = self.bank_idx(rank, bankgroup, bank);
         self.banks.do_activate(idx, row);
-        self.ranks[rank].epoch += 1;
         self.ranks[rank].nda_epoch += 1;
     }
 }
@@ -942,24 +934,25 @@ mod tests {
     }
 
     #[test]
-    fn epochs_bump_own_rank_always_and_all_ranks_on_host_columns() {
+    fn nda_epochs_bump_own_rank_only() {
         let mut c = ch();
-        let e0 = c.rank_epoch(0);
-        let e1 = c.rank_epoch(1);
+        let e0 = c.rank_nda_epoch(0);
+        let e1 = c.rank_nda_epoch(1);
         // Row command: own rank only.
         c.issue(&Command::act(0, 0, 0, 5), H, 0).unwrap();
-        assert_eq!(c.rank_epoch(0), e0 + 1);
-        assert_eq!(c.rank_epoch(1), e1);
+        assert_eq!(c.rank_nda_epoch(0), e0 + 1);
+        assert_eq!(c.rank_nda_epoch(1), e1);
         // NDA column: own rank only (no external-bus side effects).
         c.issue(&Command::act(1, 0, 0, 7), N, 1).unwrap();
-        let (e0, e1) = (c.rank_epoch(0), c.rank_epoch(1));
+        let (e0, e1) = (c.rank_nda_epoch(0), c.rank_nda_epoch(1));
         c.issue(&Command::rd(1, 0, 0, 7, 0), N, 40).unwrap();
-        assert_eq!(c.rank_epoch(0), e0);
-        assert_eq!(c.rank_epoch(1), e1 + 1);
-        // Host column: every rank (tRTRS / channel turnaround reach all).
-        let (e0, e1) = (c.rank_epoch(0), c.rank_epoch(1));
+        assert_eq!(c.rank_nda_epoch(0), e0);
+        assert_eq!(c.rank_nda_epoch(1), e1 + 1);
+        // Host column: own rank only — the external-bus registers it
+        // moves on other ranks never reach an NDA access.
+        let (e0, e1) = (c.rank_nda_epoch(0), c.rank_nda_epoch(1));
         c.issue(&Command::rd(0, 0, 0, 5, 0), H, 60).unwrap();
-        assert_eq!(c.rank_epoch(0), e0 + 1);
-        assert_eq!(c.rank_epoch(1), e1 + 1);
+        assert_eq!(c.rank_nda_epoch(0), e0 + 1);
+        assert_eq!(c.rank_nda_epoch(1), e1);
     }
 }

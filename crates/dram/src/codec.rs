@@ -525,8 +525,8 @@ pub mod opt_cycle {
     }
 }
 
-/// Fixed-width little-endian integers (RNG state words, memo epochs
-/// whose sentinel is `u64::MAX`), and arrays of them.
+/// Fixed-width little-endian integers (RNG state words, the CPU-clock
+/// accumulator), and arrays of them.
 pub mod fixed {
     use super::{ByteReader, ByteWriter, CodecError};
 

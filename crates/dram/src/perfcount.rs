@@ -42,10 +42,11 @@ pub enum Counter {
     SchedPasses,
     /// Queue entries examined across all host-scheduler passes.
     SchedEntriesScanned,
-    /// Host-scheduler memo hits (queued tx judged from a cached
-    /// `(plan, ready_at)` without touching the device model).
+    /// Always 0: the host scheduler keeps no plan memo and plans every
+    /// scanned entry fresh. Kept because the repository benchmark still
+    /// names it.
     SchedMemoHit,
-    /// Host-scheduler memo misses (epoch moved; plan+ready recomputed).
+    /// Always 0, like [`SchedMemoHit`](Self::SchedMemoHit).
     SchedMemoMiss,
     /// Host-MC wake-up derivations: ticks that issued nothing and cached
     /// the earliest cycle their own scan found (`HostMc::tick`).

@@ -1,5 +1,6 @@
 //! Per-rank state: rank-scope timing registers, the four-activate window,
-//! refresh bookkeeping, and the state epoch that keys timing memoization.
+//! refresh bookkeeping, and the NDA epoch that keys the NDA controllers'
+//! plan memos.
 //!
 //! Bank and bank-group state lives in contiguous per-channel arrays on
 //! [`crate::Channel`] (better cache locality for the schedulers' hot
@@ -24,7 +25,7 @@ pub struct BankGroupTiming {
 crate::codec! { BankGroupTiming { next_rd, next_wr, next_act } }
 
 /// One physical rank: the registers shared by every bank in the rank
-/// (`_S` constraints, tFAW, refresh), plus the memoization epoch.
+/// (`_S` constraints, tFAW, refresh), plus the NDA memoization epoch.
 #[derive(Debug, Clone, Default)]
 pub struct Rank {
     /// Earliest RD at rank scope — *internal* DRAM-die constraints
@@ -52,18 +53,13 @@ pub struct Rank {
     pub refresh_done_at: Cycle,
     /// Number of all-bank refreshes performed.
     pub refreshes: u64,
-    /// State epoch: bumped by [`crate::Channel::apply`] whenever a command
-    /// can change the outcome of `ready_at`/`plan_access` for a *host*
-    /// access to this rank (every command to the rank, plus host column
-    /// commands anywhere on the channel, whose external-bus constraints
-    /// reach every rank). While a rank's epoch is unchanged, any memoized
-    /// `(plan_access, ready_at)` for a host access to that rank remains
-    /// exact.
-    pub(crate) epoch: u64,
-    /// Like `epoch`, but for *NDA* accesses: NDA reads/writes never touch
-    /// the external bus, so commands to other ranks (whose only reach is
-    /// `ext_next_rd`/`ext_next_wr`) leave this epoch alone. Bumped only by
-    /// commands addressed to this rank.
+    /// State epoch for *NDA* accesses: bumped by every command addressed
+    /// to this rank, the only commands that can change the outcome of
+    /// `ready_at`/`plan_access` for an NDA access to it. NDA reads/writes
+    /// never touch the external bus, so commands to other ranks (whose
+    /// only reach is `ext_next_rd`/`ext_next_wr`) leave it alone. While it
+    /// is unchanged, a memoized `(plan_access, ready_at)` for an NDA
+    /// access to this rank remains exact.
     pub(crate) nda_epoch: u64,
 }
 
@@ -74,12 +70,6 @@ impl Rank {
             faw_window: VecDeque::with_capacity(4),
             ..Self::default()
         }
-    }
-
-    /// The host-access memoization epoch (see the field docs).
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The NDA-access memoization epoch (see the field docs).
@@ -119,7 +109,8 @@ impl Rank {
     }
 }
 
-// Epochs round-trip verbatim: schedulers key their plan memos on them.
+// The NDA epoch round-trips verbatim: the NDA controllers' plan memos,
+// which a snapshot also carries, are keyed on it.
 crate::codec! {
     Rank {
         next_rd,
@@ -132,7 +123,6 @@ crate::codec! {
         faw_window,
         refresh_done_at,
         refreshes,
-        epoch,
         nda_epoch,
     }
 }

@@ -1,23 +1,27 @@
-//! Epoch-memo soundness properties.
+//! Plan-kernel and NDA epoch-memo soundness properties.
 //!
-//! The schedulers memoize `(plan_access, ready_at)` per pending access,
-//! keyed on the target rank's state epoch, and trust the memo while the
-//! epoch is unchanged. That is only sound if the device model bumps the
-//! epoch on *every* command that could change those answers. These
-//! properties drive random legal command streams and verify, after every
-//! single issue (including refreshes), that:
+//! The NDA rank controllers memoize `(plan_access, ready_at)` for their
+//! next access, keyed on the target rank's NDA epoch
+//! ([`chopim_dram::Rank::nda_epoch`]), and trust the memo while that epoch
+//! is unchanged. That is only sound if the device model bumps the epoch on
+//! *every* command that could change those answers. The host scheduler
+//! keeps no memo: it plans every queued access fresh with the fused
+//! kernels. These properties drive random legal command streams and
+//! verify, after every single issue (including refreshes), that:
 //!
-//! * a memo whose epoch still matches equals a fresh recomputation
-//!   (host memos against [`chopim_dram::Rank::epoch`], NDA memos against
-//!   [`chopim_dram::Rank::nda_epoch`]);
-//! * epochs never move backwards.
+//! * an NDA memo whose epoch still matches equals a fresh recomputation;
+//! * every command bumps its own rank's NDA epoch, and epochs never move
+//!   backwards;
+//! * for every probe of both issuers, the fused `plan_and_ready` and
+//!   `plan_kind_and_ready` equal the reference `plan_access` plus
+//!   `ready_at` of the planned command.
 
 use chopim_dram::{Channel, Command, CommandKind, Cycle, DramConfig, Issuer, TimingParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A probe: one hypothetical column access whose plan+ready we memoize.
+/// A probe: one hypothetical column access whose plan+ready we check.
 #[derive(Clone, Copy)]
 struct Probe {
     rank: usize,
@@ -40,11 +44,28 @@ fn compute(ch: &Channel, p: &Probe) -> (Command, Cycle) {
     ch.plan_and_ready(p.rank, p.bg, p.bank, p.row, p.col, p.write, p.issuer)
 }
 
-fn epoch_of(ch: &Channel, p: &Probe) -> u64 {
-    match p.issuer {
-        Issuer::Host => ch.rank_epoch(p.rank),
-        Issuer::Nda => ch.rank_nda_epoch(p.rank),
-    }
+/// Assert both fused kernels agree with `plan_access` + `ready_at` for
+/// `p` in the channel's current state (`after` names the last command,
+/// for the failure message).
+fn check_kernels(ch: &Channel, p: &Probe, after: Option<&Command>) {
+    let reference = ch.plan_access(p.rank, p.bg, p.bank, p.row, p.col, p.write);
+    let ready = ch
+        .ready_at(&reference, p.issuer)
+        .expect("a planned command is structurally legal");
+    assert_eq!(
+        compute(ch, p),
+        (reference, ready),
+        "plan_and_ready diverged: probe rank {} issuer {:?} after {after:?}",
+        p.rank,
+        p.issuer,
+    );
+    assert_eq!(
+        ch.plan_kind_and_ready(p.rank, p.bg, p.bank, p.row, p.write, p.issuer),
+        (reference.kind, ready),
+        "plan_kind_and_ready diverged: probe rank {} issuer {:?} after {after:?}",
+        p.rank,
+        p.issuer,
+    );
 }
 
 /// Generate a structurally legal random command for the current state.
@@ -84,34 +105,34 @@ fn run_case(seed: u64, refresh: bool, steps: usize) {
     let mut ch = Channel::new(&cfg);
     let mut rng = StdRng::seed_from_u64(seed);
 
-    // A spread of probes over ranks/banks/rows, both issuers.
+    // A spread of probes over ranks/banks/rows, each under both issuers.
     let mut probes = Vec::new();
     for rank in 0..cfg.ranks_per_channel {
         for k in 0..6 {
-            probes.push(Probe {
-                rank,
-                bg: k % cfg.bankgroups,
-                bank: (k / 2) % cfg.banks_per_group,
-                row: (k % 3) as u32,
-                col: k as u32 % 4,
-                write: k % 2 == 0,
-                issuer: if k % 3 == 0 {
-                    Issuer::Nda
-                } else {
-                    Issuer::Host
-                },
-            });
+            for issuer in [Issuer::Host, Issuer::Nda] {
+                probes.push(Probe {
+                    rank,
+                    bg: k % cfg.bankgroups,
+                    bank: (k / 2) % cfg.banks_per_group,
+                    row: (k % 3) as u32,
+                    col: k as u32 % 4,
+                    write: k % 2 == 0,
+                    issuer,
+                });
+            }
         }
     }
-    let mut memos: Vec<Memo> = probes
+    for p in &probes {
+        check_kernels(&ch, p, None);
+    }
+    // The NDA probes carry memos keyed on their rank's NDA epoch.
+    let mut memos: Vec<(Probe, Memo)> = probes
         .iter()
+        .filter(|p| p.issuer == Issuer::Nda)
         .map(|p| {
             let (cmd, ready) = compute(&ch, p);
-            Memo {
-                epoch: epoch_of(&ch, p),
-                cmd,
-                ready,
-            }
+            let epoch = ch.rank_nda_epoch(p.rank);
+            (*p, Memo { epoch, cmd, ready })
         })
         .collect();
 
@@ -120,31 +141,34 @@ fn run_case(seed: u64, refresh: bool, steps: usize) {
     while issued < steps {
         let (cmd, issuer) = gen_cmd(&mut rng, &ch, &cfg);
         let epochs_before: Vec<u64> = (0..cfg.ranks_per_channel)
-            .map(|r| ch.rank_epoch(r))
+            .map(|r| ch.rank_nda_epoch(r))
             .collect();
         if ch.issue(&cmd, issuer, now).is_ok() {
             issued += 1;
             // Epoch monotonicity: never backwards, own rank always bumped.
             for (r, &before) in epochs_before.iter().enumerate() {
-                assert!(ch.rank_epoch(r) >= before);
+                assert!(ch.rank_nda_epoch(r) >= before);
             }
             assert!(
-                ch.rank_epoch(cmd.rank) > epochs_before[cmd.rank],
-                "command to rank {} must bump its epoch",
+                ch.rank_nda_epoch(cmd.rank) > epochs_before[cmd.rank],
+                "command to rank {} must bump its NDA epoch",
                 cmd.rank
             );
+            // The fused kernels match the reference for every probe.
+            for p in &probes {
+                check_kernels(&ch, p, Some(&cmd));
+            }
             // The memo contract: matching epoch ⇒ memo equals a fresh
-            // computation, for every probe after every issue.
-            for (p, m) in probes.iter().zip(memos.iter_mut()) {
-                let epoch = epoch_of(&ch, p);
+            // computation, for every NDA probe after every issue.
+            for (p, m) in &mut memos {
+                let epoch = ch.rank_nda_epoch(p.rank);
                 let (cmd_now, ready_now) = compute(&ch, p);
                 if m.epoch == epoch {
                     assert_eq!(
                         (m.cmd, m.ready),
                         (cmd_now, ready_now),
-                        "stale memo accepted: probe rank {} issuer {:?} after {:?}",
+                        "stale memo accepted: probe rank {} after {:?}",
                         p.rank,
-                        p.issuer,
                         cmd
                     );
                 } else {
@@ -163,8 +187,9 @@ fn run_case(seed: u64, refresh: bool, steps: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Memoized `ready_at` equals a fresh `ready_at` after every issue
-    /// whenever the keying epoch is unchanged (no refresh traffic).
+    /// A memoized NDA plan equals a fresh one after every issue whenever
+    /// the rank's NDA epoch is unchanged, and the fused kernels match the
+    /// reference (no refresh traffic).
     #[test]
     fn memo_matches_fresh_without_refresh(seed in 0u64..1_000_000) {
         run_case(seed, false, 120);

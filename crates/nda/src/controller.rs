@@ -16,9 +16,8 @@
 //!   ([`NdaFsm::next_access`] is idempotent until a launch or commit, so
 //!   re-deriving it every cycle is pure waste);
 //! * the planned command and its ready time are keyed on the rank's
-//!   [`state epoch`](chopim_dram::Rank::epoch) — they are recomputed only
-//!   after a command actually touched this rank (or, for host column
-//!   commands, the channel).
+//!   [NDA epoch](chopim_dram::Rank::nda_epoch) — they are recomputed only
+//!   after a command actually touched this rank.
 
 use chopim_dram::perfcount::{self, Counter};
 use chopim_dram::{Channel, Command, CommandKind, Cycle, Issuer};
@@ -55,7 +54,7 @@ pub struct NdaRankController {
     /// external event that can change the desired access; grants update
     /// `want` in place).
     want_valid: bool,
-    /// Rank epoch under which `plan_cmd`/`plan_ready` are exact.
+    /// The rank's NDA epoch under which `plan_cmd`/`plan_ready` are exact.
     plan_epoch: u64,
     /// Planned DRAM command for `want`.
     plan_cmd: Command,
@@ -425,10 +424,10 @@ mod tests {
         assert!(matches!(r, NdaTickResult::Issued(c) if c.kind == CommandKind::Act));
         // Host command to the same rank moves its timing; the memoized
         // plan must be re-derived (epoch moved), not trusted.
-        let epoch_before = ch.rank_epoch(1);
+        let epoch_before = ch.rank_nda_epoch(1);
         ch.issue(&Command::act(1, 3, 3, 9), Issuer::Host, 10)
             .unwrap();
-        assert_ne!(ch.rank_epoch(1), epoch_before);
+        assert_ne!(ch.rank_nda_epoch(1), epoch_before);
         ctl.invalidate_hint();
         // The controller still makes progress and never issues illegally.
         let mut issued = 0;

@@ -72,10 +72,10 @@ use chopim_exp::{
 /// structure, not that the runner was slow.
 const SERIAL_FLOOR_FACTOR: f64 = 0.95;
 
-/// Absolute per-scenario speedup floors for `--check`. Since the indexed
-/// scheduler and epoch memos moved most busy-path wins into the *shared*
-/// tick path, the fast loop's structural edge on saturated scenarios is
-/// small — the busy floors guard against the fast path falling *behind*
+/// Absolute per-scenario speedup floors for `--check`. Most busy-path
+/// wins (the fused scheduler scan, single-pass planning, the NDA plan
+/// memos) live in the *shared* tick path, so the fast loop's structural
+/// edge on saturated scenarios is small — the busy floors guard against the fast path falling *behind*
 /// the naive loop (the class of bug BENCH_baseline.json once recorded as
 /// a 0.951 colocated_mix speedup), while the idle/NDA floors keep the
 /// event-horizon wins that fast-forwarding exists for.
