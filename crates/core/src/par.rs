@@ -119,11 +119,9 @@ impl Shared {
             {
                 let mut slot = self.slots[i].0.lock().expect("pool slot lock");
                 let shard = slot.as_mut().expect("a dispatched shard in every slot");
-                if shard.now < target {
-                    if let Err(p) = run_shard(shard, target) {
-                        let mut first = self.panic.lock().expect("pool panic lock");
-                        first.get_or_insert(p);
-                    }
+                if let Err(p) = run_shard(shard, target) {
+                    let mut first = self.panic.lock().expect("pool panic lock");
+                    first.get_or_insert(p);
                 }
             }
             if self.remaining.fetch_sub(1, SeqCst) == 1 {
@@ -221,8 +219,7 @@ impl ShardPool {
     }
 
     /// Run every shard to `target` on the pool; returns once all are back
-    /// in `shards`, in their original order. Shards already at `target`
-    /// (horizon-skipped ones) cost one no-op claim.
+    /// in `shards`, in their original order.
     #[allow(clippy::vec_box, reason = "dispatch moves each shard as a pointer")]
     pub(crate) fn run(&mut self, shards: &mut Vec<Box<ChannelShard>>, target: Cycle) {
         let shared = &*self.shared;

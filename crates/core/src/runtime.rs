@@ -343,9 +343,8 @@ pub enum SubmitError {
     QueueFull,
 }
 
-/// What one node of a [`JobGraph`] launches. Mirrors the [`OpBuilder`]
-/// call surface but is fully serializable, so queued jobs survive
-/// snapshots.
+/// What one [`OpBuilder`] or one node of a [`JobGraph`] launches. It is
+/// fully serializable, so queued jobs survive snapshots.
 #[derive(Debug, Clone)]
 enum JobKind {
     Elementwise {
@@ -1266,6 +1265,42 @@ impl Runtime {
             self.conclude_and_cascade(h, OpStatus::DepFailed, now);
         }
         h
+    }
+
+    /// Queue one op of `kind` on `sess`: the dispatch shared by
+    /// [`OpBuilder::submit`] and job-graph admission.
+    fn submit_kind(
+        &mut self,
+        sess: Session,
+        kind: JobKind,
+        opts: LaunchOpts,
+        deps: Vec<OpHandle>,
+        ordered: bool,
+    ) -> OpHandle {
+        match kind {
+            JobKind::Elementwise {
+                op,
+                scalars,
+                inputs,
+                output,
+            } => self.submit_elementwise(sess, op, scalars, inputs, output, opts, deps, ordered),
+            JobKind::Gemv { y, a, x } => self.submit_gemv(sess, y, a, x, opts, deps, ordered),
+            JobKind::AxpyRows {
+                a_pvt,
+                alphas,
+                x,
+                samples_per_instr,
+            } => self.submit_axpy_rows(
+                sess,
+                a_pvt,
+                alphas,
+                x,
+                samples_per_instr,
+                opts,
+                deps,
+                ordered,
+            ),
+        }
     }
 
     /// Split an elementwise op into per-rank instructions and queue it on
@@ -2549,41 +2584,7 @@ impl Runtime {
             for &p in &node.parents {
                 deps.push(handles[p as usize]);
             }
-            let h = match node.kind {
-                JobKind::Elementwise {
-                    op,
-                    scalars,
-                    inputs,
-                    output,
-                } => self.submit_elementwise(
-                    sess,
-                    op,
-                    scalars,
-                    inputs,
-                    output,
-                    node.opts,
-                    deps,
-                    node.ordered,
-                ),
-                JobKind::Gemv { y, a, x } => {
-                    self.submit_gemv(sess, y, a, x, node.opts, deps, node.ordered)
-                }
-                JobKind::AxpyRows {
-                    a_pvt,
-                    alphas,
-                    x,
-                    samples_per_instr,
-                } => self.submit_axpy_rows(
-                    sess,
-                    a_pvt,
-                    alphas,
-                    x,
-                    samples_per_instr,
-                    node.opts,
-                    deps,
-                    node.ordered,
-                ),
-            };
+            let h = self.submit_kind(sess, node.kind, node.opts, deps, node.ordered);
             handles.push(h);
         }
         let end = self.sessions[sess.id as usize].ops.len() as u32;
@@ -2813,34 +2814,13 @@ fn deps_done_in(sessions: &[SessionState], deps: &[OpHandle]) -> bool {
         .all(|&d| sessions[d.sess as usize].ops[d.idx as usize].done)
 }
 
-/// What a launch call builds (resolved at [`OpBuilder::submit`]).
-enum BuildKind {
-    Elementwise {
-        op: Opcode,
-        scalars: Vec<f32>,
-        inputs: Vec<VecId>,
-        output: Option<VecId>,
-    },
-    Gemv {
-        y: VecId,
-        a: MatId,
-        x: VecId,
-    },
-    AxpyRows {
-        a_pvt: VecId,
-        alphas: Vec<f32>,
-        x: MatId,
-        samples_per_instr: usize,
-    },
-}
-
 /// Builder for one op submission: launch options, DAG edges, and ordering
 /// mode, finished by [`submit`](OpBuilder::submit).
 #[must_use = "an OpBuilder does nothing until .submit()"]
 pub struct OpBuilder<'rt> {
     rt: &'rt mut Runtime,
     sess: Session,
-    kind: BuildKind,
+    kind: JobKind,
     opts: LaunchOpts,
     deps: Vec<OpHandle>,
     ordered: bool,
@@ -2849,7 +2829,7 @@ pub struct OpBuilder<'rt> {
 }
 
 impl<'rt> OpBuilder<'rt> {
-    fn new(rt: &'rt mut Runtime, sess: Session, kind: BuildKind) -> Self {
+    fn new(rt: &'rt mut Runtime, sess: Session, kind: JobKind) -> Self {
         Self {
             rt,
             sess,
@@ -2925,30 +2905,7 @@ impl<'rt> OpBuilder<'rt> {
             deadline,
             fallback_host,
         } = self;
-        let built = match kind {
-            BuildKind::Elementwise {
-                op,
-                scalars,
-                inputs,
-                output,
-            } => rt.submit_elementwise(sess, op, scalars, inputs, output, opts, deps, ordered),
-            BuildKind::Gemv { y, a, x } => rt.submit_gemv(sess, y, a, x, opts, deps, ordered),
-            BuildKind::AxpyRows {
-                a_pvt,
-                alphas,
-                x,
-                samples_per_instr,
-            } => rt.submit_axpy_rows(
-                sess,
-                a_pvt,
-                alphas,
-                x,
-                samples_per_instr,
-                opts,
-                deps,
-                ordered,
-            ),
-        };
+        let built = rt.submit_kind(sess, kind, opts, deps, ordered);
         rt.apply_recovery_opts(built, deadline, fallback_host);
         built
     }
@@ -2969,7 +2926,7 @@ impl Session {
         OpBuilder::new(
             rt,
             self,
-            BuildKind::Elementwise {
+            JobKind::Elementwise {
                 op,
                 scalars,
                 inputs,
@@ -2981,7 +2938,7 @@ impl Session {
     /// Build `y = A x` (one instruction per rank; A streams, x/y live in
     /// the scratchpad).
     pub fn gemv<'rt>(self, rt: &'rt mut Runtime, y: VecId, a: MatId, x: VecId) -> OpBuilder<'rt> {
-        OpBuilder::new(rt, self, BuildKind::Gemv { y, a, x })
+        OpBuilder::new(rt, self, JobKind::Gemv { y, a, x })
     }
 
     /// Build the `parallel_for` macro op of Fig. 8: per-sample
@@ -2998,7 +2955,7 @@ impl Session {
         OpBuilder::new(
             rt,
             self,
-            BuildKind::AxpyRows {
+            JobKind::AxpyRows {
                 a_pvt,
                 alphas,
                 x,

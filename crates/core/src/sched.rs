@@ -24,10 +24,11 @@
 //! [`tick`](HostMc::tick)). Until then every tick is a no-op, and the
 //! fast-forward loop skips it; the channel shard's event horizon reads
 //! the same hint. The hint is dropped by the controller's own issue and
-//! by an NDA row command on the channel, and a push lowers it to the new
-//! transaction's ready time (or drops it when the push will latch the
-//! write drain). No other scan derives wake-ups, and nothing throttles
-//! how often a tick refreshes the hint.
+//! by an NDA row command on the channel, and every push
+//! ([`try_push`](HostMc::try_push), the only way in) lowers it to the
+//! new transaction's ready time (or drops it when the push will latch
+//! the write drain). No other scan derives wake-ups, and nothing
+//! throttles how often a tick refreshes the hint.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -241,44 +242,19 @@ impl HostMc {
         self.page_policy = policy;
     }
 
-    /// Queue a transaction.
+    /// Queue a transaction arriving at `now`.
     ///
     /// Launch packets and reads share the read queue (control writes are
     /// latency sensitive); core writebacks use the write queue. Returns
     /// `false` when the target queue is full.
-    pub fn try_push(&mut self, tx: HostTransaction) -> bool {
-        if !self.push_inner(tx) {
-            return false;
-        }
-        self.wake_hint = None;
-        true
-    }
-
-    /// [`try_push`](Self::try_push), but instead of dropping the cached
-    /// wake-up it lowers it to the new transaction's own ready time — the
-    /// only way one arrival can make the controller actionable earlier.
-    /// The exception is a write that fills the write queue to the drain
-    /// watermark: the next tick latches the drain and serves writes, which
-    /// the hint may not have covered, so the hint is dropped.
-    pub fn try_push_hinted(&mut self, tx: HostTransaction, ch: &Channel, now: Cycle) -> bool {
-        if !self.push_inner(tx) {
-            return false;
-        }
-        if matches!(tx.meta, TxMeta::CoreWrite)
-            && !self.drain
-            && self.write_q.len() >= self.drain_hi
-        {
-            self.wake_hint = None;
-        } else if let Some(h) = self.wake_hint {
-            if h > now {
-                self.wake_hint = Some(h.min(tx.plan(ch).1.max(now)));
-            }
-        }
-        true
-    }
-
-    /// The shared admission rule: queue selection + capacity + enqueue.
-    fn push_inner(&mut self, tx: HostTransaction) -> bool {
+    ///
+    /// A live wake-up hint is lowered to the new transaction's own ready
+    /// time on `ch` — the only way one arrival can make the controller
+    /// actionable earlier. The exception is a write that fills the write
+    /// queue to the drain watermark: the next tick latches the drain and
+    /// serves writes, which the hint may not have covered, so the hint is
+    /// dropped.
+    pub fn try_push(&mut self, tx: HostTransaction, ch: &Channel, now: Cycle) -> bool {
         let use_write_q = matches!(tx.meta, TxMeta::CoreWrite);
         let (q, cap) = if use_write_q {
             (&mut self.write_q, self.write_cap)
@@ -291,6 +267,13 @@ impl HostMc {
         q.push_back(tx);
         if !use_write_q {
             self.oldest_read.set(None);
+        }
+        if use_write_q && !self.drain && self.write_q.len() >= self.drain_hi {
+            self.wake_hint = None;
+        } else if let Some(h) = self.wake_hint {
+            if h > now {
+                self.wake_hint = Some(h.min(tx.plan(ch).1.max(now)));
+            }
         }
         true
     }
@@ -782,9 +765,9 @@ mod tests {
         // Two txs to row 5, one to row 9, same bank. FR-FCFS serves both
         // row-5 txs before touching row 9 even though row 9's arrived
         // between them.
-        assert!(mc.try_push(read_tx(0, 0, 0, 5, 0, 0)));
-        assert!(mc.try_push(read_tx(0, 0, 0, 9, 0, 1)));
-        assert!(mc.try_push(read_tx(0, 0, 0, 5, 1, 2)));
+        assert!(mc.try_push(read_tx(0, 0, 0, 5, 0, 0), &ch, 0));
+        assert!(mc.try_push(read_tx(0, 0, 0, 9, 0, 1), &ch, 0));
+        assert!(mc.try_push(read_tx(0, 0, 0, 5, 1, 2), &ch, 0));
         let cmds = run(&mut ch, &mut mc, 3, 1000);
         let cols: Vec<u32> = cmds
             .iter()
@@ -801,9 +784,9 @@ mod tests {
         let (mut ch, mut mc) = setup();
         // Fill write queue past the high watermark plus one read.
         for i in 0..30u32 {
-            assert!(mc.try_push(write_tx(0, i / 16, i % 16, 0)));
+            assert!(mc.try_push(write_tx(0, i / 16, i % 16, 0), &ch, 0));
         }
-        assert!(mc.try_push(read_tx(1, 0, 0, 1, 0, 0)));
+        assert!(mc.try_push(read_tx(1, 0, 0, 1, 0, 0), &ch, 0));
         let mut writes_done = 0;
         for now in 0..5000 {
             if let Some(iss) = mc.tick(&mut ch, now) {
@@ -822,18 +805,18 @@ mod tests {
 
     #[test]
     fn queue_capacity_enforced() {
-        let (_, mut mc) = setup();
+        let (ch, mut mc) = setup();
         for i in 0..32 {
-            assert!(mc.try_push(read_tx(0, 0, 0, i, 0, 0)));
+            assert!(mc.try_push(read_tx(0, 0, 0, i, 0, 0), &ch, 0));
         }
-        assert!(!mc.try_push(read_tx(0, 0, 0, 99, 0, 0)));
+        assert!(!mc.try_push(read_tx(0, 0, 0, 99, 0, 0), &ch, 0));
         // Write queue is separate.
-        assert!(mc.try_push(write_tx(0, 0, 0, 0)));
+        assert!(mc.try_push(write_tx(0, 0, 0, 0), &ch, 0));
     }
 
     #[test]
     fn oldest_read_rank_skips_launches_and_writes() {
-        let (_, mut mc) = setup();
+        let (ch, mut mc) = setup();
         let launch = HostTransaction {
             addr: DramAddress {
                 channel: 0,
@@ -844,9 +827,9 @@ mod tests {
             meta: TxMeta::Launch { launch: 0 },
             arrival: 0,
         };
-        assert!(mc.try_push(launch));
+        assert!(mc.try_push(launch, &ch, 0));
         assert_eq!(mc.oldest_read_rank(), None);
-        assert!(mc.try_push(read_tx(1, 0, 0, 5, 0, 1)));
+        assert!(mc.try_push(read_tx(1, 0, 0, 5, 0, 1), &ch, 0));
         assert_eq!(mc.oldest_read_rank(), Some(1));
     }
 
@@ -855,8 +838,8 @@ mod tests {
         let (mut ch, mut mc) = setup();
         ch.issue(&Command::act(0, 0, 0, 5), Issuer::Host, 0)
             .expect("ACT to a closed bank");
-        assert!(mc.try_push(read_tx(0, 1, 0, 7, 2, 0)));
-        assert!(mc.try_push(read_tx(0, 0, 0, 9, 3, 1)));
+        assert!(mc.try_push(read_tx(0, 1, 0, 7, 2, 0), &ch, 0));
+        assert!(mc.try_push(read_tx(0, 0, 0, 9, 3, 1), &ch, 0));
         let dump = mc.explain(&ch, 1);
         let entries: Vec<&str> = dump.lines().skip(1).collect();
         assert_eq!(entries.len(), 2, "{dump}");
@@ -891,7 +874,7 @@ mod tests {
         for now in 0..40_000u64 {
             if mc.read_queue_len() < 4 {
                 let row = (now / 100) as u32 % 8;
-                mc.try_push(read_tx(0, (now % 4) as usize, 0, row, 0, now));
+                mc.try_push(read_tx(0, (now % 4) as usize, 0, row, 0, now), &ch, now);
             }
             if let Some(iss) = mc.tick(&mut ch, now) {
                 if iss.cmd.kind == CommandKind::RefAb {
@@ -907,7 +890,7 @@ mod tests {
     #[test]
     fn read_latency_accounting() {
         let (mut ch, mut mc) = setup();
-        mc.try_push(read_tx(0, 0, 0, 5, 0, 0));
+        mc.try_push(read_tx(0, 0, 0, 5, 0, 0), &ch, 0);
         run(&mut ch, &mut mc, 1, 200);
         assert_eq!(mc.reads_completed, 1);
         // ACT at 0, RD at tRCD=16, data end at 16+16+4=36.
@@ -920,9 +903,9 @@ mod tests {
         mc.set_scheduler(SchedulerKind::Fcfs);
         // Row-hit reordering would serve the second row-5 access early;
         // FCFS must not.
-        assert!(mc.try_push(read_tx(0, 0, 0, 5, 0, 0)));
-        assert!(mc.try_push(read_tx(0, 0, 0, 9, 0, 1)));
-        assert!(mc.try_push(read_tx(0, 0, 0, 5, 1, 2)));
+        assert!(mc.try_push(read_tx(0, 0, 0, 5, 0, 0), &ch, 0));
+        assert!(mc.try_push(read_tx(0, 0, 0, 9, 0, 1), &ch, 0));
+        assert!(mc.try_push(read_tx(0, 0, 0, 5, 1, 2), &ch, 0));
         let cmds = run(&mut ch, &mut mc, 3, 2000);
         let rows: Vec<u32> = cmds
             .iter()
@@ -936,7 +919,7 @@ mod tests {
     fn closed_page_policy_precharges_idle_rows() {
         let (mut ch, mut mc) = setup();
         mc.set_page_policy(PagePolicy::Closed);
-        mc.try_push(read_tx(0, 0, 0, 5, 0, 0));
+        mc.try_push(read_tx(0, 0, 0, 5, 0, 0), &ch, 0);
         run(&mut ch, &mut mc, 1, 500);
         // With no pending work, the opened row gets closed eagerly.
         let mut closed = false;
@@ -957,11 +940,11 @@ mod tests {
         let (mut ch, mut mc) = setup();
         // Oldest wants row 9 (conflict with open row 5), but a younger tx
         // still wants row 5: the controller must not close row 5 first.
-        mc.try_push(read_tx(0, 0, 0, 5, 0, 0));
+        mc.try_push(read_tx(0, 0, 0, 5, 0, 0), &ch, 0);
         let cmds = run(&mut ch, &mut mc, 1, 200);
         assert_eq!(cmds.last().unwrap().1.kind, CommandKind::Rd);
-        mc.try_push(read_tx(0, 0, 0, 9, 0, 10));
-        mc.try_push(read_tx(0, 0, 0, 5, 3, 11));
+        mc.try_push(read_tx(0, 0, 0, 9, 0, 10), &ch, 0);
+        mc.try_push(read_tx(0, 0, 0, 5, 3, 11), &ch, 0);
         let cmds = run(&mut ch, &mut mc, 2, 1000);
         // The row-5 hit completes before any precharge of row 5.
         let first_pre = cmds.iter().position(|(_, c)| c.kind == CommandKind::Pre);

@@ -274,9 +274,6 @@ pub(crate) struct ChannelShard {
     pub(crate) mc: HostMc,
     pub(crate) ndas: Vec<NdaRankController>,
     pub(crate) shadows: Vec<NdaFsm>,
-    /// Set when a launch was delivered this cycle, forcing a full
-    /// controller evaluation even if it looked idle or blocked.
-    nda_poke: Vec<bool>,
     /// Shard-local NDA index per rank (`None` = rank has no NDA, e.g.
     /// host-only ranks never occur but rank-partitioning asymmetries do).
     local_of_rank: Vec<Option<usize>>,
@@ -316,14 +313,6 @@ pub(crate) struct ChannelShard {
     fault: FaultState,
     params: ShardParams,
     pub(crate) now: Cycle,
-    /// Cached event horizon: the shard state as of the last executed
-    /// cycle provably generates no activity before this cycle (new inbox
-    /// messages can still arrive earlier — the front-end checks the
-    /// inbox stamp separately). Invalidated (set to `now`) by every
-    /// executed cycle; refreshed by [`horizon`](Self::horizon). The
-    /// computed-horizon barrier skip reads it via
-    /// [`quiet_until`](Self::quiet_until).
-    quiet_until: Cycle,
     ticks_executed: u64,
     cycles_skipped: u64,
 }
@@ -430,7 +419,6 @@ impl ChannelShard {
             mc,
             shadows: (0..n).map(|_| NdaFsm::new(queue_cap)).collect(),
             ndas: ctls,
-            nda_poke: vec![false; n],
             local_of_rank,
             global_idx,
             launches: LaunchSlab::default(),
@@ -448,7 +436,6 @@ impl ChannelShard {
             fault,
             params,
             now: 0,
-            quiet_until: 0,
             ticks_executed: 0,
             cycles_skipped: 0,
         }
@@ -481,20 +468,6 @@ impl ChannelShard {
             .all(|(n, s)| n.fsm().fingerprint() == s.fingerprint())
     }
 
-    /// The cached horizon from the shard's last self-inspection: no
-    /// shard-internal event fires strictly before this cycle. The
-    /// front-end combines it with the inbox's first stamp to decide
-    /// whether the shard may skip a window barrier outright.
-    pub(crate) fn quiet_until(&self) -> Cycle {
-        self.quiet_until
-    }
-
-    /// Earliest-actionable stamp waiting in the ingress FIFO (head of
-    /// line: later messages cannot act before the front one).
-    pub(crate) fn inbox_first_stamp(&self) -> Option<Cycle> {
-        self.inbox.front().map(|&(t, _)| t)
-    }
-
     /// Ingress-arena high-water mark (sizing telemetry).
     pub(crate) fn inbox_high_water(&self) -> usize {
         self.inbox.high_water()
@@ -507,9 +480,6 @@ impl ChannelShard {
         while self.now < target {
             self.tick_cycle();
             self.now += 1;
-            // An executed cycle may have scheduled arbitrarily early new
-            // events; any previously computed horizon is stale.
-            self.quiet_until = self.now;
             self.maybe_skip(target);
         }
     }
@@ -559,7 +529,6 @@ impl ChannelShard {
                     self.launch_log
                         .push((now, lf.nda_local as u32, lf.instr.id));
                 }
-                self.nda_poke[lf.nda_local] = true;
                 match self.ndas[lf.nda_local].launch(lf.instr.clone()) {
                     Ok(()) => {
                         self.completion_tags[lf.nda_local].push((lf.instr.id, lf.tag));
@@ -610,7 +579,7 @@ impl ChannelShard {
                     self.inbox.pop_front();
                 }
                 ShardInbound::Tx(tx) => {
-                    if self.mc.try_push_hinted(*tx, &self.channel, now) {
+                    if self.mc.try_push(*tx, &self.channel, now) {
                         self.inbox.pop_front();
                     } else {
                         // MC full: retry next cycle (keeps order).
@@ -647,7 +616,6 @@ impl ChannelShard {
         self.fault.death_processed = true;
         self.fault.dead[local] = true;
         self.fault.rank_deaths += 1;
-        self.nda_poke[local] = false;
         let gidx = self.global_idx[local];
         let latency = self.params.completion_latency;
         for (id, tag) in self.completion_tags[local].drain(..) {
@@ -681,17 +649,6 @@ impl ChannelShard {
                     None,
                 );
             }
-            // A host *row* command (ACT/PRE/PREA/REF) changed its target
-            // rank's bank state: the rank's NDA plan may have changed
-            // shape and become ready *earlier*, so its cached wake-up
-            // must be re-derived. Column commands only push timing
-            // registers forward — they can delay the NDA but never make
-            // it ready sooner, so the (conservative) hint stays sound.
-            if !matches!(iss.cmd.kind, CommandKind::Rd | CommandKind::Wr) {
-                if let Some(local) = self.local_of_rank[iss.cmd.rank] {
-                    self.ndas[local].invalidate_hint();
-                }
-            }
             if let Issued {
                 data,
                 completed: Some(tx),
@@ -723,7 +680,6 @@ impl ChannelShard {
         let Self {
             channel_idx,
             ndas,
-            nda_poke,
             shadows,
             mc,
             channel,
@@ -738,26 +694,21 @@ impl ChannelShard {
         } = self;
         for i in 0..ndas.len() {
             // In fast-forward mode, offer the controller a cycle only
-            // when it could act: skip idle FSMs (until a launch pokes
-            // them) and timing-blocked ones inside their cached wake-up
-            // window. Both skips are exact — the controller would
-            // evaluate to the same state without side effects. The naive
-            // loop evaluates every controller every cycle, preserving
-            // the reference behavior the lockstep tests compare against.
-            if params.fast_forward && !nda_poke[i] {
-                match ndas[i].desired_access() {
-                    None => continue,
-                    Some(_) => {
-                        if let Some(h) = ndas[i].ready_hint() {
-                            if now < h {
-                                continue;
-                            }
-                        }
-                    }
+            // when it could act: skip idle FSMs (until a launch arrives)
+            // and timing-blocked ones before their planned ready cycle.
+            // Both skips are exact — the controller would evaluate to the
+            // same state without side effects. The naive loop evaluates
+            // every controller every cycle, preserving the reference
+            // behavior the lockstep tests compare against.
+            let launched = ndas[i].launch_pending();
+            if params.fast_forward && !launched {
+                if ndas[i].desired_access().is_none() {
+                    continue;
+                }
+                if ndas[i].planned_ready(channel).is_some_and(|r| now < r) {
+                    continue;
                 }
             }
-            let poked = nda_poke[i];
-            nda_poke[i] = false;
             let rank = ndas[i].rank();
             let oldest = mc.oldest_read_rank();
             let policy = params.policy;
@@ -784,11 +735,11 @@ impl ChannelShard {
             }
             // Mirror onto the host-side shadow FSM. The controller
             // re-derives its desired access (normalizing FSM state)
-            // exactly on launch-poke cycles and after column grants; the
-            // shadow performs the same `next_access` calls at the same
-            // points — anything more frequent is redundant, anything
-            // less would let the fingerprints drift.
-            if poked {
+            // exactly on the first tick after a launch and after column
+            // grants; the shadow performs the same `next_access` calls at
+            // the same points — anything more frequent is redundant,
+            // anything less would let the fingerprints drift.
+            if launched {
                 let _ = shadows[i].next_access();
             }
             if let NdaTickResult::Issued(cmd) = result {
@@ -839,18 +790,8 @@ impl ChannelShard {
     /// cycle) at which any component of this shard could act, assuming
     /// no other agent touches it first. Conservative answers only waste
     /// a wake-up; no component may act strictly before its horizon.
-    /// Also refreshes the [`quiet_until`](Self::quiet_until) cache.
-    pub(crate) fn horizon(&mut self) -> Cycle {
-        let h = self.horizon_inner();
-        self.quiet_until = h;
-        h
-    }
-
-    fn horizon_inner(&mut self) -> Cycle {
+    pub(crate) fn horizon(&self) -> Cycle {
         let now = self.now;
-        if self.nda_poke.iter().any(|&p| p) {
-            return now;
-        }
         let mut h = Cycle::MAX;
         // A pending rank death is a shard event: folding its cycle here
         // (and never skipping past it) is what guarantees every engine
@@ -877,14 +818,18 @@ impl ChannelShard {
             return now;
         }
         for nda in &self.ndas {
+            // A launch takes effect on the next offered tick.
+            if nda.launch_pending() {
+                return now;
+            }
             let Some(acc) = nda.desired_access() else {
                 continue;
             };
-            // A valid timing hint covers writes too: the controller
+            // A current plan covers writes too: the controller
             // short-circuits before any policy evaluation until then.
-            if let Some(hint) = nda.ready_hint() {
-                if hint > now {
-                    h = h.min(hint);
+            if let Some(ready) = nda.planned_ready(&self.channel) {
+                if ready > now {
+                    h = h.min(ready);
                     continue;
                 }
             }
@@ -934,8 +879,7 @@ impl ChannelShard {
                 if decision == Some(false) {
                     // The naive loop evaluates (and counts) the
                     // throttled attempt each cycle timing allows the
-                    // write. The cached `ready_hint` is only a lower
-                    // bound, so recompute the exact ready time.
+                    // write, from the exact ready time on.
                     let from = self.ndas[i].next_event_cycle(&self.channel, self.now);
                     self.ndas[i].write_throttle_stalls += target.saturating_sub(from);
                 }
@@ -956,7 +900,7 @@ impl ChannelShard {
     /// In fast-forward mode, leap to the shard's next event horizon
     /// (never past `limit`). Run after every executed cycle: on a busy
     /// shard the horizon answers `now` from cached wake-ups (the MC's
-    /// `wake_hint`, the NDAs' ready hints) after a few compares.
+    /// `wake_hint`, the NDAs' plan memos) after a few compares.
     fn maybe_skip(&mut self, limit: Cycle) {
         if !self.params.fast_forward || self.now >= limit {
             return;
@@ -1092,8 +1036,8 @@ impl ChannelShard {
     }
 }
 
-// Every skip decision is a function of the state stored here (the
-// cached horizon `quiet_until` and the launch slab's `base` anchor are
+// Every skip decision is a function of the state stored here (the MC's
+// wake-up, the NDAs' plan memos and the launch slab's `base` anchor are
 // stored verbatim), so a resumed shard replays the exact tick/skip
 // sequence from this image alone. Kept from construction: the static
 // topology (`local_of_rank`, `global_idx`, computed by `build` from the
@@ -1106,7 +1050,6 @@ chopim_dram::codec! {
         mc,
         ndas: counted,
         shadows: each,
-        nda_poke: each,
         launches,
         completion_tags: each,
         launch_events: ascending,
@@ -1115,7 +1058,6 @@ chopim_dram::codec! {
         completions_out,
         policy_rng: rng_state,
         now,
-        quiet_until,
         ticks_executed,
         cycles_skipped,
         fault,

@@ -39,17 +39,12 @@
 //! cycle, since shards run after it), then every shard runs the same
 //! window independently — serially or on a worker pool
 //! ([`ChopimConfig::sim_threads`]) — and the queues are exchanged at the
-//! barrier. On top of the grid each shard computes a **per-shard
-//! lookahead horizon** from its actual state (MC queues and wake hints,
-//! NDA FSM readiness, refresh timers, pending launch deliveries,
-//! undelivered inbox messages): a shard whose cached horizon clears the
-//! next barrier — and whose inbox holds nothing due before it — skips
-//! that barrier entirely, so a quiet channel costs one comparison per
-//! window instead of a tick-and-exchange.
-//! [`ChopimConfig::fixed_window`] (env `CHOPIM_FIXED_WINDOW=1`) disables
-//! the skipping; that pure fixed-window schedule is the lockstep oracle
-//! the ablation test compares computed horizons against. Shards never
-//! observe each other mid-window and each carries
+//! barrier. With [`ChopimConfig::fast_forward`], each shard computes a
+//! **lookahead horizon** from its actual state (the MC's cached wake-up,
+//! the NDAs' planned ready cycles, refresh timers, pending launch
+//! deliveries, undelivered inbox messages) after every cycle it
+//! executes, and leaps to it within the window: a quiet channel
+//! executes the first cycle of a window and skips the rest. Shards never observe each other mid-window and each carries
 //! its own policy RNG, so the schedule is **deterministic by
 //! construction**: any thread count produces bit-identical
 //! [`SimReport`]s (enforced by `crates/exp/tests/shard_lockstep.rs`;
@@ -180,12 +175,6 @@ fn sim_threads_from_env() -> usize {
         .unwrap_or(1)
 }
 
-/// `CHOPIM_FIXED_WINDOW=1` forces the pre-horizon fixed-window barrier
-/// schedule (the lockstep oracle); anything else keeps computed horizons.
-fn fixed_window_from_env() -> bool {
-    std::env::var("CHOPIM_FIXED_WINDOW").is_ok_and(|v| v == "1")
-}
-
 /// `CHOPIM_TRACE=<path>` enables event-trace capture and names the file
 /// [`ChopimSystem::write_trace`] emits (see `docs/TRACE_FORMAT.md`).
 #[cold]
@@ -259,15 +248,11 @@ pub struct ChopimConfig {
     /// bit-identical [`SimReport`]s — the engine's schedule does not
     /// depend on the thread count. Defaults to `CHOPIM_SIM_THREADS`.
     pub sim_threads: usize,
-    /// Disable per-shard computed horizons and execute every shard
-    /// through every lookahead window (the pre-horizon engine). With
-    /// computed horizons (the default), a shard whose cached event
-    /// horizon and pending ingress both lie at or beyond the window
-    /// barrier leaps the window without being dispatched at all. Both
-    /// modes produce bit-identical [`SimReport`]s (the leap is the same
-    /// provably-idle skip the in-window fast-forward performs), so this
-    /// is the lockstep oracle, not a behavior switch; it only matters
-    /// when `fast_forward` is on. Defaults to `CHOPIM_FIXED_WINDOW=1`.
+    /// Has no effect: every shard runs every lookahead window (under
+    /// `fast_forward`, a quiet one leaps the rest of the window from its
+    /// first executed cycle). The field is kept only because the
+    /// repository benchmark (`chopim-benchmark`) sets and asserts it.
+    /// Defaults to `false`.
     pub fixed_window: bool,
     /// When set, the machine records its event trace (DRAM commands,
     /// NDA launches, completions) from construction and encodes it to
@@ -323,7 +308,7 @@ impl Default for ChopimConfig {
             // II timing), so it costs no lookahead.
             completion_latency: 20,
             sim_threads: sim_threads_from_env(),
-            fixed_window: fixed_window_from_env(),
+            fixed_window: false,
             trace_path: trace_path_from_env(),
             faults: FaultPlan::from_env(),
             retry_limit: 3,
@@ -661,36 +646,6 @@ impl ChopimSystem {
     /// The host address mapper.
     pub fn mapper(&self) -> &PartitionedMapping {
         &self.mapper
-    }
-
-    /// Record every DRAM command for offline validation with
-    /// [`chopim_dram::TimingChecker`].
-    #[cold]
-    pub fn enable_mem_trace(&mut self) {
-        for shard in &mut self.shards {
-            shard.channel.enable_trace();
-        }
-    }
-
-    /// Take the recorded command trace, merged over channels in cycle
-    /// order (ties resolved by channel index; per-channel order is
-    /// application order, which is what the timing checker validates).
-    #[cold]
-    pub fn take_mem_trace(
-        &mut self,
-    ) -> Vec<(usize, Cycle, chopim_dram::Command, chopim_dram::Issuer)> {
-        let mut all: Vec<(usize, Cycle, chopim_dram::Command, chopim_dram::Issuer)> = Vec::new();
-        for (c, shard) in self.shards.iter_mut().enumerate() {
-            all.extend(
-                shard
-                    .channel
-                    .take_trace()
-                    .into_iter()
-                    .map(|(at, cmd, who)| (c, at, cmd, who)),
-            );
-        }
-        all.sort_by_key(|&(c, at, _, _)| (at, c));
-        all
     }
 
     /// Aggregate host IPC so far.
@@ -1080,13 +1035,12 @@ impl ChopimSystem {
     /// every shard up to `target` (on the pool when configured), then
     /// collect their outboxes. The ingress occupancy view is refreshed
     /// only at *grid-aligned* barriers: an early-exit barrier (a stop
-    /// predicate firing mid-window, or [`tick`](Self::tick)) must not
-    /// let the front-end observe shard drain progress sooner than an
-    /// unsliced run would, or the schedule — and the report — would
-    /// depend on how `run` calls are sliced.
+    /// predicate firing mid-window) must not let the front-end observe
+    /// shard drain progress sooner than an unsliced run would, or the
+    /// schedule — and the report — would depend on how `run` calls are
+    /// sliced.
     fn advance_shards(&mut self, target: Cycle) {
         let on_grid = target.is_multiple_of(self.window);
-        let use_horizon = self.cfg.fast_forward && !self.cfg.fixed_window;
         perfcount::bump(Counter::Barriers);
         let mut exchanged = 0u64;
         for (ch, q) in self.egress.iter_mut().enumerate() {
@@ -1098,39 +1052,14 @@ impl ChopimSystem {
             // front-end keeps the shard's drained one for next window.
             self.shards[ch].inbox.absorb(q);
         }
-        // Computed horizons: a shard whose cached event horizon and
-        // earliest pending ingress stamp both lie at or beyond the
-        // barrier provably does nothing this window — leap it to the
-        // target (the same exact skip the in-window fast-forward makes)
-        // instead of dispatching it.
-        let mut active = self.shards.len();
-        if use_horizon {
-            active = 0;
-            for shard in &mut self.shards {
-                if shard.quiet_until() >= target
-                    && shard.inbox_first_stamp().is_none_or(|t| t >= target)
-                {
-                    let prev = perfcount::set_scope(1 + shard.channel_idx());
-                    perfcount::add(Counter::HorizonLeapCycles, target - shard.now);
-                    shard.skip_to(target);
-                    perfcount::set_scope(prev);
-                } else {
-                    active += 1;
-                }
-            }
-        }
-        perfcount::add(Counter::WindowsExecuted, active as u64);
+        perfcount::add(Counter::WindowsExecuted, self.shards.len() as u64);
         match &mut self.pool {
-            // With at most one shard left to run, pool dispatch is pure
-            // overhead; run it inline.
-            Some(pool) if active > 1 => pool.run(&mut self.shards, target),
-            _ => {
+            Some(pool) => pool.run(&mut self.shards, target),
+            None => {
                 for shard in &mut self.shards {
-                    if shard.now < target {
-                        let prev = perfcount::set_scope(1 + shard.channel_idx());
-                        shard.run_to(target);
-                        perfcount::set_scope(prev);
-                    }
+                    let prev = perfcount::set_scope(1 + shard.channel_idx());
+                    shard.run_to(target);
+                    perfcount::set_scope(prev);
                 }
             }
         }
@@ -1165,7 +1094,7 @@ impl ChopimSystem {
         if h <= self.now {
             return;
         }
-        for shard in &mut self.shards {
+        for shard in &self.shards {
             h = h.min(shard.horizon());
             if h <= self.now {
                 return;
@@ -1178,17 +1107,6 @@ impl ChopimSystem {
             }
             self.fe_skip_to(h);
         }
-    }
-
-    /// Advance one DRAM cycle (front-end and every shard).
-    ///
-    /// This is the single-cycle convenience wrapper; it synchronizes the
-    /// shards every cycle, so prefer [`run`](Self::run) (which barriers
-    /// once per lookahead window) for anything longer than a probe.
-    pub fn tick(&mut self) {
-        self.fe_tick();
-        self.now += 1;
-        self.advance_shards(self.now);
     }
 
     /// Pump streams off the runtime's finished-op feed: a stream whose
@@ -1461,10 +1379,10 @@ impl ChopimSystem {
 
     /// Stable fingerprint of the *semantic* configuration: every knob
     /// that shapes machine structure or simulated behavior, and none of
-    /// the engine-mode knobs (`sim_threads`, `fixed_window`,
-    /// `fast_forward`, `verify_fsm`, `trace_path`) — a snapshot captured
-    /// under one engine mode may legitimately resume under another,
-    /// since all modes produce bit-identical schedules.
+    /// the engine-mode knobs (`sim_threads`, `fast_forward`,
+    /// `verify_fsm`, `trace_path`, and the inert `fixed_window`) — a
+    /// snapshot captured under one engine mode may legitimately resume
+    /// under another, since all modes produce bit-identical schedules.
     #[cold]
     fn snapshot_fingerprint(cfg: &ChopimConfig) -> u64 {
         let desc = format!(
@@ -1525,10 +1443,10 @@ impl ChopimSystem {
     ///
     /// `cfg` must agree with the capture's configuration on every
     /// semantic knob (checked via the embedded fingerprint); the
-    /// engine-mode knobs (`sim_threads`, `fixed_window`, `fast_forward`,
-    /// `verify_fsm`, `trace_path`) are free — resuming one image under
-    /// serial, pooled, and fixed-window engines produces bit-identical
-    /// [`SimReport`]s.
+    /// engine-mode knobs (`sim_threads`, `fast_forward`, `verify_fsm`,
+    /// `trace_path`, and the inert `fixed_window`) are free — resuming
+    /// one image serially, on the pool, or under the naive loop produces
+    /// bit-identical [`SimReport`]s.
     ///
     /// # Errors
     ///
@@ -1770,8 +1688,10 @@ const SNAPSHOT_MAGIC: [u8; 4] = *b"CHSS";
 /// busy-streak backoff fields (`maybe_skip` computes the horizon after
 /// every executed cycle). v6 dropped the host memoization epoch from each
 /// rank and the plan memo from each MC queue entry (the controller plans
-/// every scanned entry fresh).
-const SNAPSHOT_VERSION: u32 = 6;
+/// every scanned entry fresh). v7 dropped the shard's launch-poke flags
+/// and cached horizon and each NDA controller's ready hint (the plan
+/// memo is the controller's wake-up).
+const SNAPSHOT_VERSION: u32 = 7;
 
 /// Why [`ChopimSystem::snapshot`] refused to capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1822,7 +1742,6 @@ mod tests {
         let mut sys = ChopimSystem::new(ChopimConfig {
             mix: MixId::new(2),
             sim_threads: 1,
-            fixed_window: false,
             trace_path: None,
             faults: FaultPlan::NONE,
             ..ChopimConfig::default()
@@ -1917,7 +1836,9 @@ mod tests {
         assert_rejected(&sys, "launch event for an unknown launch");
 
         let (mut sys, _) = machine();
-        assert!(sys.shards[0].mc.try_push(launch_write(1 << 40, sys.now)));
+        let tx = launch_write(1 << 40, sys.now);
+        let shard = &mut sys.shards[0];
+        assert!(shard.mc.try_push(tx, &shard.channel, sys.now));
         assert_rejected(&sys, "MC-queued write for an unknown launch");
 
         let (mut sys, _) = machine();
@@ -1993,7 +1914,6 @@ mod tests {
         let mut sys = ChopimSystem::new(ChopimConfig {
             mix: None,
             sim_threads: 1,
-            fixed_window: false,
             trace_path: None,
             // Recovery on; the plan's one fault lies beyond the test.
             faults: FaultPlan {
@@ -2060,15 +1980,14 @@ mod tests {
     }
 
     /// A panic inside a shard the pool runs is re-raised from `run`
-    /// rather than leaving the barrier waiting: the fixed window keeps
-    /// both shards active, so every window dispatches to the pool.
+    /// rather than leaving the barrier waiting: every window dispatches
+    /// both shards to the pool.
     #[test]
     #[should_panic(expected = "launch record")]
     fn pooled_shard_panic_surfaces_from_run() {
         let mut sys = ChopimSystem::new(ChopimConfig {
             mix: MixId::new(2),
             sim_threads: 2,
-            fixed_window: true,
             trace_path: None,
             faults: FaultPlan::NONE,
             ..ChopimConfig::default()
@@ -2096,7 +2015,9 @@ mod tests {
         assert_rejected(&sys, "inbox read for core 99");
 
         let (mut sys, _) = machine();
-        assert!(sys.shards[0].mc.try_push(read_for(99, sys.now)));
+        let tx = read_for(99, sys.now);
+        let shard = &mut sys.shards[0];
+        assert!(shard.mc.try_push(tx, &shard.channel, sys.now));
         assert_rejected(&sys, "MC-queued read for core 99");
     }
 }

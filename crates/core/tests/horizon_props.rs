@@ -1,18 +1,19 @@
 //! Property tests of the per-shard computed horizons that drive the
-//! sharded engine's barrier skipping.
+//! sharded engine's fast-forwarding.
 //!
-//! The front-end lets a shard skip a window barrier when the shard's
-//! cached horizon ([`quiet_until`]) reaches past the window — so the
-//! whole scheme is sound only if a horizon claim is *conservative*: a
-//! shard claiming "no activity before cycle `h`" must never produce a
-//! cross-shard message stamped earlier than `h` when simply run
-//! forward. This suite drives real machines (random host mixes, NDA
-//! streams, both host schedulers, random seeds) to a random mid-stream
-//! point, asks every shard for its horizon, then runs the shards ahead
-//! in isolation and checks every message they emit against the claim.
+//! A shard leaps to its horizon within a window (after every cycle it
+//! executes), and the whole machine leaps to the minimum over the
+//! front-end and every shard at a barrier — so both skips are sound
+//! only if a horizon claim is *conservative*: a shard claiming "no
+//! activity before cycle `h`" must never produce a cross-shard message
+//! stamped earlier than `h` when simply run forward. This suite drives
+//! real machines (random host mixes, NDA streams, both host
+//! schedulers, random seeds) to a random mid-stream point, asks every
+//! shard for its horizon, then runs the shards ahead in isolation and
+//! checks every message they emit against the claim.
 //!
-//! The thread-count and fixed-window lockstep suites
-//! (`chopim-exp/tests/shard_lockstep.rs`) prove the *end-to-end*
+//! The fast-forward and thread-count lockstep suites
+//! (`chopim-exp/tests/{ff,shard}_lockstep.rs`) prove the *end-to-end*
 //! schedule is unchanged by skipping; this suite pins the local
 //! invariant that makes those hold, in a form that fails with the
 //! offending shard and cycle when a future horizon term goes stale.

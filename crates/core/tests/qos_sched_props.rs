@@ -17,8 +17,7 @@
 //! * latency-sensitive tenants wait no longer for their first launch
 //!   than the batch tenants they preempt;
 //! * the whole QoS schedule is bit-identical across serial, 2- and
-//!   4-thread engines, the naive and fast-forward loops, and the
-//!   fixed-window oracle;
+//!   4-thread engines and the naive and fast-forward loops;
 //! * executor admission control: in-flight caps admit, the bounded
 //!   queue parks in FIFO order, overflow rejects deterministically with
 //!   `QueueFull`, and rejection leaves the session able to resubmit.
@@ -263,7 +262,7 @@ fn latency_sensitive_waits_less_than_batch() {
 
 /// Run a 12-tenant mixed-class streaming fleet on a 4-channel machine
 /// under one engine mode and return the finalized report.
-fn fleet_report(seed: u64, classes: &[u8], threads: usize, ff: bool, fixed: bool) -> SimReport {
+fn fleet_report(seed: u64, classes: &[u8], threads: usize, ff: bool) -> SimReport {
     let mut cfg = ChopimConfig {
         dram: DramConfig::table_ii().with_channels(4),
         seed,
@@ -271,7 +270,6 @@ fn fleet_report(seed: u64, classes: &[u8], threads: usize, ff: bool, fixed: bool
     };
     cfg.sim_threads = threads;
     cfg.fast_forward = ff;
-    cfg.fixed_window = fixed;
     let mut sys = ChopimSystem::new(cfg);
     let n = 1 << 12;
     let vecs: Vec<VecId> = (0..6)
@@ -302,23 +300,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The QoS schedule is an engine-mode invariant: serial, 2- and
-    /// 4-thread workers, the naive loop, and the fixed-window oracle
-    /// must all produce bit-identical reports (tenant metering
-    /// included) for a random mixed-class fleet.
+    /// 4-thread workers and the naive loop must all produce
+    /// bit-identical reports (tenant metering included) for a random
+    /// mixed-class fleet.
     #[test]
     fn prop_qos_schedule_is_engine_mode_invariant(
         seed in 0u64..1000,
         classes in prop::collection::vec(any::<u8>(), 12),
     ) {
-        let oracle = fleet_report(seed, &classes, 1, true, false);
+        let oracle = fleet_report(seed, &classes, 1, true);
         prop_assert!(!oracle.tenants.is_empty());
-        for (label, threads, ff, fixed) in [
-            ("2-thread", 2usize, true, false),
-            ("4-thread", 4, true, false),
-            ("naive", 1, false, false),
-            ("fixed-window", 1, true, true),
+        for (label, threads, ff) in [
+            ("2-thread", 2usize, true),
+            ("4-thread", 4, true),
+            ("naive", 1, false),
         ] {
-            let got = fleet_report(seed, &classes, threads, ff, fixed);
+            let got = fleet_report(seed, &classes, threads, ff);
             prop_assert_eq!(
                 &oracle, &got,
                 "{} engine diverged from the serial fast path (seed {})", label, seed

@@ -9,7 +9,8 @@
 //! sequences, under both page policies and both scheduler kinds, that:
 //!
 //! * the controller issues *exactly* the oracle's command stream;
-//! * while its wake-up hint is live, the oracle expects no command;
+//! * while its wake-up hint is live — as left by the last tick's scan
+//!   and lowered by every push since — the oracle expects no command;
 //! * its cached oldest-read rank equals a full scan.
 
 use chopim_core::sched::{HostMc, HostTransaction, PagePolicy, SchedulerKind, TxMeta};
@@ -202,7 +203,7 @@ fn run_case(seed: u64, scheduler: SchedulerKind, page_policy: PagePolicy, cycles
         // Random arrivals (respecting the same admission the MC applies).
         for _ in 0..rng.gen_range(0..3u32) {
             let tx = rand_tx(&mut rng, &cfg, now);
-            if mc.try_push(tx) {
+            if mc.try_push(tx, &ch, now) {
                 oracle.push(tx);
             }
         }
@@ -218,8 +219,9 @@ fn run_case(seed: u64, scheduler: SchedulerKind, page_policy: PagePolicy, cycles
         );
 
         let expected = oracle.expected(&ch, now);
-        // `try_push` drops the hint, so a live hint comes from the last
-        // tick's own scan: it promises nothing can issue before it.
+        // A live hint comes from the last tick's own scan, lowered by
+        // this cycle's pushes (or dropped by one that latches the write
+        // drain): it promises nothing can issue before it.
         if let Some(h) = mc.wake_hint() {
             if now < h {
                 assert!(

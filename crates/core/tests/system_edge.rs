@@ -2,6 +2,7 @@
 //! quiescence, and report stability.
 
 use chopim_core::prelude::*;
+use chopim_dram::trace::TraceEvent;
 use chopim_dram::TimingChecker;
 
 fn cfg() -> ChopimConfig {
@@ -43,7 +44,7 @@ fn refresh_and_nda_traffic_interleave_legally() {
         mix: Some(MixId::new(5).unwrap()),
         ..ChopimConfig::default()
     });
-    sys.enable_mem_trace();
+    sys.enable_trace_capture();
     let x = sys.runtime.vector(1 << 14, Sharing::Shared);
     let y = sys.runtime.vector(1 << 14, Sharing::Shared);
     sys.runtime.write_vector(x, &vec![1.0; 1 << 14]);
@@ -60,15 +61,24 @@ fn refresh_and_nda_traffic_interleave_legally() {
         r.dram.refreshes
     );
     assert!(r.dram.reads_nda > 0);
-    let trace = sys.take_mem_trace();
+    let trace = sys.trace_events();
     let dcfg = DramConfig::table_ii();
     for ch in 0..dcfg.channels {
         let mut checker = TimingChecker::new(&dcfg);
-        for (c, at, cmd, issuer) in trace.iter().filter(|e| e.0 == ch) {
-            let _ = c;
-            checker
-                .step(*at, cmd, *issuer)
-                .unwrap_or_else(|e| panic!("{e}"));
+        for e in &trace {
+            if let TraceEvent::Cmd {
+                cycle,
+                channel,
+                cmd,
+                issuer,
+            } = e
+            {
+                if *channel as usize == ch {
+                    checker
+                        .step(*cycle, cmd, *issuer)
+                        .unwrap_or_else(|e| panic!("{e}"));
+                }
+            }
         }
     }
 }

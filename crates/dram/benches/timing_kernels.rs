@@ -95,7 +95,7 @@ fn bench_sched_pick(c: &mut Criterion) {
             cfg.timing.refi,
         );
         for k in 0..32usize {
-            let ok = mc.try_push(HostTransaction {
+            let tx = HostTransaction {
                 addr: DramAddress {
                     channel: 0,
                     rank: k % 2,
@@ -110,8 +110,8 @@ fn bench_sched_pick(c: &mut Criterion) {
                     req: k as u64,
                 },
                 arrival: 0,
-            });
-            assert!(ok);
+            };
+            assert!(mc.try_push(tx, &ch, 0));
         }
         (ch, mc)
     };

@@ -57,8 +57,8 @@ pub enum Counter {
     NdaMemoMiss,
     /// Window barriers executed by the sharded engine (front-end scope).
     Barriers,
-    /// Shard-windows actually ticked (a barrier over `N` shards where
-    /// `Q` were quiet counts `N - Q`).
+    /// Shard-windows run: every shard runs every window, so a barrier
+    /// over `N` shards counts `N`.
     WindowsExecuted,
     /// Cross-shard messages exchanged at barriers (ingress + fills +
     /// completions), front-end scope.
@@ -67,8 +67,9 @@ pub enum Counter {
     /// the per-scope value is a maximum; the flat snapshot sums scopes,
     /// so read this one from the per-scope table).
     ArenaHighWater,
-    /// Cycles a shard leapt past a window barrier because its computed
-    /// horizon proved it quiet (per-shard scope).
+    /// Always 0: no shard skips a window barrier (a quiet shard leaps
+    /// within the window instead). Kept because the repository
+    /// benchmark still names it.
     HorizonLeapCycles,
     /// Sessions examined by runtime launch arbitration
     /// (`next_launches` heap pops). The O(active) proof: this stays ≪

@@ -386,8 +386,8 @@ pub fn capture_prefix(spec: &ScenarioSpec, prefix: u64) -> Vec<u8> {
 /// resume the snapshot, spawn the workload, run the window. The image
 /// must come from a [`capture_prefix`] whose spec agrees with this one
 /// on the semantic configuration and seed — only the engine-mode knobs
-/// (`sim_threads`, `fixed_window`, `fast_forward`, `verify_fsm`,
-/// `trace_path`) may differ. Bit-identical to
+/// (`sim_threads`, `fast_forward`, `verify_fsm`, `trace_path`, and the
+/// inert `fixed_window`) may differ. Bit-identical to
 /// [`run_scenario_prefixed`] with the same prefix (enforced by
 /// `tests/snapshot_lockstep.rs`).
 pub fn run_scenario_from(spec: &ScenarioSpec, image: &[u8]) -> SimReport {

@@ -1,8 +1,7 @@
 //! Determinism of the fault plane itself: an *active* `FaultPlan` must
 //! produce bit-identical `SimReport`s — fault counters included —
-//! across serial, 2-thread, and 4-thread execution, across the naive
-//! and fast-forward loops, and across the fixed-window oracle. The
-//! fault streams are keyed on per-shard event counters (not wall
+//! across serial, 2-thread, and 4-thread execution, and across the
+//! naive and fast-forward loops. The fault streams are keyed on per-shard event counters (not wall
 //! cycles), and the only cycle-keyed fault (rank death) is folded into
 //! the shard horizon, so every engine variant must draw the exact same
 //! schedule and make the exact same recovery decisions.
@@ -45,27 +44,25 @@ fn faulted_spec(plan: &str, w: u64) -> ScenarioSpec {
 }
 
 /// The full engine cross-product on one spec: serial naive is the
-/// oracle; serial/2-thread/4-thread fast, 4-thread naive, and the
-/// fixed-window schedule must all match it bit-for-bit.
+/// oracle; serial/2-thread/4-thread fast and 4-thread naive must all
+/// match it bit-for-bit.
 fn assert_fault_lockstep(label: &str, spec: &ScenarioSpec) -> SimReport {
-    let run = |threads: usize, ff: bool, fixed: bool| {
+    let run = |threads: usize, ff: bool| {
         let mut s = spec.clone();
         s.cfg.sim_threads = threads;
         s.cfg.fast_forward = ff;
-        s.cfg.fixed_window = fixed;
         run_scenario(&s)
     };
-    let oracle = run(1, false, false);
-    for (mode, threads, ff, fixed) in [
-        ("serial fast", 1usize, true, false),
-        ("2-thread fast", 2, true, false),
-        ("4-thread fast", 4, true, false),
-        ("4-thread naive", 4, false, false),
-        ("fixed-window", 1, true, true),
+    let oracle = run(1, false);
+    for (mode, threads, ff) in [
+        ("serial fast", 1usize, true),
+        ("2-thread fast", 2, true),
+        ("4-thread fast", 4, true),
+        ("4-thread naive", 4, false),
     ] {
         assert_eq!(
             oracle,
-            run(threads, ff, fixed),
+            run(threads, ff),
             "{mode} diverged from serial naive under `{label}`"
         );
     }
@@ -151,14 +148,9 @@ const PREFIX: u64 = 4_003;
 fn assert_snapshot_under_faults(label: &str, spec: &ScenarioSpec) {
     let oracle = run_scenario_prefixed(spec, PREFIX);
     let image = capture_prefix(spec, PREFIX);
-    for (mode, threads, fixed) in [
-        ("serial", 1usize, false),
-        ("2-thread", 2, false),
-        ("fixed-window", 1, true),
-    ] {
+    for (mode, threads) in [("serial", 1usize), ("2-thread", 2)] {
         let mut s = spec.clone();
         s.cfg.sim_threads = threads;
-        s.cfg.fixed_window = fixed;
         assert_eq!(
             oracle,
             run_scenario_from(&s, &image),

@@ -170,47 +170,6 @@ fn shard_lockstep_wide_colocated_16ch() {
     run_matrix_entry("wide_colocated_16ch");
 }
 
-/// Fixed-window vs computed-horizon ablation: the conservative global
-/// window (the pre-horizon schedule, `CHOPIM_FIXED_WINDOW=1` in CI) and
-/// the per-shard computed horizons must produce bit-identical reports at
-/// every thread count — horizon skips may only elide provably idle shard
-/// cycles, never reorder a message or a tick.
-#[test]
-fn shard_lockstep_fixed_window_vs_computed_horizon() {
-    let matrix = perf_matrix(window().min(20_000));
-    for name in [
-        "host_only",
-        "host_idle",
-        "colocated_svrg",
-        "wide_host_8ch",
-        "wide_colocated_16ch",
-    ] {
-        let (_, spec) = matrix
-            .iter()
-            .find(|(n, _)| *n == name)
-            .expect("scenario in matrix");
-        for seed in [1, 7] {
-            let mut fixed = spec.clone();
-            fixed.seed = seed;
-            fixed.cfg.fixed_window = true;
-            fixed.cfg.sim_threads = 1;
-            let oracle = run_scenario(&fixed);
-            for threads in [1usize, 2, 4] {
-                let mut s = spec.clone();
-                s.seed = seed;
-                s.cfg.fixed_window = false;
-                s.cfg.sim_threads = threads;
-                assert_eq!(
-                    oracle,
-                    run_scenario(&s),
-                    "computed horizons diverged from the fixed-window oracle on \
-                     `{name}` ({threads} threads, seed {seed})"
-                );
-            }
-        }
-    }
-}
-
 /// The two-session dependency-graph scenario on a 4-channel machine:
 /// `(session, op)`-tagged completion routing crosses the shard boundary,
 /// so worker interleaving must not perturb DAG staging or fair-share

@@ -7,8 +7,8 @@
 //!
 //! * **Warm-start lockstep over the perf matrix**: for every scenario in
 //!   the shared `chopim_exp::perf_matrix`, run a warm-up prefix, fork a
-//!   snapshot, and check that resuming under serial, 2-thread, and
-//!   fixed-window engines all reproduce the cold-path oracle
+//!   snapshot, and check that resuming under serial and 2-thread
+//!   engines both reproduce the cold-path oracle
 //!   ([`run_scenario_prefixed`]) bit-for-bit. The prefix is deliberately
 //!   off the lookahead-window grid, so mid-window ingress accounting,
 //!   refresh phases, and the CPU-clock divider are all captured
@@ -43,13 +43,12 @@ fn window() -> u64 {
 /// capture point sits mid-window.
 const PREFIX: u64 = 4_003;
 
-/// Cold oracle vs snapshot-resume under {serial, 2-thread,
-/// fixed-window}: all four reports must be bit-identical.
+/// Cold oracle vs snapshot-resume under {serial, 2-thread}: all three
+/// reports must be bit-identical.
 fn assert_snapshot_lockstep(name: &str, spec: &ScenarioSpec, seed: u64) {
     let mut spec = spec.clone();
     spec.seed = seed;
     spec.cfg.sim_threads = 1;
-    spec.cfg.fixed_window = false;
     let oracle = run_scenario_prefixed(&spec, PREFIX);
     let image = capture_prefix(&spec, PREFIX);
 
@@ -64,13 +63,6 @@ fn assert_snapshot_lockstep(name: &str, spec: &ScenarioSpec, seed: u64) {
         oracle,
         run_scenario_from(&par, &image),
         "2-thread resume diverged from the cold run on `{name}` (seed {seed})"
-    );
-    let mut fixed = spec.clone();
-    fixed.cfg.fixed_window = true;
-    assert_eq!(
-        oracle,
-        run_scenario_from(&fixed, &image),
-        "fixed-window resume diverged from the cold run on `{name}` (seed {seed})"
     );
 }
 
@@ -252,15 +244,10 @@ fn snapshot_mid_flight_dag() {
         let image = sys.snapshot().expect("no streams spawned yet");
         drop(sys);
 
-        for (label, threads, fixed) in [
-            ("serial", 1usize, false),
-            ("2-thread", 2, false),
-            ("fixed-window", 1, true),
-        ] {
+        for (label, threads) in [("serial", 1usize), ("2-thread", 2)] {
             let mut cfg = base_cfg();
             cfg.seed = seed;
             cfg.sim_threads = threads;
-            cfg.fixed_window = fixed;
             let resumed = ChopimSystem::resume(cfg, &image).expect("image must resume");
             assert_eq!(
                 oracle,
@@ -366,15 +353,10 @@ fn snapshot_mid_flight_qos_executor() {
         let image = sys.snapshot().expect("no streams spawned");
         drop(sys);
 
-        for (label, threads, fixed) in [
-            ("serial", 1usize, false),
-            ("2-thread", 2, false),
-            ("fixed-window", 1, true),
-        ] {
+        for (label, threads) in [("serial", 1usize), ("2-thread", 2)] {
             let mut cfg = base_cfg();
             cfg.seed = seed;
             cfg.sim_threads = threads;
-            cfg.fixed_window = fixed;
             let resumed = ChopimSystem::resume(cfg, &image).expect("image must resume");
             assert_eq!(
                 oracle,
@@ -390,7 +372,6 @@ fn snapshot_mid_flight_qos_executor() {
 fn pinned(cfg: ChopimConfig) -> ChopimConfig {
     ChopimConfig {
         sim_threads: 1,
-        fixed_window: false,
         trace_path: None,
         ..cfg
     }
@@ -401,7 +382,7 @@ fn fingerprint(image: &[u8]) -> (usize, u64) {
     (image.len(), chopim_dram::codec::fnv1a(image))
 }
 
-/// The CHSS v6 bytes of four fixed machines, pinned. Any change to the
+/// The CHSS v7 bytes of four fixed machines, pinned. Any change to the
 /// encoded layout — a field added, dropped, reordered, or re-encoded in
 /// any component codec — moves at least one of these and must come with
 /// a format version bump (`docs/SNAPSHOT_FORMAT.md`, "Versioning").
@@ -416,7 +397,7 @@ fn snapshot_bytes_are_pinned() {
     assert_eq!(
         image[..48],
         [
-            0x43, 0x48, 0x53, 0x53, 0x06, 0x00, 0x00, 0x00, 0x8a, 0xc4, 0x02, 0x00, 0x00, 0x00,
+            0x43, 0x48, 0x53, 0x53, 0x07, 0x00, 0x00, 0x00, 0x80, 0xc4, 0x02, 0x00, 0x00, 0x00,
             0x00, 0x00, 0xd6, 0x89, 0x55, 0x41, 0xe5, 0x68, 0xf9, 0xf9, 0x00, 0x00, 0x00, 0x00,
             0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
             0x00, 0x10, 0x10, 0x10, 0x10, 0x00,
@@ -425,7 +406,7 @@ fn snapshot_bytes_are_pinned() {
     );
     assert_eq!(
         fingerprint(&image),
-        (181_410, 0x97ca_01ba_2530_317e),
+        (181_400, 0x5c8c_bbe7_cdc2_a39b),
         "default"
     );
 
@@ -454,7 +435,7 @@ fn snapshot_bytes_are_pinned() {
     let image = sys.snapshot().expect("mid-flight capture");
     assert_eq!(
         fingerprint(&image),
-        (207_212, 0xde97_d9f9_5b48_1614),
+        (207_200, 0xec62_686c_d957_9e89),
         "faulty"
     );
 
@@ -470,11 +451,11 @@ fn snapshot_bytes_are_pinned() {
     let (mut sys, _, _) = dag_machine(cfg(), 1);
     sys.run(777);
     let image = sys.snapshot().expect("no streams");
-    assert_eq!(fingerprint(&image), (322_614, 0xfba4_3008_4efe_b089), "dag");
+    assert_eq!(fingerprint(&image), (322_582, 0x3fcc_1a4a_1b4a_3a26), "dag");
     let (mut sys, _, _) = qos_machine(cfg(), 1);
     sys.run(777);
     let image = sys.snapshot().expect("no streams");
-    assert_eq!(fingerprint(&image), (453_990, 0x5281_8280_391b_e20e), "qos");
+    assert_eq!(fingerprint(&image), (453_958, 0x2489_012c_8e30_11bb), "qos");
 }
 
 /// Capture → replay: re-issuing the recorded command stream through the
@@ -608,7 +589,6 @@ fn snapshot_rejects_damage_and_config_mismatch() {
     // Engine-mode knobs are free.
     let mut free = cfg();
     free.sim_threads = 2;
-    free.fixed_window = true;
     free.fast_forward = false;
     assert!(ChopimSystem::resume(free, &image).is_ok());
 }
@@ -640,7 +620,7 @@ fn warm_start_sweep_matches_cold_runs() {
     let mut p1 = base.clone();
     p1.cfg.sim_threads = 2;
     let mut p2 = base.clone();
-    p2.cfg.fixed_window = true;
+    p2.cfg.fast_forward = false;
     let mut p3 = base.clone();
     p3.workload = Workload::elementwise(Opcode::Dot, 1 << 14);
     let specs = vec![base.clone(), p1, p2, p3];

@@ -18,6 +18,12 @@
 //! * the planned command and its ready time are keyed on the rank's
 //!   [NDA epoch](chopim_dram::Rank::nda_epoch) — they are recomputed only
 //!   after a command actually touched this rank.
+//!
+//! The plan memo is also the controller's wake-up: while it is current,
+//! [`planned_ready`](NdaRankController::planned_ready) is the exact cycle
+//! before which an offered tick does nothing, so the shard skips those
+//! cycles. Every command to the rank — host or NDA, row or column — bumps
+//! the epoch and so retires the wake-up with the plan.
 
 use chopim_dram::perfcount::{self, Counter};
 use chopim_dram::{Channel, Command, CommandKind, Cycle, Issuer};
@@ -60,12 +66,6 @@ pub struct NdaRankController {
     plan_cmd: Command,
     /// Earliest cycle `plan_cmd` satisfies timing.
     plan_ready: Cycle,
-    /// Timing-derived wake-up: the desired command cannot issue (and no
-    /// policy evaluation happens) before this cycle. Valid until this
-    /// controller issues, a launch arrives, or the host commands this
-    /// rank ([`invalidate_hint`](Self::invalidate_hint)); within that
-    /// window the caller may skip offering cycles entirely.
-    ready_hint: Option<Cycle>,
     /// Row commands issued (ACT + PRE), for stats.
     pub row_cmds: u64,
     /// Cycles the controller was offered the bus but throttled on a write.
@@ -86,7 +86,6 @@ impl NdaRankController {
             plan_epoch: MEMO_INVALID,
             plan_cmd: Command::pre(0, 0, 0),
             plan_ready: 0,
-            ready_hint: None,
             row_cmds: 0,
             write_throttle_stalls: 0,
         }
@@ -120,7 +119,6 @@ impl NdaRankController {
     pub fn launch(&mut self, instr: NdaInstr) -> Result<(), NdaInstr> {
         // A launch can change the desired access (e.g. ending a
         // force-drain); the cached plan must be re-derived.
-        self.ready_hint = None;
         self.want_valid = false;
         self.plan_epoch = MEMO_INVALID;
         self.fsm.launch(instr)
@@ -128,28 +126,33 @@ impl NdaRankController {
 
     /// Permanently abandon all queued, running, and buffered work
     /// (rank-death support): aborts the FSM and clears the cached
-    /// desired access and wake-up hint so the controller reads as idle
+    /// desired access and plan so the controller reads as idle
     /// immediately — `desired_access` returns `None` and
     /// `next_event_cycle` returns [`Cycle::MAX`].
     pub fn abort_all(&mut self) {
         self.fsm.abort_all();
         self.want = None;
         self.want_valid = true;
-        self.ready_hint = None;
         self.plan_epoch = MEMO_INVALID;
     }
 
-    /// Drop the cached wake-up time because the host issued a command to
-    /// this rank (its timing registers or bank state changed; the plan
-    /// memo self-invalidates through the rank epoch).
-    pub fn invalidate_hint(&mut self) {
-        self.ready_hint = None;
+    /// True from a launch until the next offered tick re-derives the
+    /// desired access from the FSM. That tick must run: it is where a
+    /// launch takes effect.
+    pub fn launch_pending(&self) -> bool {
+        !self.want_valid
     }
 
-    /// The cycle before which this controller provably cannot issue (and
-    /// performs no policy evaluation), if known. See `ready_hint` field.
-    pub fn ready_hint(&self) -> Option<Cycle> {
-        self.ready_hint
+    /// The exact cycle the desired command becomes ready, while the plan
+    /// memo is current (no command touched the rank since it was made).
+    /// An offered tick before that cycle does nothing, policy evaluation
+    /// included. `None` while idle, with a launch pending, or once the
+    /// memo is stale.
+    pub fn planned_ready(&self, ch: &Channel) -> Option<Cycle> {
+        let current = self.want_valid
+            && self.want.is_some()
+            && self.plan_epoch == ch.rank_nda_epoch(self.rank);
+        current.then_some(self.plan_ready)
     }
 
     /// The cached desired access, refreshing it from the FSM if a launch
@@ -214,11 +217,6 @@ impl NdaRankController {
         // window are provably draw-free and may be skipped).
         self.ensure_plan(ch, acc);
         if self.plan_ready > now {
-            // Cache the wake-up: nothing can make this command ready
-            // earlier, and every event that could change the plan
-            // (host command to this rank, launch, own issue) clears
-            // the hint.
-            self.ready_hint = Some(self.plan_ready);
             return NdaTickResult::Blocked;
         }
         if ch.rank(self.rank).cmd_mux_busy(now) {
@@ -230,7 +228,6 @@ impl NdaRankController {
         }
         let cmd = self.plan_cmd;
         ch.issue_prechecked(&cmd, Issuer::Nda, now);
-        self.ready_hint = None;
         match cmd.kind {
             CommandKind::Rd | CommandKind::Wr => {
                 self.fsm.commit(acc);
@@ -242,14 +239,10 @@ impl NdaRankController {
             }
             _ => self.row_cmds += 1,
         }
-        // Pre-compute the wake-up for the next desired access against the
-        // post-issue timing state so the blocked window can be skipped
-        // (this also warms the plan memo for the post-issue epoch).
+        // Warm the plan memo for the next desired access against the
+        // post-issue epoch, so `planned_ready` can skip the blocked window.
         if let Some(next) = self.want {
             self.ensure_plan(ch, next);
-            if self.plan_ready > now {
-                self.ready_hint = Some(self.plan_ready);
-            }
         }
         NdaTickResult::Issued(cmd)
     }
@@ -292,10 +285,12 @@ impl NdaRankController {
     }
 }
 
-// The memo fields (`want`, plan, hint) are captured verbatim rather than
+// The memo fields (`want`, plan) are captured verbatim rather than
 // re-derived: re-deriving on restore would change which cycles get
 // offered to the FSM and shift `write_throttle_stalls`, breaking resume
-// bit-identity. The identity fields cross-check the restoring shard.
+// bit-identity, and the plan doubles as the controller's wake-up, so a
+// resumed shard skips exactly the cycles an uninterrupted one does. The
+// identity fields cross-check the restoring shard.
 chopim_dram::codec! {
     in_place NdaRankController {
         channel: expect,
@@ -307,7 +302,6 @@ chopim_dram::codec! {
         plan_epoch,
         plan_cmd,
         plan_ready,
-        ready_hint: opt_cycle,
         row_cmds,
         write_throttle_stalls,
     }
@@ -419,19 +413,26 @@ mod tests {
     fn plan_memo_tracks_host_interference() {
         let (mut ch, mut ctl) = setup();
         ctl.launch(copy_instr(64, 7)).unwrap();
-        // First offered cycle plans and issues an ACT.
+        assert!(ctl.launch_pending());
+        // First offered cycle plans and issues an ACT, then plans the
+        // next access: the memo is current and serves as the wake-up.
         let r = ctl.tick(&mut ch, 0, || true);
         assert!(matches!(r, NdaTickResult::Issued(c) if c.kind == CommandKind::Act));
+        assert!(!ctl.launch_pending());
+        assert!(ctl.planned_ready(&ch).is_some());
         // Host command to the same rank moves its timing; the memoized
         // plan must be re-derived (epoch moved), not trusted.
         let epoch_before = ch.rank_nda_epoch(1);
         ch.issue(&Command::act(1, 3, 3, 9), Issuer::Host, 10)
             .unwrap();
         assert_ne!(ch.rank_nda_epoch(1), epoch_before);
-        ctl.invalidate_hint();
+        assert_eq!(ctl.planned_ready(&ch), None);
+        // The next offered tick re-plans.
+        ctl.tick(&mut ch, 11, || true);
+        assert!(ctl.planned_ready(&ch).is_some());
         // The controller still makes progress and never issues illegally.
         let mut issued = 0;
-        for now in 11..50_000u64 {
+        for now in 12..50_000u64 {
             if let NdaTickResult::Issued(_) = ctl.tick(&mut ch, now, || true) {
                 issued += 1;
             }
