@@ -17,9 +17,8 @@
 //! * [`runtime`] — the §V runtime/API: colored system-row allocation,
 //!   per-tenant [`Session`]s with builder-style op
 //!   submission (with the Fig.-10 granularity knob), dependency-aware
-//!   op-graph staging, macro ops, host-mediated reduction, QoS-class
-//!   arbitration over an O(active) ready index, and a batched-submission
-//!   executor with admission control ([`runtime::JobGraph`]);
+//!   op-graph staging, macro ops, host-mediated reduction, and QoS-class
+//!   arbitration over an O(active) ready index;
 //! * [`energy`] — the Table-II energy model;
 //! * [`report`] — the metrics the figures plot.
 //!
@@ -77,8 +76,8 @@ pub mod prelude {
     pub use crate::policy::WriteIssuePolicy;
     pub use crate::report::{FaultReport, SimReport, TenantReport};
     pub use crate::runtime::{
-        JobGraph, LaunchOpts, MatId, OpBuilder, OpHandle, OpStatus, QosClass, Runtime, Session,
-        Sharing, SubmitError, TenantLimits, Ticket, VecId,
+        LaunchOpts, MatId, OpBuilder, OpHandle, OpStatus, QosClass, Runtime, Session, Sharing,
+        VecId,
     };
     pub use crate::sched::{PagePolicy, SchedulerKind};
     pub use crate::system::{ChopimConfig, ChopimSystem, SnapshotError, StreamId, Waitable};

@@ -49,12 +49,12 @@ pub struct SimReport {
     pub faults: FaultReport,
     /// Per-tenant metering, one entry per session in session order
     /// (session 0 is the implicit default session). Part of the report's
-    /// `PartialEq`: the lockstep suites pin admission decisions and the
-    /// per-tenant stall/wait split bit-identically.
+    /// `PartialEq`: the lockstep suites pin the per-tenant op counts and
+    /// stall/wait split bit-identically.
     pub tenants: Vec<TenantReport>,
 }
 
-/// Per-tenant (per-session) executor metering for one simulation window.
+/// Per-tenant (per-session) metering for one simulation window.
 ///
 /// Cycle accounting splits an op's resident time at its first launch:
 /// `cycles_resident = launch_wait_cycles + service_cycles` for completed
@@ -70,12 +70,8 @@ pub struct TenantReport {
     /// Ops that reached a non-`Completed` terminal state (failed, timed
     /// out, dep-failed — host fallbacks count as completed).
     pub ops_failed: u64,
-    /// Job graphs refused with `QueueFull` (admission backpressure).
-    pub jobs_rejected: u64,
     /// Cycles terminal ops spent live (submission to conclusion), summed.
     pub cycles_resident: u64,
-    /// Cycles admitted job graphs spent queued behind the in-flight cap.
-    pub admission_wait_cycles: u64,
     /// Cycles terminal ops waited from submission to first launch
     /// (arbitration + dependency + credit stalls).
     pub launch_wait_cycles: u64,
@@ -90,9 +86,7 @@ chopim_dram::codec! {
         ops_submitted,
         ops_completed,
         ops_failed,
-        jobs_rejected,
         cycles_resident,
-        admission_wait_cycles,
         launch_wait_cycles,
         service_cycles,
         session: skip,

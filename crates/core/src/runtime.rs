@@ -30,7 +30,7 @@
 //! [`OpBuilder::after`] edges, which may reference handles from *any*
 //! session. Dependent ops stage only when every parent has retired.
 //!
-//! Across sessions, [`Runtime::next_launches`] arbitrates by QoS class
+//! Across sessions, [`Runtime::next_launch`] arbitrates by QoS class
 //! ([`QosClass`]): latency-sensitive sessions take strict priority, and
 //! batch sessions share the remainder by weighted virtual time — integer
 //! arithmetic only, so schedules stay bit-identical across engines and
@@ -38,7 +38,7 @@
 //! sessions live in a ready index (per-band heaps plus per-NDA credit
 //! waitlists and a retry wake heap) and are touched only when an event —
 //! submit, dependency retirement, credit return, retry expiry, fault
-//! quarantine, job admission — can actually change what they may stage.
+//! quarantine — can actually change what they may stage.
 //!
 //! ## Credit waitlists
 //!
@@ -58,15 +58,12 @@
 //! 2. A popped session woken by `k` that does not take `k`'s credit (it
 //!    is served on another NDA through an unordered op, or it re-parks)
 //!    hands the credit on: if `k` still has one after the pass's
-//!    launches, `k`'s next waiter wakes.
+//!    launch, `k`'s next waiter wakes.
 //! 3. [`set_qos`](Runtime::set_qos) re-notifies a parked session, whose
 //!    waitlist keys went stale, and makes a woken one hand its credit on.
 //! 4. Fault quarantine wakes every waiter of every NDA (the cold path).
 //!
-//! On top of direct submission sits a batched executor:
-//! [`Runtime::submit_job`] accepts a declarative [`JobGraph`] under
-//! per-tenant admission control ([`TenantLimits`]) and returns a
-//! [`Ticket`]; per-tenant metering surfaces in `SimReport::tenants`.
+//! Per-tenant metering surfaces in `SimReport::tenants`.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
@@ -163,7 +160,6 @@ chopim_dram::codec! { OpHandle { sess, idx } }
 chopim_dram::codec! { VecId(i) }
 chopim_dram::codec! { MatId(i) }
 chopim_dram::codec! { LaunchOpts { granularity_lines, barrier_per_chunk } }
-chopim_dram::codec! { TenantLimits { max_inflight_ops, queue_depth } }
 chopim_dram::codec! { enum QosClass { 0 => LatencySensitive, 1 => Batch { weight } } }
 
 chopim_dram::codec! {
@@ -243,7 +239,7 @@ impl Default for LaunchOpts {
 }
 
 /// QoS scheduling class of a session — the arbitration key of
-/// [`Runtime::next_launches`] (see [`Runtime::set_qos`]).
+/// [`Runtime::next_launch`] (see [`Runtime::set_qos`]).
 ///
 /// Classes form two strict bands: every stageable `LatencySensitive`
 /// session is served before any `Batch` session. Within a band sessions
@@ -295,212 +291,6 @@ impl QosClass {
 /// by a heavier batch peer.
 const QUANTUM: u64 = 1 << 20;
 
-/// Admission-control limits of one session (executor API; see
-/// [`Runtime::set_tenant_limits`]). The defaults admit everything — the
-/// pre-executor behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TenantLimits {
-    /// Maximum live (submitted, not yet terminal) ops, realignment
-    /// copies included. A job graph that would exceed this is queued
-    /// instead of admitted.
-    pub max_inflight_ops: u32,
-    /// Queued (accepted, not yet admitted) job graphs the session may
-    /// hold; submitting past it fails with [`SubmitError::QueueFull`].
-    pub queue_depth: u32,
-}
-
-impl Default for TenantLimits {
-    fn default() -> Self {
-        Self {
-            max_inflight_ops: u32::MAX,
-            queue_depth: 0,
-        }
-    }
-}
-
-/// Handle to a job graph accepted by [`Runtime::submit_job`]. Resolves
-/// through [`Runtime::ticket_done`] once every op the graph produced
-/// (realignment copies included) reached a terminal state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Ticket {
-    sess: u32,
-    job: u32,
-}
-
-impl Ticket {
-    /// The session the job was submitted to.
-    pub fn session(self) -> Session {
-        Session { id: self.sess }
-    }
-}
-
-/// Why [`Runtime::submit_job`] refused a job graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The session is at its in-flight cap and its job queue (bounded by
-    /// [`TenantLimits::queue_depth`]) is full. Deterministic
-    /// backpressure — resubmit after the queue drains.
-    QueueFull,
-}
-
-/// What one [`OpBuilder`] or one node of a [`JobGraph`] launches. It is
-/// fully serializable, so queued jobs survive snapshots.
-#[derive(Debug, Clone)]
-enum JobKind {
-    Elementwise {
-        op: Opcode,
-        scalars: Vec<f32>,
-        inputs: Vec<VecId>,
-        output: Option<VecId>,
-    },
-    Gemv {
-        y: VecId,
-        a: MatId,
-        x: VecId,
-    },
-    AxpyRows {
-        a_pvt: VecId,
-        alphas: Vec<f32>,
-        x: MatId,
-        samples_per_instr: usize,
-    },
-}
-
-#[derive(Debug, Clone)]
-struct JobNode {
-    kind: JobKind,
-    opts: LaunchOpts,
-    /// Intra-graph parents (indices of earlier nodes).
-    parents: Vec<u32>,
-    /// External parents (already-submitted ops, any session).
-    after_ops: Vec<OpHandle>,
-    ordered: bool,
-}
-
-/// A declarative batch of ops submitted as one unit through the
-/// executor ([`Runtime::submit_job`]): nodes plus DAG edges, resolved
-/// into real submissions at admission time. Building a graph performs no
-/// runtime work, so graphs can be held in the bounded admission queue
-/// and admitted later (queued graphs serialize into snapshots).
-#[derive(Debug, Clone, Default)]
-pub struct JobGraph {
-    nodes: Vec<JobNode>,
-}
-
-impl JobGraph {
-    /// An empty graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of nodes (ops the graph submits, before realignment).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    fn push(&mut self, kind: JobKind) -> usize {
-        self.nodes.push(JobNode {
-            kind,
-            opts: LaunchOpts::default(),
-            parents: Vec::new(),
-            after_ops: Vec::new(),
-            ordered: true,
-        });
-        self.nodes.len() - 1
-    }
-
-    /// Add an elementwise Table-I node; returns its node index.
-    pub fn elementwise(
-        &mut self,
-        op: Opcode,
-        scalars: Vec<f32>,
-        inputs: Vec<VecId>,
-        output: Option<VecId>,
-    ) -> usize {
-        self.push(JobKind::Elementwise {
-            op,
-            scalars,
-            inputs,
-            output,
-        })
-    }
-
-    /// Add a `y = A x` node; returns its node index.
-    pub fn gemv(&mut self, y: VecId, a: MatId, x: VecId) -> usize {
-        self.push(JobKind::Gemv { y, a, x })
-    }
-
-    /// Add a `parallel_for` macro node; returns its node index.
-    pub fn axpy_rows(
-        &mut self,
-        a_pvt: VecId,
-        alphas: Vec<f32>,
-        x: MatId,
-        samples_per_instr: usize,
-    ) -> usize {
-        self.push(JobKind::AxpyRows {
-            a_pvt,
-            alphas,
-            x,
-            samples_per_instr,
-        })
-    }
-
-    /// DAG edge inside the graph: `node` waits for `parent`, an earlier
-    /// node index of this graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `parent < node < len()`.
-    pub fn after(&mut self, node: usize, parent: usize) -> &mut Self {
-        assert!(
-            parent < node && node < self.nodes.len(),
-            "edge must point backward within the graph"
-        );
-        self.nodes[node].parents.push(parent as u32);
-        self
-    }
-
-    /// DAG edge to an op submitted outside the graph.
-    pub fn after_op(&mut self, node: usize, parent: OpHandle) -> &mut Self {
-        self.nodes[node].after_ops.push(parent);
-        self
-    }
-
-    /// Opt `node` out of session program order (gated by its edges
-    /// alone).
-    pub fn unordered(&mut self, node: usize) -> &mut Self {
-        self.nodes[node].ordered = false;
-        self
-    }
-
-    /// Replace `node`'s launch options.
-    pub fn opts(&mut self, node: usize, opts: LaunchOpts) -> &mut Self {
-        self.nodes[node].opts = opts;
-        self
-    }
-}
-
-/// One job accepted by the executor: still queued behind admission
-/// control, or admitted as the session-op range `[base, end)`
-/// (realignment copies included).
-#[derive(Debug, Clone)]
-enum JobState {
-    Queued(JobGraph),
-    Admitted { base: u32, end: u32 },
-}
-
-#[derive(Debug, Clone)]
-struct JobRecord {
-    state: JobState,
-    enqueued_at: u64,
-}
-
 /// Where a session currently lives in the ready index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum SchedState {
@@ -547,6 +337,8 @@ pub struct PendingLaunch {
     pub chunk: usize,
 }
 
+/// What one op computes: built by an [`OpBuilder`], split into launches
+/// at submission, and kept in the op record for functional execution.
 #[derive(Debug)]
 enum OpKind {
     Elementwise {
@@ -560,11 +352,13 @@ enum OpKind {
         a: MatId,
         x: VecId,
     },
-    /// `parallel_for` macro op: per-sample `a_pvt += alpha_i * X[i]`.
-    MacroAxpyRows {
+    /// `parallel_for` macro op: per-sample `a_pvt += alpha_i * X[i]`,
+    /// `samples_per_instr` samples batched per NDA instruction.
+    AxpyRows {
         a_pvt: VecId,
         alphas: Vec<f32>,
         x: MatId,
+        samples_per_instr: usize,
     },
 }
 
@@ -595,8 +389,7 @@ struct OpState {
     first_staged_at: Option<u64>,
     /// Cycle at which the op finished (set on the completing instruction).
     finished_at: Option<u64>,
-    /// Terminal status (`None` while live; always `Some` once `done`
-    /// under fault recovery).
+    /// Terminal status (`None` while live, `Some` once `done`).
     status: Option<OpStatus>,
     /// Instruction retries charged against this op's retry budget.
     retries: u32,
@@ -616,6 +409,46 @@ struct OpState {
     /// ready index and the failure cascade. Derived state — rebuilt on
     /// snapshot resume, never serialized.
     dependents: Vec<OpHandle>,
+}
+
+impl OpState {
+    /// A live op record: `pending` holds its launches in chunk order,
+    /// `chunk_sizes[c]` of them in chunk `c`. Stamped and indexed by
+    /// `Runtime::push_op`.
+    fn new(
+        kind: OpKind,
+        pending: VecDeque<PendingLaunch>,
+        chunk_sizes: Vec<u32>,
+        opts: LaunchOpts,
+        deps: Vec<OpHandle>,
+        ordered: bool,
+        instr_base: u64,
+    ) -> Self {
+        Self {
+            kind,
+            total_instrs: pending.len() as u64,
+            pending,
+            completed_instrs: 0,
+            chunk_completed: vec![0; chunk_sizes.len()],
+            chunk_sizes,
+            released_chunks: 0,
+            barrier: opts.barrier_per_chunk,
+            result: None,
+            done: false,
+            deps,
+            ordered,
+            instr_base,
+            first_staged_at: None,
+            finished_at: None,
+            status: None,
+            retries: 0,
+            retry_after: 0,
+            deadline_at: None,
+            fallback_host: false,
+            submitted_at: 0,
+            dependents: Vec::new(),
+        }
+    }
 }
 
 /// One session's submission state.
@@ -642,30 +475,12 @@ struct SessionState {
     /// The NDA whose returned credit woke this session, until its band
     /// heap entry is popped (rule 2 of the module docs).
     woken_by: Option<u32>,
-    /// Live (submitted, not terminal) ops — the admission-control gauge.
+    /// Live (submitted, not terminal) ops: an idle session's next
+    /// submission floors its virtual time (see `push_op`).
     live_ops: u32,
-    /// Admission-control limits (executor API).
-    limits: TenantLimits,
-    /// Every job the executor accepted (the ticket table).
-    jobs: Vec<JobRecord>,
-    /// Indices into `jobs` still awaiting admission, FIFO.
-    job_queue: VecDeque<u32>,
     /// Per-tenant metering, surfaced as `SimReport::tenants`.
     meter: TenantReport,
 }
-
-chopim_dram::codec! {
-    enum JobKind {
-        0 => Elementwise { op, scalars, inputs, output },
-        1 => Gemv { y, a, x },
-        2 => AxpyRows { a_pvt, alphas, x, samples_per_instr },
-    }
-}
-
-chopim_dram::codec! { JobNode { kind, opts, parents, after_ops, ordered } }
-chopim_dram::codec! { JobGraph { nodes } }
-chopim_dram::codec! { enum JobState { 0 => Queued(graph), 1 => Admitted { base, end } } }
-chopim_dram::codec! { JobRecord { enqueued_at, state } }
 
 chopim_dram::codec! {
     ArrayData {
@@ -686,7 +501,7 @@ chopim_dram::codec! {
     enum OpKind {
         0 => Elementwise { op, scalars, inputs, output },
         1 => Gemv { y, a, x },
-        2 => MacroAxpyRows { a_pvt, alphas, x },
+        2 => AxpyRows { a_pvt, alphas, x, samples_per_instr },
     }
 }
 
@@ -727,10 +542,7 @@ chopim_dram::codec! {
         unordered_live,
         qos,
         vtime,
-        limits,
         meter,
-        jobs,
-        job_queue,
         sched: skip,
         heap_stamp: skip,
         woken_by: skip,
@@ -759,9 +571,6 @@ pub struct Runtime {
     /// Retry-hold wake-ups: `(cycle, session)` min-heap (stale entries
     /// tolerated — only still-parked sessions get woken).
     wake: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Sessions whose queued jobs may now fit, drained FIFO by
-    /// `pre_stage` at the next executed cycle.
-    admit_pending: VecDeque<u32>,
     /// Ops that reached a terminal state since the last drain — the
     /// completion-event feed stream resubmission pops instead of polling
     /// every stream every cycle.
@@ -822,7 +631,6 @@ chopim_dram::codec! {
         arrays,
         sessions,
         vnow,
-        admit_pending,
         finished_ops,
         next_instr,
         allocator,
@@ -868,7 +676,6 @@ impl Runtime {
             vnow: [0; 2],
             waitlists: vec![BinaryHeap::new(); n],
             wake: BinaryHeap::new(),
-            admit_pending: VecDeque::new(),
             finished_ops: VecDeque::new(),
             next_instr: 0,
             n_ndas: n,
@@ -975,11 +782,6 @@ impl Runtime {
         Session {
             id: (self.sessions.len() - 1) as u32,
         }
-    }
-
-    /// Number of sessions (including the default one).
-    pub fn num_sessions(&self) -> usize {
-        self.sessions.len()
     }
 
     /// The NDA ranks as `(channel, rank)` pairs.
@@ -1199,11 +1001,6 @@ impl Runtime {
         a.backing.copy_from_slice(data);
     }
 
-    /// Matrix contents (row-major).
-    pub fn read_matrix(&self, m: MatId) -> &[f32] {
-        &self.arrays[m.0].backing
-    }
-
     fn vec_lines(&self, v: VecId) -> u64 {
         ((self.arrays[v.0].len * 4) as u64).div_ceil(64)
     }
@@ -1228,13 +1025,13 @@ impl Runtime {
     }
 
     fn push_op(&mut self, sess: Session, mut op: OpState) -> OpHandle {
-        // Submitting behind an already-failed dependency: abort now
-        // rather than waiting on a parent that will never succeed.
-        let failed_dep = self.recovery
-            && op
-                .deps
-                .iter()
-                .any(|&d| self.op(d).status.is_some_and(OpStatus::is_failure));
+        // Submitting behind an already-failed dependency (a deadline can
+        // time a parent out on any machine): abort now rather than
+        // waiting on a parent that will never succeed.
+        let failed_dep = op
+            .deps
+            .iter()
+            .any(|&d| self.op(d).status.is_some_and(OpStatus::is_failure));
         let h = self.next_handle(sess);
         op.submitted_at = self.clock;
         // Reverse edges: live parents notify this op's session when they
@@ -1265,42 +1062,6 @@ impl Runtime {
             self.conclude_and_cascade(h, OpStatus::DepFailed, now);
         }
         h
-    }
-
-    /// Queue one op of `kind` on `sess`: the dispatch shared by
-    /// [`OpBuilder::submit`] and job-graph admission.
-    fn submit_kind(
-        &mut self,
-        sess: Session,
-        kind: JobKind,
-        opts: LaunchOpts,
-        deps: Vec<OpHandle>,
-        ordered: bool,
-    ) -> OpHandle {
-        match kind {
-            JobKind::Elementwise {
-                op,
-                scalars,
-                inputs,
-                output,
-            } => self.submit_elementwise(sess, op, scalars, inputs, output, opts, deps, ordered),
-            JobKind::Gemv { y, a, x } => self.submit_gemv(sess, y, a, x, opts, deps, ordered),
-            JobKind::AxpyRows {
-                a_pvt,
-                alphas,
-                x,
-                samples_per_instr,
-            } => self.submit_axpy_rows(
-                sess,
-                a_pvt,
-                alphas,
-                x,
-                samples_per_instr,
-                opts,
-                deps,
-                ordered,
-            ),
-        }
     }
 
     /// Split an elementwise op into per-rank instructions and queue it on
@@ -1416,39 +1177,14 @@ impl Runtime {
                 chunk_sizes[chunk] += 1;
             }
         }
-        let total = pending.len() as u64;
-        self.push_op(
-            sess,
-            OpState {
-                kind: OpKind::Elementwise {
-                    op,
-                    scalars,
-                    inputs,
-                    output,
-                },
-                pending,
-                total_instrs: total,
-                completed_instrs: 0,
-                chunk_completed: vec![0; chunks],
-                chunk_sizes,
-                released_chunks: 0,
-                barrier: opts.barrier_per_chunk,
-                result: None,
-                done: false,
-                deps,
-                ordered,
-                instr_base,
-                first_staged_at: None,
-                finished_at: None,
-                status: None,
-                retries: 0,
-                retry_after: 0,
-                deadline_at: None,
-                fallback_host: false,
-                submitted_at: 0,
-                dependents: Vec::new(),
-            },
-        )
+        let kind = OpKind::Elementwise {
+            op,
+            scalars,
+            inputs,
+            output,
+        };
+        let record = OpState::new(kind, pending, chunk_sizes, opts, deps, ordered, instr_base);
+        self.push_op(sess, record)
     }
 
     /// Split `y = A x` into one instruction per rank and queue it on
@@ -1491,34 +1227,10 @@ impl Runtime {
                 chunk: 0,
             });
         }
-        let total = pending.len() as u64;
-        self.push_op(
-            sess,
-            OpState {
-                kind: OpKind::Gemv { y, a, x },
-                pending,
-                total_instrs: total,
-                completed_instrs: 0,
-                chunk_completed: vec![0],
-                chunk_sizes: vec![total as u32],
-                released_chunks: 0,
-                barrier: opts.barrier_per_chunk,
-                result: None,
-                done: false,
-                deps,
-                ordered,
-                instr_base,
-                first_staged_at: None,
-                finished_at: None,
-                status: None,
-                retries: 0,
-                retry_after: 0,
-                deadline_at: None,
-                fallback_host: false,
-                submitted_at: 0,
-                dependents: Vec::new(),
-            },
-        )
+        let chunk_sizes = vec![pending.len() as u32];
+        let kind = OpKind::Gemv { y, a, x };
+        let record = OpState::new(kind, pending, chunk_sizes, opts, deps, ordered, instr_base);
+        self.push_op(sess, record)
     }
 
     /// The `parallel_for` macro operation of Fig. 8: for each sample `i`,
@@ -1593,34 +1305,14 @@ impl Runtime {
                 chunk_sizes[batch] += 1;
             }
         }
-        let total = pending.len() as u64;
-        self.push_op(
-            sess,
-            OpState {
-                kind: OpKind::MacroAxpyRows { a_pvt, alphas, x },
-                pending,
-                total_instrs: total,
-                completed_instrs: 0,
-                chunk_completed: vec![0; n_batches],
-                chunk_sizes,
-                released_chunks: 0,
-                barrier: opts.barrier_per_chunk,
-                result: None,
-                done: false,
-                deps,
-                ordered,
-                instr_base,
-                first_staged_at: None,
-                finished_at: None,
-                status: None,
-                retries: 0,
-                retry_after: 0,
-                deadline_at: None,
-                fallback_host: false,
-                submitted_at: 0,
-                dependents: Vec::new(),
-            },
-        )
+        let kind = OpKind::AxpyRows {
+            a_pvt,
+            alphas,
+            x,
+            samples_per_instr,
+        };
+        let record = OpState::new(kind, pending, chunk_sizes, opts, deps, ordered, instr_base);
+        self.push_op(sess, record)
     }
 
     /// Oracle-only (the release launch loop uses the borrow-splitting
@@ -1633,7 +1325,7 @@ impl Runtime {
     /// Enter session `s` into its band heap unless it is already there.
     /// Cheap and idempotent — called from every event that can make a
     /// session stageable. Premature entries are harmless: the next
-    /// `next_launches` pop re-classifies (and re-parks) them without
+    /// `next_launch` pop re-classifies (and re-parks) them without
     /// staging anything.
     ///
     /// Deliberately does **not** floor the session's virtual time to the
@@ -1676,9 +1368,8 @@ impl Runtime {
     }
 
     /// Per-executed-cycle index maintenance, run by the front-end just
-    /// before staging: expire retry wake-ups and admit queued jobs that
-    /// now fit. Both queues are empty on the steady-state path, so this
-    /// costs two branch tests.
+    /// before staging: expire retry wake-ups. The wake heap is empty on
+    /// the steady-state path, so this costs one branch test.
     pub(crate) fn pre_stage(&mut self, now: u64) {
         while let Some(&Reverse((t, s))) = self.wake.peek() {
             if t > now {
@@ -1690,15 +1381,6 @@ impl Runtime {
                 self.ready_notify(s as usize);
             }
         }
-        while let Some(s) = self.admit_pending.pop_front() {
-            self.drain_admissions(s as usize, now);
-        }
-    }
-
-    /// True while job admissions are pending: the front-end horizon must
-    /// not skip past the next executed cycle while they drain.
-    pub(crate) fn has_pending_admissions(&self) -> bool {
-        !self.admit_pending.is_empty()
     }
 
     /// Classify session `s` against real queue `space`: return its
@@ -1781,7 +1463,7 @@ impl Runtime {
         None
     }
 
-    /// Debug oracle: the session `next_launches` must serve — the
+    /// Debug oracle: the session `next_launch` must serve — the
     /// stageable session with the minimum `(band, vtime, id)` key, found
     /// by scanning *every* session the way the pre-index scheduler did.
     /// Continuously validates ready-index notification coverage in debug
@@ -1812,7 +1494,7 @@ impl Runtime {
     /// examined per call for classic submission streams.
     ///
     /// Oracle-only: the release-build launch loop inlines this scan
-    /// (borrow-split over the session table) in `next_launches`.
+    /// (borrow-split over the session table) in `next_launch`.
     #[cfg(debug_assertions)]
     fn stage_candidate(
         &self,
@@ -1854,13 +1536,14 @@ impl Runtime {
         None
     }
 
-    /// Pop launches that are ready to go to the channel into `out`,
-    /// arbitrating across sessions by QoS band and virtual time (see
-    /// [`QosClass`]) and respecting DAG edges, program order, and chunk
-    /// barriers. The system calls this each cycle with available FSM
-    /// queue space per NDA and its (reused) staging queue — releasing a
-    /// launch must not allocate on the steady-state path; `now` stamps
-    /// first-launch staging for DAG observability.
+    /// Release the next launch to go to the channel, arbitrating across
+    /// sessions by QoS band and virtual time (see [`QosClass`]) and
+    /// respecting DAG edges, program order, and chunk barriers. The
+    /// system calls this each cycle its launch stage is empty, with the
+    /// free FSM queue space per NDA; `now` stamps first-launch staging
+    /// for DAG observability. The launch is the head of the served
+    /// session's candidate op, and the session is charged
+    /// `QUANTUM / weight` of virtual time for it.
     ///
     /// Cost is O(active): the pick pops the ready index instead of
     /// scanning sessions. Each pop either stages (and re-indexes the
@@ -1869,17 +1552,14 @@ impl Runtime {
     /// inserted the entry, so the amortized per-window cost tracks event
     /// traffic, not tenant count. In debug builds a full-scan oracle
     /// cross-checks every pick on machines up to 64 sessions.
-    pub fn next_launches(
+    pub fn next_launch(
         &mut self,
         space: impl Fn(usize) -> usize,
-        max: usize,
         now: u64,
-        out: &mut std::collections::VecDeque<PendingLaunch>,
-    ) {
+    ) -> Option<PendingLaunch> {
         #[cfg(debug_assertions)]
         let oracle = (self.sessions.len() <= 64).then(|| self.oracle_pick(&space, now));
-        let start = out.len();
-        let mut staged: Option<usize> = None;
+        let mut staged: Option<PendingLaunch> = None;
         'bands: for band in 0..2 {
             while let Some(&Reverse((_, sess, stamp))) = self.ready[band].peek() {
                 perfcount::bump(Counter::SchedSessionsScanned);
@@ -1893,78 +1573,55 @@ impl Runtime {
                 }
                 self.sessions[s].sched = SchedState::Untracked; // entry consumed
                 let woken_by = self.sessions[s].woken_by.take().map(|k| k as usize);
-                let found = self.classify_and_park(s, &space, now);
-                if let Some(i) = found {
+                if let Some(i) = self.classify_and_park(s, &space, now) {
                     // Serve this session: advance the band's virtual clock
-                    // to its tag and release up to `max` launches from the
-                    // candidate op.
+                    // to its tag, release the candidate op's head launch,
+                    // charge for it, and re-index the session.
                     self.vnow[band] = self.vnow[band].max(self.sessions[s].vtime);
-                    let recovery = self.recovery;
-                    let mut released = 0u64;
-                    {
-                        let alive = &self.alive;
-                        let op = &mut self.sessions[s].ops[i];
-                        if op.first_staged_at.is_none() {
-                            op.first_staged_at = Some(now);
-                        }
-                        while out.len() - start < max {
-                            let Some(head) = op.pending.front() else {
-                                break;
-                            };
-                            if op.barrier && head.chunk > op.released_chunks {
-                                break; // previous chunk not fully complete
-                            }
-                            let target = if recovery {
-                                Self::redirect(alive, head.nda_idx)
-                            } else {
-                                head.nda_idx
-                            };
-                            if space(target) == 0 {
-                                break;
-                            }
-                            let mut launch = op.pending.pop_front().expect("checked");
-                            launch.nda_idx = target;
-                            out.push_back(launch);
-                            released += 1;
-                        }
+                    let ss = &mut self.sessions[s];
+                    let op = &mut ss.ops[i];
+                    if op.first_staged_at.is_none() {
+                        op.first_staged_at = Some(now);
                     }
-                    // Charge virtual time and re-index the session.
-                    let weight = self.sessions[s].qos.weight();
-                    self.sessions[s].vtime = self.sessions[s]
-                        .vtime
-                        .saturating_add(released * (QUANTUM / weight));
+                    let mut launch = op.pending.pop_front().expect("candidate has a head");
+                    if self.recovery {
+                        launch.nda_idx = Self::redirect(&self.alive, launch.nda_idx);
+                    }
+                    ss.vtime = ss.vtime.saturating_add(QUANTUM / ss.qos.weight());
                     if self.classify_and_park(s, &space, now).is_some() {
                         self.ready_notify(s);
                     }
+                    staged = Some(launch);
                 }
                 // Re-parked, or served on another NDA than the one whose
                 // credit woke it: that credit passes to the NDA's next
                 // waiter (rule 2).
                 if let Some(k) = woken_by {
-                    if space(k) > 0 && !out.range(start..).any(|l| l.nda_idx == k) {
+                    let took_k = staged.as_ref().is_some_and(|l| l.nda_idx == k);
+                    if space(k) > 0 && !took_k {
                         self.credit_returned(k);
                     }
                 }
-                if found.is_some() {
-                    staged = Some(s);
-                    break 'bands; // one op per call; candidates guarantee progress
+                if staged.is_some() {
+                    break 'bands; // one launch per call
                 }
             }
         }
         #[cfg(debug_assertions)]
         if let Some(oracle) = oracle {
             debug_assert_eq!(
-                staged, oracle,
+                staged.as_ref().map(|l| l.op.sess as usize),
+                oracle,
                 "ready-index pick diverged from the full-scan oracle"
             );
         }
-        let _ = staged;
+        staged
     }
 
     /// True when a session sits in the ready index — the O(1)
     /// conservative gate the event-horizon fast-forward consults. It may
     /// answer `true` for a session that turns out to be blocked (the
-    /// next executed tick's [`next_launches`](Self::next_launches) pop
+    /// next executed tick's [`next_launch`](Self::next_launch) pop
     /// re-parks it, after which the answer is `false` again), but never
     /// `false` when a launch could stage: every event that creates
     /// stageability notifies the index. Extra executed cycles never
@@ -1977,10 +1634,9 @@ impl Runtime {
     /// the op when it is the last one. Returns `true` if the op just
     /// finished. `id` must be the original (non-retried) instruction id;
     /// under fault recovery the system resolves completions through its
-    /// in-flight records and calls
-    /// `instr_completed_via` with the
+    /// in-flight records and calls `instr_completed_via` with the
     /// record's chunk instead (retried launches carry fresh ids).
-    pub fn complete_instr(&mut self, h: OpHandle, id: u64, now: u64) -> bool {
+    pub(crate) fn complete_instr(&mut self, h: OpHandle, id: u64, now: u64) -> bool {
         let n_ndas = self.n_ndas as u64;
         let op = self.op(h);
         debug_assert!(id >= op.instr_base && id - op.instr_base < op.total_instrs);
@@ -2037,9 +1693,9 @@ impl Runtime {
     }
 
     /// Terminal bookkeeping shared by the completion and conclusion
-    /// paths: tenant metering, admission-control accounting, the
-    /// finished-op event feed, and ready-index notification of the
-    /// session and every registered dependent.
+    /// paths: tenant metering, the live-op gauge, the finished-op event
+    /// feed, and ready-index notification of the session and every
+    /// registered dependent.
     fn on_op_terminal(&mut self, h: OpHandle, now: u64) {
         let s = h.sess as usize;
         {
@@ -2063,9 +1719,6 @@ impl Runtime {
                 None => m.launch_wait_cycles += now.saturating_sub(submitted),
             }
             ss.live_ops -= 1;
-            if !ss.job_queue.is_empty() {
-                self.admit_pending.push_back(h.sess);
-            }
         }
         self.finished_ops.push_back(h);
         self.ready_notify(s);
@@ -2314,7 +1967,9 @@ impl Runtime {
                     pe::execute_gemv(&a_data, &x_data, &mut self.arrays[y.0].backing, rows, cols);
                 self.add_activity(stats);
             }
-            OpKind::MacroAxpyRows { a_pvt, alphas, x } => {
+            OpKind::AxpyRows {
+                a_pvt, alphas, x, ..
+            } => {
                 let (_, cols) = self.arrays[x.0].shape.expect("matrix");
                 let x_data = self.arrays[x.0].backing.clone();
                 let owners = self.line_owners(*x);
@@ -2380,8 +2035,10 @@ impl Runtime {
         self.op(h).done
     }
 
-    /// Terminal status of op `h`, `None` while it is still live. Outside
-    /// fault recovery every finished op reads `Some(Completed)`.
+    /// Terminal status of op `h`, `None` while it is still live. An op
+    /// reads `Some(Completed)` unless it failed on a faulted machine,
+    /// its [`OpBuilder::deadline`] expired (on any machine), or a
+    /// dependency did not complete.
     pub fn op_status(&self, h: OpHandle) -> Option<OpStatus> {
         self.op(h).status
     }
@@ -2453,15 +2110,6 @@ impl Runtime {
         self.host_comm_cycles += (bytes / bw).ceil() as u64;
     }
 
-    /// Remaining queued launches across all sessions.
-    pub fn pending_launches(&self) -> usize {
-        self.sessions
-            .iter()
-            .flat_map(|s| s.ops.iter())
-            .map(|o| o.pending.len())
-            .sum()
-    }
-
     /// Every op of `sess` completed and nothing pending (the
     /// session-quiescent [`Waitable`](crate::system::Waitable)).
     pub fn session_idle(&self, sess: Session) -> bool {
@@ -2476,7 +2124,7 @@ impl Runtime {
             .all(|ss| ss.ops[ss.first_live..].iter().all(|o| o.done))
     }
 
-    // ---- executor: QoS classes, admission, job queue --------------------
+    // ---- QoS classes and tenant metering --------------------------------
 
     /// Set `sess`'s QoS class. Takes effect at the next arbitration
     /// decision; the session keeps its virtual-time position, floored to
@@ -2516,132 +2164,6 @@ impl Runtime {
         self.sessions[sess.id as usize].qos
     }
 
-    /// Set `sess`'s admission-control limits. Loosening the in-flight
-    /// cap re-arms admission for already-queued jobs.
-    pub fn set_tenant_limits(&mut self, sess: Session, limits: TenantLimits) {
-        let s = sess.id as usize;
-        self.sessions[s].limits = limits;
-        if !self.sessions[s].job_queue.is_empty() {
-            self.admit_pending.push_back(s as u32);
-        }
-    }
-
-    /// The admission-control limits of `sess`.
-    pub fn tenant_limits(&self, sess: Session) -> TenantLimits {
-        self.sessions[sess.id as usize].limits
-    }
-
-    /// Submit a [`JobGraph`] through the executor's admission control.
-    ///
-    /// If the session's job queue is empty and the graph fits under its
-    /// in-flight cap, the graph is admitted (ops submitted) immediately.
-    /// Otherwise it is queued FIFO — admission resumes as the session's
-    /// live ops retire — up to [`TenantLimits::queue_depth`] graphs;
-    /// past that the submission is refused with
-    /// [`SubmitError::QueueFull`]. Every decision depends only on
-    /// runtime state, so it is bit-identical across engines and
-    /// snapshot/resume.
-    pub fn submit_job(&mut self, sess: Session, graph: JobGraph) -> Result<Ticket, SubmitError> {
-        let s = sess.id as usize;
-        let job = self.sessions[s].jobs.len() as u32;
-        let nodes = graph.nodes.len() as u32;
-        let enqueued_at = self.clock;
-        let ss = &self.sessions[s];
-        // Queued jobs admit strictly FIFO: a graph may not overtake the
-        // queue even if it would fit right now.
-        let fits = ss.job_queue.is_empty()
-            && ss.live_ops.saturating_add(nodes) <= ss.limits.max_inflight_ops;
-        if fits {
-            self.sessions[s].jobs.push(JobRecord {
-                state: JobState::Admitted { base: 0, end: 0 },
-                enqueued_at,
-            });
-            let (base, end) = self.admit_graph(sess, graph);
-            self.sessions[s].jobs[job as usize].state = JobState::Admitted { base, end };
-            Ok(Ticket { sess: sess.id, job })
-        } else if (ss.job_queue.len() as u32) < ss.limits.queue_depth {
-            let ss = &mut self.sessions[s];
-            ss.jobs.push(JobRecord {
-                state: JobState::Queued(graph),
-                enqueued_at,
-            });
-            ss.job_queue.push_back(job);
-            Ok(Ticket { sess: sess.id, job })
-        } else {
-            self.sessions[s].meter.jobs_rejected += 1;
-            Err(SubmitError::QueueFull)
-        }
-    }
-
-    /// Resolve a graph's nodes into real submissions; returns the
-    /// session-op range `[base, end)` they produced (realignment copies
-    /// included — they land inside the range).
-    fn admit_graph(&mut self, sess: Session, graph: JobGraph) -> (u32, u32) {
-        let base = self.sessions[sess.id as usize].ops.len() as u32;
-        let mut handles: Vec<OpHandle> = Vec::with_capacity(graph.nodes.len());
-        for node in graph.nodes {
-            let mut deps = node.after_ops;
-            for &p in &node.parents {
-                deps.push(handles[p as usize]);
-            }
-            let h = self.submit_kind(sess, node.kind, node.opts, deps, node.ordered);
-            handles.push(h);
-        }
-        let end = self.sessions[sess.id as usize].ops.len() as u32;
-        (base, end)
-    }
-
-    /// Admit queued jobs of session `s` FIFO while they fit under the
-    /// in-flight cap. Off the steady-state path (sessions enter
-    /// `admit_pending` only when they hold queued jobs).
-    #[cold]
-    fn drain_admissions(&mut self, s: usize, now: u64) {
-        loop {
-            let ss = &self.sessions[s];
-            let Some(&job) = ss.job_queue.front() else {
-                return;
-            };
-            let JobState::Queued(ref g) = ss.jobs[job as usize].state else {
-                self.sessions[s].job_queue.pop_front();
-                continue;
-            };
-            if ss.live_ops.saturating_add(g.nodes.len() as u32) > ss.limits.max_inflight_ops {
-                return;
-            }
-            let ss = &mut self.sessions[s];
-            ss.job_queue.pop_front();
-            let rec = &mut ss.jobs[job as usize];
-            let enqueued = rec.enqueued_at;
-            let state = std::mem::replace(&mut rec.state, JobState::Admitted { base: 0, end: 0 });
-            let JobState::Queued(graph) = state else {
-                unreachable!("checked above")
-            };
-            ss.meter.admission_wait_cycles += now.saturating_sub(enqueued);
-            let (base, end) = self.admit_graph(Session { id: s as u32 }, graph);
-            self.sessions[s].jobs[job as usize].state = JobState::Admitted { base, end };
-        }
-    }
-
-    /// True once `t`'s graph was admitted (left the job queue).
-    pub fn ticket_admitted(&self, t: Ticket) -> bool {
-        matches!(
-            self.sessions[t.sess as usize].jobs[t.job as usize].state,
-            JobState::Admitted { .. }
-        )
-    }
-
-    /// True once every op `t`'s graph produced reached a terminal state.
-    /// Queued (not yet admitted) tickets are never done.
-    pub fn ticket_done(&self, t: Ticket) -> bool {
-        let ss = &self.sessions[t.sess as usize];
-        match ss.jobs[t.job as usize].state {
-            JobState::Queued(_) => false,
-            JobState::Admitted { base, end } => {
-                ss.ops[base as usize..end as usize].iter().all(|o| o.done)
-            }
-        }
-    }
-
     /// Per-tenant metering rows for `SimReport::tenants`, session order.
     pub(crate) fn tenant_reports(&self) -> Vec<TenantReport> {
         self.sessions
@@ -2659,17 +2181,14 @@ impl Runtime {
 
     /// Check a restored runtime against its configuration and its own
     /// tables: per-NDA counts, array ids, NDA indexes, chunk tables,
-    /// session watermarks, job-graph edges, admission queues, and every
-    /// op handle (handles may forward-reference sessions, so this runs
-    /// only once the whole table exists).
+    /// session watermarks, and every op handle (handles may
+    /// forward-reference sessions, so this runs only once the whole
+    /// table exists).
     #[cold]
     pub(crate) fn validate(&self) -> Result<(), CodecError> {
         let n = self.n_ndas;
         let ids = |ids: &[usize]| ids.iter().all(|&i| i < self.arrays.len());
         let handles = |hs: &[OpHandle]| hs.iter().all(|&h| self.handle_in_range(h));
-        let elementwise = |inputs: &[VecId], output: &Option<VecId>| {
-            ids(&inputs.iter().chain(output).map(|v| v.0).collect::<Vec<_>>())
-        };
         if self.rp_next_row.len() != n {
             return Err(CodecError::ConfigMismatch);
         }
@@ -2687,9 +2206,11 @@ impl Runtime {
             for op in &ss.ops {
                 check(
                     match &op.kind {
-                        OpKind::Elementwise { inputs, output, .. } => elementwise(inputs, output),
+                        OpKind::Elementwise { inputs, output, .. } => {
+                            ids(&inputs.iter().chain(output).map(|v| v.0).collect::<Vec<_>>())
+                        }
                         OpKind::Gemv { y, a, x } => ids(&[y.0, a.0, x.0]),
-                        OpKind::MacroAxpyRows { a_pvt, x, .. } => ids(&[a_pvt.0, x.0]),
+                        OpKind::AxpyRows { a_pvt, x, .. } => ids(&[a_pvt.0, x.0]),
                     },
                     "array id out of range",
                 )?;
@@ -2708,41 +2229,7 @@ impl Runtime {
                     "op handle out of range",
                 )?;
             }
-            for job in &ss.jobs {
-                match &job.state {
-                    JobState::Queued(g) => {
-                        for (i, node) in g.nodes.iter().enumerate() {
-                            let kind_ok = match &node.kind {
-                                JobKind::Elementwise { inputs, output, .. } => {
-                                    elementwise(inputs, output)
-                                }
-                                JobKind::Gemv { y, a, x } => ids(&[y.0, a.0, x.0]),
-                                JobKind::AxpyRows {
-                                    a_pvt,
-                                    x,
-                                    samples_per_instr: k,
-                                    ..
-                                } => ids(&[a_pvt.0, x.0]) && *k > 0,
-                            };
-                            let parents_ok = node.parents.iter().all(|&p| (p as usize) < i);
-                            let after_ok = handles(&node.after_ops);
-                            check(kind_ok && parents_ok && after_ok, "job graph node")?;
-                        }
-                    }
-                    JobState::Admitted { base, end } => {
-                        check(base <= end && *end as usize <= n_ops, "admitted job range")?;
-                    }
-                }
-            }
-            let queue_ok = ss.job_queue.iter().all(|&j| (j as usize) < ss.jobs.len());
-            check(queue_ok, "job queue index")?;
         }
-        let n_sessions = self.sessions.len();
-        let admit_ok = self
-            .admit_pending
-            .iter()
-            .all(|&s| (s as usize) < n_sessions);
-        check(admit_ok, "admit-pending session")?;
         let finished: Vec<OpHandle> = self.finished_ops.iter().copied().collect();
         check(handles(&finished), "finished-op handle")
     }
@@ -2820,7 +2307,7 @@ fn deps_done_in(sessions: &[SessionState], deps: &[OpHandle]) -> bool {
 pub struct OpBuilder<'rt> {
     rt: &'rt mut Runtime,
     sess: Session,
-    kind: JobKind,
+    kind: OpKind,
     opts: LaunchOpts,
     deps: Vec<OpHandle>,
     ordered: bool,
@@ -2829,7 +2316,7 @@ pub struct OpBuilder<'rt> {
 }
 
 impl<'rt> OpBuilder<'rt> {
-    fn new(rt: &'rt mut Runtime, sess: Session, kind: JobKind) -> Self {
+    fn new(rt: &'rt mut Runtime, sess: Session, kind: OpKind) -> Self {
         Self {
             rt,
             sess,
@@ -2905,9 +2392,32 @@ impl<'rt> OpBuilder<'rt> {
             deadline,
             fallback_host,
         } = self;
-        let built = rt.submit_kind(sess, kind, opts, deps, ordered);
-        rt.apply_recovery_opts(built, deadline, fallback_host);
-        built
+        let h = match kind {
+            OpKind::Elementwise {
+                op,
+                scalars,
+                inputs,
+                output,
+            } => rt.submit_elementwise(sess, op, scalars, inputs, output, opts, deps, ordered),
+            OpKind::Gemv { y, a, x } => rt.submit_gemv(sess, y, a, x, opts, deps, ordered),
+            OpKind::AxpyRows {
+                a_pvt,
+                alphas,
+                x,
+                samples_per_instr,
+            } => rt.submit_axpy_rows(
+                sess,
+                a_pvt,
+                alphas,
+                x,
+                samples_per_instr,
+                opts,
+                deps,
+                ordered,
+            ),
+        };
+        rt.apply_recovery_opts(h, deadline, fallback_host);
+        h
     }
 }
 
@@ -2926,7 +2436,7 @@ impl Session {
         OpBuilder::new(
             rt,
             self,
-            JobKind::Elementwise {
+            OpKind::Elementwise {
                 op,
                 scalars,
                 inputs,
@@ -2938,7 +2448,7 @@ impl Session {
     /// Build `y = A x` (one instruction per rank; A streams, x/y live in
     /// the scratchpad).
     pub fn gemv<'rt>(self, rt: &'rt mut Runtime, y: VecId, a: MatId, x: VecId) -> OpBuilder<'rt> {
-        OpBuilder::new(rt, self, JobKind::Gemv { y, a, x })
+        OpBuilder::new(rt, self, OpKind::Gemv { y, a, x })
     }
 
     /// Build the `parallel_for` macro op of Fig. 8: per-sample
@@ -2955,7 +2465,7 @@ impl Session {
         OpBuilder::new(
             rt,
             self,
-            JobKind::AxpyRows {
+            OpKind::AxpyRows {
                 a_pvt,
                 alphas,
                 x,
@@ -2973,10 +2483,10 @@ fn x_layout_guard(a: &ArrayData, span: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    //! The credit-waitlist wake rules, driven through `next_launches` with
+    //! The credit-waitlist wake rules, driven through `next_launch` with
     //! credits modelled as the system keeps them: one spent per staged
     //! launch, one back per `credit_returned`. In debug builds (and under
-    //! `release-checked`) the full-scan oracle in `next_launches` checks
+    //! `release-checked`) the full-scan oracle in `next_launch` checks
     //! every pick, so a missing wake fails the pass that should have
     //! served the parked session.
 
@@ -3001,10 +2511,8 @@ mod tests {
     /// One staging pass against `credits`: the launch it stages, if any,
     /// spends its NDA's credit.
     fn pass(rt: &mut Runtime, credits: &mut [usize]) -> Option<(u32, usize)> {
-        let mut out = VecDeque::new();
         let now = rt.clock;
-        rt.next_launches(|k| credits[k], 1, now, &mut out);
-        let launch = out.pop_front()?;
+        let launch = rt.next_launch(|k| credits[k], now)?;
         credits[launch.nda_idx] -= 1;
         Some((launch.op.sess, launch.nda_idx))
     }

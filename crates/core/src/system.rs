@@ -429,7 +429,8 @@ pub struct ChopimSystem {
     /// capacity until the next grid refresh folds them into
     /// `ingress_seen`.
     ingress_unseen: Vec<usize>,
-    launch_stage: VecDeque<PendingLaunch>,
+    /// The launch the runtime released, waiting for ingress room.
+    launch_stage: Option<PendingLaunch>,
     /// Fault recovery active (`cfg.faults` non-empty): completions
     /// resolve through `inflight` records and timeouts fire. Cached so
     /// the empty-plan hot path costs one branch.
@@ -588,7 +589,7 @@ impl ChopimSystem {
             egress: (0..nchannels).map(|_| Vec::new()).collect(),
             ingress_seen: vec![0; nchannels],
             ingress_unseen: vec![0; nchannels],
-            launch_stage: VecDeque::new(),
+            launch_stage: None,
             recovery_active,
             instr_timeout,
             inflight: VecDeque::new(),
@@ -621,12 +622,6 @@ impl ChopimSystem {
     /// Current DRAM cycle.
     pub fn now(&self) -> Cycle {
         self.now
-    }
-
-    /// The conservative-lookahead window length (cycles between shard
-    /// barriers) this machine runs with.
-    pub fn lookahead_window(&self) -> Cycle {
-        self.window
     }
 
     /// One channel's device state (stats inspection).
@@ -712,7 +707,7 @@ impl ChopimSystem {
                 .iter()
                 .map(|s| s.mc.write_queue_len())
                 .collect::<Vec<_>>(),
-            self.launch_stage.len(),
+            usize::from(self.launch_stage.is_some()),
             self.nda_credit,
         )
     }
@@ -786,48 +781,34 @@ impl ChopimSystem {
         }
 
         // 4. Stage at most one NDA instruction launch per cycle. The
-        // pre-stage pass first expires retry wake-ups and drains pending
-        // job admissions, so ops admitted by a completion this very cycle
-        // are stageable in the same arbitration pass.
+        // pre-stage pass first expires retry wake-ups, so a hold that
+        // ends this very cycle is stageable in the same arbitration pass.
         self.runtime.pre_stage(now);
-        if self.launch_stage.is_empty() {
-            let Self {
-                runtime,
-                nda_credit,
-                launch_stage,
-                ..
-            } = self;
-            runtime.next_launches(|i| nda_credit[i], 1, now, launch_stage);
+        if self.launch_stage.is_none() {
+            self.launch_stage = self.runtime.next_launch(|i| self.nda_credit[i], now);
         }
         if self.recovery_active {
-            // Staged heads can go stale under recovery: their op may have
-            // concluded (timeout/failure), or their target NDA may have
-            // been quarantined since staging. A dropped head never spends
-            // the credit it was staged against, so that credit wakes the
-            // NDA's next waiter as a returned one would.
-            while self
-                .launch_stage
-                .front()
-                .is_some_and(|h| self.runtime.op_done(h.op))
-            {
-                let head = self.launch_stage.pop_front().expect("checked");
-                self.runtime.credit_returned(head.nda_idx);
+            // The staged launch can go stale under recovery: its op may
+            // have concluded (timeout/failure), or its target NDA may have
+            // been quarantined since staging. A dropped launch never
+            // spends the credit it was staged against, so that credit
+            // wakes the NDA's next waiter as a returned one would.
+            let runtime = &mut self.runtime;
+            if let Some(stale) = self.launch_stage.take_if(|l| runtime.op_done(l.op)) {
+                runtime.credit_returned(stale.nda_idx);
             }
-            if let Some(cur) = self.launch_stage.front().map(|h| h.nda_idx) {
-                let red = self.runtime.redirect_live(cur);
-                if red != cur {
-                    self.launch_stage.front_mut().expect("checked").nda_idx = red;
-                }
+            if let Some(l) = &mut self.launch_stage {
+                l.nda_idx = runtime.redirect_live(l.nda_idx);
             }
         }
-        if let Some(head) = self.launch_stage.front() {
+        if let Some(head) = &self.launch_stage {
             let (ch, rank) = self.nda_local[head.nda_idx];
             let k = self.cfg.launch_writes_per_instr.max(1);
             // The launch occupies k write slots plus its payload
             // side-band in the ingress queue.
             #[allow(clippy::collapsible_if)]
             if self.ingress_free(ch) > k as usize {
-                let head = self.launch_stage.pop_front().expect("checked");
+                let head = self.launch_stage.take().expect("checked");
                 if self.recovery_active {
                     self.inflight.push_back(InflightRec {
                         deadline: now + self.instr_timeout,
@@ -968,10 +949,7 @@ impl ChopimSystem {
         if self.cores.iter().any(|c| !c.is_inert()) {
             return now;
         }
-        if !self.launch_stage.is_empty() {
-            return now;
-        }
-        if self.runtime.has_pending_admissions() {
+        if self.launch_stage.is_some() {
             return now;
         }
         if self.runtime.launch_ready() {
@@ -1188,7 +1166,7 @@ impl ChopimSystem {
         self.drive_loop(start.saturating_add(max), &mut |rt| until.satisfied(rt));
         debug_assert!(
             !(matches!(until, Waitable::Quiescent) && self.runtime.quiescent())
-                || self.launch_stage.is_empty(),
+                || self.launch_stage.is_none(),
             "quiescent runtime implies an empty launch stage"
         );
         self.now - start
@@ -1690,8 +1668,11 @@ const SNAPSHOT_MAGIC: [u8; 4] = *b"CHSS";
 /// rank and the plan memo from each MC queue entry (the controller plans
 /// every scanned entry fresh). v7 dropped the shard's launch-poke flags
 /// and cached horizon and each NDA controller's ready hint (the plan
-/// memo is the controller's wake-up).
-const SNAPSHOT_VERSION: u32 = 7;
+/// memo is the controller's wake-up). v8 dropped the job-graph executor:
+/// each session's admission limits, job table and job queue, two meter
+/// counters, and the runtime's pending admissions; each `AxpyRows` op
+/// record gained its samples-per-instruction count.
+const SNAPSHOT_VERSION: u32 = 8;
 
 /// Why [`ChopimSystem::snapshot`] refused to capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1903,7 +1884,7 @@ mod tests {
     /// Under fault recovery, a staged launch whose op concludes before
     /// it egresses is dropped with its credit unspent. That credit must
     /// wake the NDA's next waiter: without the wake, the full-scan
-    /// oracle in `next_launches` fires at the next staging pass.
+    /// oracle in `next_launch` fires at the next staging pass.
     #[test]
     fn arbitration_dropped_staged_launch_passes_its_credit_on() {
         fn copy(rt: &mut Runtime, sess: Session) -> crate::runtime::OpBuilder<'_> {
@@ -1926,7 +1907,7 @@ mod tests {
         let (a, b) = (rt.create_session(), rt.create_session());
         let op_a = copy(rt, a).deadline(10).submit();
         let op_b = copy(rt, b).submit();
-        let staged = |sys: &ChopimSystem| sys.launch_stage.front().map(|l| (l.op, l.nda_idx));
+        let staged = |sys: &ChopimSystem| sys.launch_stage.as_ref().map(|l| (l.op, l.nda_idx));
 
         // No credits: both sessions park on NDA 0, A first.
         sys.nda_credit.fill(0);

@@ -1,9 +1,9 @@
-//! Property tests of the QoS-class arbiter and the batched submission
-//! executor through the full simulated machine.
+//! Property tests of the QoS-class arbiter through the full simulated
+//! machine.
 //!
 //! The indexed scheduler's central claim — that the ready-index pick is
 //! always the pick a naive scan over *all* sessions would make — is
-//! enforced inside `Runtime::next_launches` itself: in debug builds
+//! enforced inside `Runtime::next_launch` itself: in debug builds
 //! every staged pick is re-derived by a full-scan oracle
 //! (`debug_assert_eq!`) whenever the machine has ≤ 64 sessions. Every
 //! randomized case in this suite therefore pins the O(active) index
@@ -17,10 +17,7 @@
 //! * latency-sensitive tenants wait no longer for their first launch
 //!   than the batch tenants they preempt;
 //! * the whole QoS schedule is bit-identical across serial, 2- and
-//!   4-thread engines and the naive and fast-forward loops;
-//! * executor admission control: in-flight caps admit, the bounded
-//!   queue parks in FIFO order, overflow rejects deterministically with
-//!   `QueueFull`, and rejection leaves the session able to resubmit.
+//!   4-thread engines and the naive and fast-forward loops.
 
 use chopim_core::prelude::*;
 use proptest::prelude::*;
@@ -321,114 +318,5 @@ proptest! {
                 "{} engine diverged from the serial fast path (seed {})", label, seed
             );
         }
-    }
-}
-
-/// Admission control end to end: a cap-1 session with a depth-2 queue
-/// admits the first job, parks the next two in FIFO order, rejects the
-/// fourth with `QueueFull`, drains the queue as ops retire, and meters
-/// every step in `SimReport.tenants`.
-#[test]
-fn executor_cap_queue_reject_and_drain() {
-    let mut sys = sys_with(SchedulerKind::FrFcfs, 9);
-    let s = sys.runtime.create_session();
-    sys.runtime.set_tenant_limits(
-        s,
-        TenantLimits {
-            max_inflight_ops: 1,
-            queue_depth: 2,
-        },
-    );
-    let x = sys.runtime.vector(1 << 13, Sharing::Shared);
-    sys.runtime.write_vector(x, &vec![1.0; 1 << 13]);
-    let job = || {
-        let mut g = JobGraph::new();
-        g.elementwise(Opcode::Scal, vec![0.5], vec![], Some(x));
-        g
-    };
-    let t1 = sys.runtime.submit_job(s, job()).expect("admitted");
-    let t2 = sys.runtime.submit_job(s, job()).expect("queued");
-    let t3 = sys.runtime.submit_job(s, job()).expect("queued");
-    assert!(sys.runtime.ticket_admitted(t1));
-    assert!(!sys.runtime.ticket_admitted(t2) && !sys.runtime.ticket_admitted(t3));
-    assert_eq!(
-        sys.runtime.submit_job(s, job()),
-        Err(SubmitError::QueueFull)
-    );
-
-    // Drive until t2 is admitted: FIFO means t3 must still be parked at
-    // that instant (the cap re-admits exactly one job).
-    let mut budget = 0u64;
-    while !sys.runtime.ticket_admitted(t2) {
-        sys.run(500);
-        budget += 500;
-        assert!(budget < 5_000_000, "queued job never admitted");
-    }
-    assert!(
-        sys.runtime.ticket_done(t1),
-        "cap-1: t2 admitted implies t1 retired"
-    );
-    assert!(
-        !sys.runtime.ticket_admitted(t3),
-        "FIFO admission violated: t3 admitted alongside t2"
-    );
-
-    // A rejected submit leaves the session fully functional: once the
-    // queue has drained, the same graph is accepted.
-    while !sys.runtime.ticket_done(t3) {
-        sys.run(500);
-        budget += 500;
-        assert!(budget < 5_000_000, "queue never drained");
-    }
-    let t4 = sys
-        .runtime
-        .submit_job(s, job())
-        .expect("resubmit after drain");
-    while !sys.runtime.ticket_done(t4) {
-        sys.run(500);
-        budget += 500;
-        assert!(budget < 5_000_000, "resubmitted job never finished");
-    }
-    sys.run(1_000);
-    let report = sys.report();
-    let meter = report
-        .tenants
-        .iter()
-        .find(|t| t.session == 1)
-        .expect("tenant meter");
-    assert_eq!(meter.jobs_rejected, 1);
-    assert_eq!(meter.ops_completed, 4);
-    assert_eq!(meter.ops_submitted, 4);
-    assert!(
-        meter.admission_wait_cycles > 0,
-        "queued jobs must accrue wait"
-    );
-}
-
-/// With the default zero-depth queue, exceeding the in-flight cap is an
-/// immediate deterministic reject — no silent queueing.
-#[test]
-fn executor_zero_depth_queue_rejects_immediately() {
-    let mut sys = sys_with(SchedulerKind::FrFcfs, 11);
-    let s = sys.runtime.create_session();
-    sys.runtime.set_tenant_limits(
-        s,
-        TenantLimits {
-            max_inflight_ops: 1,
-            queue_depth: 0,
-        },
-    );
-    let x = sys.runtime.vector(1 << 12, Sharing::Shared);
-    let mut g = JobGraph::new();
-    g.elementwise(Opcode::Scal, vec![2.0], vec![], Some(x));
-    let t1 = sys.runtime.submit_job(s, g).expect("admitted");
-    let mut g = JobGraph::new();
-    g.elementwise(Opcode::Scal, vec![2.0], vec![], Some(x));
-    assert_eq!(sys.runtime.submit_job(s, g), Err(SubmitError::QueueFull));
-    let mut budget = 0u64;
-    while !sys.runtime.ticket_done(t1) {
-        sys.run(500);
-        budget += 500;
-        assert!(budget < 5_000_000, "admitted job never finished");
     }
 }

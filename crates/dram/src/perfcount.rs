@@ -72,7 +72,7 @@ pub enum Counter {
     /// benchmark still names it.
     HorizonLeapCycles,
     /// Sessions examined by runtime launch arbitration
-    /// (`next_launches` heap pops). The O(active) proof: this stays ≪
+    /// (`next_launch` heap pops). The O(active) proof: this stays ≪
     /// sessions × launch windows on thousand-tenant scenarios, where the
     /// pre-index rotating scan was exactly sessions × windows.
     SchedSessionsScanned,

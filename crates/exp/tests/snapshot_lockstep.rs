@@ -259,10 +259,11 @@ fn snapshot_mid_flight_dag() {
 }
 
 /// Build a three-tenant machine with the QoS runtime state fully
-/// populated: mixed classes, direct submissions on two sessions, and an
-/// executor session whose in-flight cap admits its first job graph and
-/// parks the second in the admission queue.
-fn qos_machine(mut cfg: ChopimConfig, seed: u64) -> (ChopimSystem, Ticket, Ticket) {
+/// populated: mixed classes and direct submissions on every session. The
+/// `heavy` session submits a copy, an axpy gated on it by a DAG edge, and
+/// a program-ordered scale held behind both; the scale's handle is
+/// returned.
+fn qos_machine(mut cfg: ChopimConfig, seed: u64) -> (ChopimSystem, OpHandle) {
     cfg.seed = seed;
     let mut sys = ChopimSystem::new(cfg);
     let lat = sys.runtime.default_session();
@@ -287,68 +288,51 @@ fn qos_machine(mut cfg: ChopimConfig, seed: u64) -> (ChopimSystem, Ticket, Ticke
     let _ = light
         .elementwise(&mut sys.runtime, Opcode::Copy, vec![], vec![x], Some(w))
         .submit();
-    // Cap of 2 in-flight ops: the two-node graph is admitted whole, the
-    // follow-up job must wait in the queue until it retires.
-    sys.runtime.set_tenant_limits(
-        heavy,
-        TenantLimits {
-            max_inflight_ops: 2,
-            queue_depth: 4,
-        },
-    );
-    let mut g1 = JobGraph::new();
-    let c = g1.elementwise(Opcode::Copy, vec![], vec![x], Some(u));
-    let a = g1.elementwise(Opcode::Axpy, vec![1.0], vec![u], Some(y));
-    g1.after(a, c);
-    let t1 = sys
-        .runtime
-        .submit_job(heavy, g1)
-        .expect("fits under the cap");
-    let mut g2 = JobGraph::new();
-    g2.elementwise(Opcode::Scal, vec![0.75], vec![], Some(u));
-    let t2 = sys.runtime.submit_job(heavy, g2).expect("queue has room");
-    (sys, t1, t2)
+    let copy = heavy
+        .elementwise(&mut sys.runtime, Opcode::Copy, vec![], vec![x], Some(u))
+        .submit();
+    let _ = heavy
+        .elementwise(&mut sys.runtime, Opcode::Axpy, vec![1.0], vec![u], Some(y))
+        .after(copy)
+        .submit();
+    let scal = heavy
+        .elementwise(&mut sys.runtime, Opcode::Scal, vec![0.75], vec![], Some(u))
+        .submit();
+    (sys, scal)
 }
 
 /// Snapshot with the QoS scheduler mid-stride: ready-index entries live,
-/// virtual times charged, per-tenant meters non-zero, one executor job
-/// admitted and another parked in the admission queue. Resuming under
-/// every engine mode must admit, schedule, and retire identically to the
-/// straight run — including the `SimReport.tenants` metering.
+/// virtual times charged, per-tenant meters non-zero, and an op held by
+/// program order. Resuming under every engine mode must schedule and
+/// retire identically to the straight run — including the
+/// `SimReport.tenants` metering.
 #[test]
-fn snapshot_mid_flight_qos_executor() {
-    // Off the lookahead-window grid, early enough that the queued job is
-    // still waiting on the admitted one.
+fn snapshot_mid_flight_qos() {
+    // Off the lookahead-window grid, early enough that the scale is
+    // still held behind the ops before it.
     const SPLIT: u64 = 777;
     let base_cfg = || ChopimConfig {
         dram: DramConfig::table_ii().with_channels(4),
         mix: MixId::new(2),
         ..ChopimConfig::default()
     };
-    let finish = |mut sys: ChopimSystem, t1: Ticket, t2: Ticket| {
+    let finish = |mut sys: ChopimSystem, scal: OpHandle| {
         sys.run(60_000);
-        assert!(sys.runtime.ticket_done(t1), "admitted job must retire");
-        assert!(
-            sys.runtime.ticket_done(t2),
-            "queued job must be admitted and retire"
-        );
+        assert!(sys.runtime.op_done(scal), "held op must stage and retire");
         assert!(sys.runtime.quiescent());
         sys.report()
     };
     for seed in [1, 7] {
-        let (mut sys, t1, t2) = qos_machine(base_cfg(), seed);
+        let (mut sys, scal) = qos_machine(base_cfg(), seed);
         sys.run(SPLIT);
-        let oracle = finish(sys, t1, t2);
+        let oracle = finish(sys, scal);
 
-        let (mut sys, t1, t2) = qos_machine(base_cfg(), seed);
+        let (mut sys, scal) = qos_machine(base_cfg(), seed);
         sys.run(SPLIT);
-        assert!(
-            sys.runtime.ticket_admitted(t1),
-            "first job admitted at submit"
-        );
-        assert!(
-            !sys.runtime.ticket_admitted(t2),
-            "second job must still be queued at the capture point"
+        assert_eq!(
+            sys.runtime.op_first_staged_at(scal),
+            None,
+            "the scale must still be held at the capture point"
         );
         let image = sys.snapshot().expect("no streams spawned");
         drop(sys);
@@ -360,8 +344,8 @@ fn snapshot_mid_flight_qos_executor() {
             let resumed = ChopimSystem::resume(cfg, &image).expect("image must resume");
             assert_eq!(
                 oracle,
-                finish(resumed, t1, t2),
-                "{label} QoS/executor mid-flight resume diverged (seed {seed})"
+                finish(resumed, scal),
+                "{label} QoS mid-flight resume diverged (seed {seed})"
             );
         }
     }
@@ -382,7 +366,7 @@ fn fingerprint(image: &[u8]) -> (usize, u64) {
     (image.len(), chopim_dram::codec::fnv1a(image))
 }
 
-/// The CHSS v7 bytes of four fixed machines, pinned. Any change to the
+/// The CHSS v8 bytes of four fixed machines, pinned. Any change to the
 /// encoded layout — a field added, dropped, reordered, or re-encoded in
 /// any component codec — moves at least one of these and must come with
 /// a format version bump (`docs/SNAPSHOT_FORMAT.md`, "Versioning").
@@ -397,7 +381,7 @@ fn snapshot_bytes_are_pinned() {
     assert_eq!(
         image[..48],
         [
-            0x43, 0x48, 0x53, 0x53, 0x07, 0x00, 0x00, 0x00, 0x80, 0xc4, 0x02, 0x00, 0x00, 0x00,
+            0x43, 0x48, 0x53, 0x53, 0x08, 0x00, 0x00, 0x00, 0x75, 0xc4, 0x02, 0x00, 0x00, 0x00,
             0x00, 0x00, 0xd6, 0x89, 0x55, 0x41, 0xe5, 0x68, 0xf9, 0xf9, 0x00, 0x00, 0x00, 0x00,
             0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
             0x00, 0x10, 0x10, 0x10, 0x10, 0x00,
@@ -406,7 +390,7 @@ fn snapshot_bytes_are_pinned() {
     );
     assert_eq!(
         fingerprint(&image),
-        (181_400, 0x5c8c_bbe7_cdc2_a39b),
+        (181_389, 0xc8fe_db4a_8246_3bf2),
         "default"
     );
 
@@ -435,11 +419,11 @@ fn snapshot_bytes_are_pinned() {
     let image = sys.snapshot().expect("mid-flight capture");
     assert_eq!(
         fingerprint(&image),
-        (207_200, 0xec62_686c_d957_9e89),
+        (207_189, 0xefc3_c340_a05b_76e7),
         "faulty"
     );
 
-    // (c) The two-session DAG and the QoS/executor machines mid-flight.
+    // (c) The two-session DAG and the QoS machines mid-flight.
     let cfg = || {
         pinned(ChopimConfig {
             dram: DramConfig::table_ii().with_channels(4),
@@ -451,11 +435,11 @@ fn snapshot_bytes_are_pinned() {
     let (mut sys, _, _) = dag_machine(cfg(), 1);
     sys.run(777);
     let image = sys.snapshot().expect("no streams");
-    assert_eq!(fingerprint(&image), (322_582, 0x3fcc_1a4a_1b4a_3a26), "dag");
-    let (mut sys, _, _) = qos_machine(cfg(), 1);
+    assert_eq!(fingerprint(&image), (322_561, 0x10fd_cbf4_9b77_f847), "dag");
+    let (mut sys, _) = qos_machine(cfg(), 1);
     sys.run(777);
     let image = sys.snapshot().expect("no streams");
-    assert_eq!(fingerprint(&image), (453_958, 0x2489_012c_8e30_11bb), "qos");
+    assert_eq!(fingerprint(&image), (455_060, 0x3cbe_5e58_4e09_3231), "qos");
 }
 
 /// Capture → replay: re-issuing the recorded command stream through the
