@@ -32,7 +32,7 @@ use chopim_dram::perfcount::{self, Counter};
 use chopim_dram::Cycle;
 use chopim_nda::isa::NdaInstr;
 
-use crate::sched::{tx_core_ok, HostTransaction};
+use crate::sched::HostTransaction;
 
 // The shared cross-boundary vocabulary, re-exported so shard-side code
 // names `exchange` (the typed message layer) rather than the front-end
@@ -89,14 +89,22 @@ chopim_dram::codec! {
 
 impl ShardInbound {
     /// Check a restored message against the shard it is bound for:
-    /// launches must target one of its `n_local` NDAs, reads a real core.
+    /// launches must target one of its `n_local` NDAs.
     #[cold]
-    pub(crate) fn validate(&self, n_local: usize, n_cores: usize) -> Result<(), CodecError> {
+    pub(crate) fn validate(&self, n_local: usize) -> Result<(), CodecError> {
         match self {
             ShardInbound::Launch { nda_local, .. } => {
                 check(*nda_local < n_local, "launch NDA index out of range")
             }
-            ShardInbound::Tx(tx) => check(tx_core_ok(tx, n_cores), "read core out of range"),
+            ShardInbound::Tx(_) => Ok(()),
+        }
+    }
+
+    /// `(core, request id)` when this message carries a core read.
+    pub(crate) fn core_read(&self) -> Option<(usize, u64)> {
+        match self {
+            ShardInbound::Tx(tx) => tx.core_read(),
+            ShardInbound::Launch { .. } => None,
         }
     }
 }

@@ -130,6 +130,14 @@ impl HostTransaction {
             _ => Command::act(a.rank, a.bankgroup, a.bank, a.row),
         }
     }
+
+    /// `(core, request id)` when this is a core read.
+    pub(crate) fn core_read(&self) -> Option<(usize, u64)> {
+        match self.meta {
+            TxMeta::CoreRead { core, req } => Some((core, req)),
+            _ => None,
+        }
+    }
 }
 
 chopim_dram::codec! {
@@ -612,9 +620,9 @@ impl HostMc {
     // ---- snapshot support -----------------------------------------------
 
     /// Check restored state against this controller's geometry and queue
-    /// capacities, and every queued read's core index against `n_cores`.
+    /// capacities.
     #[cold]
-    pub(crate) fn validate(&self, n_cores: usize) -> Result<(), CodecError> {
+    pub(crate) fn validate(&self) -> Result<(), CodecError> {
         let ranks = self.refresh_pending.len();
         for (q, cap, writes) in [
             (&self.read_q, self.read_cap, false),
@@ -629,7 +637,6 @@ impl HostMc {
                 check(in_geometry, "MC transaction address out of range")?;
                 let is_write = matches!(tx.meta, TxMeta::CoreWrite);
                 check(is_write == writes, "transaction in wrong MC queue")?;
-                check(tx_core_ok(tx, n_cores), "read core out of range")?;
             }
         }
         if self.refresh_due.len() != ranks {
@@ -651,12 +658,16 @@ impl HostMc {
                 _ => None,
             })
     }
-}
 
-/// True when a transaction's fill target (if any) is a real core.
-#[cold]
-pub(crate) fn tx_core_ok(tx: &HostTransaction, n_cores: usize) -> bool {
-    !matches!(tx.meta, TxMeta::CoreRead { core, .. } if core >= n_cores)
+    /// The `(core, request id)` of every queued core read (resume
+    /// validation pairs them with the cores' unfilled misses).
+    #[cold]
+    pub(crate) fn queued_core_reads(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.read_q
+            .iter()
+            .chain(&self.write_q)
+            .filter_map(HostTransaction::core_read)
+    }
 }
 
 // Construction-time configuration is not stored; `validate` checks the

@@ -915,24 +915,24 @@ impl ChannelShard {
 
     /// Check a restored shard, and the front-end `egress` queued behind
     /// its inbox, against the machine it was rebuilt into: every
-    /// component's own bounds, shard-local NDA indexes, fill core indexes
-    /// against `n_cores`, completion NDA indexes against the
-    /// machine-wide `n_ndas`, completion statuses, every op handle the
-    /// shard holds against `handle_ok` (the runtime's session table),
-    /// launch ids against the front-end's `next_launch` and the
-    /// launch-write accounting, a completion tag for every instruction an
-    /// NDA holds, and every shadow FSM equal to its NDA's.
+    /// component's own bounds, shard-local NDA indexes, completion NDA
+    /// indexes against the machine-wide `n_ndas`, completion statuses,
+    /// every op handle the shard holds against `handle_ok` (the
+    /// runtime's session table), launch ids against the front-end's
+    /// `next_launch` and the launch-write accounting, a completion tag
+    /// for every instruction an NDA holds, and every shadow FSM equal to
+    /// its NDA's. Core reads are paired with the cores' unfilled misses
+    /// by the front-end ([`core_reads`](Self::core_reads)).
     #[cold]
     pub(crate) fn validate(
         &self,
         egress: &[(Cycle, ShardInbound)],
-        n_cores: usize,
         n_ndas: usize,
         next_launch: u64,
         handle_ok: &dyn Fn(OpHandle) -> bool,
     ) -> Result<(), CodecError> {
         self.channel.validate()?;
-        self.mc.validate(n_cores)?;
+        self.mc.validate()?;
         let fsms = self.ndas.iter().map(NdaRankController::fsm);
         fsms.chain(&self.shadows).try_for_each(NdaFsm::validate)?;
         // The shard replays each shadow's steps on its NDA's schedule and
@@ -946,7 +946,7 @@ impl ChannelShard {
         // The inbox, then the egress: the order the shard will see them.
         let queued = || self.inbox.live().iter().chain(egress);
         for (_, item) in queued() {
-            item.validate(local, n_cores)?;
+            item.validate(local)?;
             if let ShardInbound::Launch { tag, .. } = item {
                 check(handle_ok(*tag), "op handle out of range")?;
             }
@@ -962,14 +962,28 @@ impl ChannelShard {
                 "NDA instruction without completion tag",
             )?;
         }
-        let fills_ok = self.fills_out.iter().all(|f| f.1 < n_cores);
-        check(fills_ok, "fill core index out of range")?;
         for &(_, _, nda, tag, status) in &self.completions_out {
             check(nda < n_ndas, "completion NDA index out of range")?;
             check(status <= COMPLETION_RANK_DEAD, "completion status")?;
             check(handle_ok(tag), "op handle out of range")?;
         }
         Ok(())
+    }
+
+    /// The core reads this shard holds, with the front-end `egress`
+    /// queued behind its inbox, as `(core, request id)`: queued in the
+    /// inbox or at the MC, or answered by a fill on its way out (resume
+    /// validation pairs them with the cores' unfilled misses).
+    #[cold]
+    pub(crate) fn core_reads<'a>(
+        &'a self,
+        egress: &'a [(Cycle, ShardInbound)],
+    ) -> impl Iterator<Item = (usize, u64)> + 'a {
+        let queued = self.inbox.live().iter().chain(egress);
+        let fills = self.fills_out.iter().map(|&(_, core, req)| (core, req));
+        (queued.filter_map(|(_, item)| item.core_read()))
+            .chain(self.mc.queued_core_reads())
+            .chain(fills)
     }
 
     /// Launch ids reach the slab strictly increasing, from the front-end's

@@ -166,6 +166,12 @@ const LLC_MSHRS: usize = 48;
 /// the front-end and a shard's MC).
 const INGRESS_CAP: usize = 64;
 
+/// Advance a sleeping core's counters from CPU cycle `since` to `now`.
+fn catch_up(core: &mut OooCore, since: u64, now: u64) {
+    core.advance_inert(now - since);
+    perfcount::add(Counter::CoreCyclesSlept, now - since);
+}
+
 /// `CHOPIM_SIM_THREADS`, defaulting to 1 (serial shard execution).
 fn sim_threads_from_env() -> usize {
     std::env::var("CHOPIM_SIM_THREADS")
@@ -204,6 +210,9 @@ pub struct ChopimConfig {
     /// RNG seed (cores, policy coins).
     pub seed: u64,
     /// Control-register write transactions per NDA instruction launch.
+    /// At most 63: a launch leaves only once its writes plus its payload
+    /// side-band fit the 64-entry per-channel ingress queue, so a larger
+    /// value could never launch and [`ChopimSystem::new`] rejects it.
     pub launch_writes_per_instr: u32,
     /// Per-rank NDA instruction queue depth.
     pub nda_queue_cap: usize,
@@ -384,6 +393,12 @@ pub struct ChopimSystem {
     pub cfg: ChopimConfig,
     mapper: Arc<PartitionedMapping>,
     cores: Vec<OooCore>,
+    /// Per core, in fast-forward mode: `Some(c)` while the core sleeps
+    /// (inert, so [`cpu_step`](Self::cpu_step) skips it), its counters
+    /// current to CPU cycle `c`; `None` while it is awake. Derived, not
+    /// encoded: every core starts awake, and the first CPU step puts an
+    /// inert one back to sleep.
+    sleeping: Vec<Option<u64>>,
     core_regions: Vec<Region>,
     /// One shard per channel; always synced to `self.now` between public
     /// calls.
@@ -471,6 +486,10 @@ impl ChopimSystem {
         assert!(
             cfg.completion_latency >= 1,
             "completion_latency must be >= 1"
+        );
+        assert!(
+            (cfg.launch_writes_per_instr as usize) < INGRESS_CAP,
+            "launch_writes_per_instr must be below the ingress capacity ({INGRESS_CAP})"
         );
 
         // Host mapping: full geometry in Chopim mode; the lower half of
@@ -571,6 +590,7 @@ impl ChopimSystem {
         let mut sys = Self {
             cfg,
             mapper,
+            sleeping: vec![None; cores.len()],
             cores,
             core_regions,
             shards,
@@ -762,13 +782,22 @@ impl ChopimSystem {
         // fault injection — `OpBuilder::deadline` works on any machine).
         self.runtime.check_deadlines(now);
 
-        // 2. Read fills due at the cores.
-        while let Some(&(t, core, req)) = self.fills.peek() {
+        // 2. Read fills due at the cores. A sleeping core first catches
+        // up to the CPU clock, and wakes only if the fill unblocks it (a
+        // fill for a miss behind the ROB head leaves it inert).
+        while let Some(&(t, i, req)) = self.fills.peek() {
             if t > now {
                 break;
             }
             self.fills.pop();
-            self.cores[core].fill(req);
+            let core = &mut self.cores[i];
+            if let Some(since) = self.sleeping[i] {
+                catch_up(core, since, self.cpu_cycles);
+                core.fill(req);
+                self.sleeping[i] = core.is_inert().then_some(self.cpu_cycles);
+            } else {
+                core.fill(req);
+            }
             self.llc_outstanding -= 1;
         }
 
@@ -884,9 +913,17 @@ impl ChopimSystem {
         }
     }
 
+    /// One CPU cycle of every awake core, in core order. In fast-forward
+    /// mode a core this step leaves inert goes to sleep, current to this
+    /// CPU cycle: until a fill wakes it, the step is a pure counter
+    /// increment, which the catch-up on wake (or at the end of a drive
+    /// call) applies in one [`OooCore::advance_inert`]. An inert core
+    /// sends no request, so skipping it keeps the (CPU cycle, core)
+    /// order of requests into the LLC MSHRs and the ingress queues.
     fn cpu_step(&mut self, now: Cycle) {
         let Self {
             cores,
+            sleeping,
             core_regions,
             mapper,
             llc_outstanding,
@@ -894,10 +931,15 @@ impl ChopimSystem {
             ingress_seen,
             ingress_unseen,
             cfg,
+            cpu_cycles,
             ..
         } = self;
         let delay = Cycle::from(cfg.ingress_latency) + Cycle::from(cfg.packetized_latency);
-        for (i, core) in cores.iter_mut().enumerate() {
+        let mut stepped = 0;
+        for (i, (core, sleep)) in cores.iter_mut().zip(sleeping.iter_mut()).enumerate() {
+            if sleep.is_some() {
+                continue;
+            }
             let region = &core_regions[i];
             let mut sink = |req: chopim_host::MemRequest| -> bool {
                 let offset = (req.line * 64) % region.len_bytes();
@@ -938,15 +980,35 @@ impl ChopimSystem {
                 true
             };
             core.cpu_cycle(&mut sink);
+            stepped += 1;
+            if cfg.fast_forward && core.is_inert() {
+                *sleep = Some(*cpu_cycles);
+            }
+        }
+        perfcount::add(Counter::CoreCyclesStepped, stepped);
+    }
+
+    /// Bring every sleeping core's counters up to the CPU clock (it
+    /// stays asleep), so accessors and snapshots between drive calls
+    /// read exact values.
+    fn catch_up_sleepers(&mut self) {
+        for (core, sleep) in self.cores.iter_mut().zip(&mut self.sleeping) {
+            if let Some(since) = sleep {
+                catch_up(core, *since, self.cpu_cycles);
+                *since = self.cpu_cycles;
+            }
         }
     }
 
     /// Earliest cycle at or after `self.now` at which the front-end
     /// could act, assuming no new shard messages (those are exchanged at
-    /// barriers, which re-compute horizons).
+    /// barriers, which re-compute horizons). Sleeping cores are inert by
+    /// construction, so only awake ones are asked: the front-end leaps
+    /// exactly when every core is inert.
     fn fe_horizon(&self) -> Cycle {
         let now = self.now;
-        if self.cores.iter().any(|c| !c.is_inert()) {
+        let mut cores = self.cores.iter().zip(&self.sleeping);
+        if cores.any(|(c, sleep)| sleep.is_none() && !c.is_inert()) {
             return now;
         }
         if self.launch_stage.is_some() {
@@ -974,18 +1036,21 @@ impl ChopimSystem {
     }
 
     /// Leap the front-end to `target`: the CPU clock divider advances in
-    /// closed form and inert cores bulk-advance their counters.
+    /// closed form. The cores are all asleep (the leap needs every core
+    /// inert, and a step puts an inert core to sleep), so they catch up
+    /// when a fill wakes them or the drive call ends.
     fn fe_skip_to(&mut self, target: Cycle) {
         debug_assert!(target > self.now);
+        debug_assert!(
+            self.sleeping.iter().all(Option::is_some),
+            "leap past an awake core"
+        );
         let n = target - self.now;
         self.cycles_skipped += n;
         let total = u64::from(self.cpu_accum) + u64::from(CPU_CLOCK_NUM) * n;
         let steps = total / u64::from(CPU_CLOCK_DEN);
         self.cpu_accum = (total % u64::from(CPU_CLOCK_DEN)) as u32;
         self.cpu_cycles += steps;
-        for core in &mut self.cores {
-            core.advance_inert(steps);
-        }
         self.now = target;
         self.runtime.clock = target;
     }
@@ -1120,7 +1185,8 @@ impl ChopimSystem {
     /// rides on the same loop) and is re-evaluated
     /// around every front-end cycle — a stop-triggering cycle is never
     /// skipped past, so the consumed-cycle count matches the naive loop
-    /// — and shards always end synced to `self.now`.
+    /// — and shards always end synced to `self.now`, sleeping cores
+    /// caught up to the CPU clock.
     fn drive_loop(&mut self, end: Cycle, ctrl: &mut dyn FnMut(&mut Runtime) -> bool) {
         'outer: while self.now < end {
             Self::pump_streams(&mut self.streams, &mut self.stream_of, &mut self.runtime);
@@ -1145,6 +1211,7 @@ impl ChopimSystem {
             }
             self.maybe_global_skip(end);
         }
+        self.catch_up_sleepers();
     }
 
     /// Run for `cycles` DRAM cycles (pumping any active streams).
@@ -1451,19 +1518,38 @@ impl ChopimSystem {
     }
 
     /// The resume validation step: every index a restored message or
-    /// record carries must address this machine (cores, NDAs, shards,
-    /// the runtime's op table), launch credits must respect capacity,
-    /// and in-flight deadlines must be in egress order (the O(1)
-    /// front-scan timeout depends on it).
+    /// record carries must address this machine (NDAs, shards, the
+    /// runtime's op table), each core's miss accounting must be
+    /// consistent, every core read in flight must answer an unfilled
+    /// miss of its core, launch credits must respect capacity, and
+    /// in-flight deadlines must be in egress order (the O(1) front-scan
+    /// timeout depends on it).
     #[cold]
     fn validate(&self) -> Result<(), CodecError> {
-        let (n_cores, n_ndas) = (self.cores.len(), self.nda_local.len());
+        let n_ndas = self.nda_local.len();
         let handle_ok = |h: OpHandle| self.runtime.handle_in_range(h);
         self.runtime.validate()?;
-        let fills = self.fills.live();
+        for core in &self.cores {
+            core.validate().map_err(CodecError::Corrupt)?;
+        }
+        // Reads in flight (egress, inbox, MC queue, outbound and
+        // delivered-pending fills) and unfilled misses pair one to one:
+        // a fill for anything else would underflow the core's count.
+        let mut reads: Vec<(usize, u64)> = (self.fills.live().iter())
+            .map(|&(_, core, req)| (core, req))
+            .collect();
+        for (s, egress) in self.shards.iter().zip(&self.egress) {
+            reads.extend(s.core_reads(egress));
+        }
+        reads.sort_unstable();
+        let mut misses: Vec<(usize, u64)> = (self.cores.iter().enumerate())
+            .flat_map(|(i, core)| core.unfilled_misses().map(move |id| (i, id)))
+            .collect();
+        misses.sort_unstable();
+        check(reads == misses, "core read in flight for no unfilled miss")?;
         check(
-            fills.iter().all(|f| f.1 < n_cores),
-            "fill core index out of range",
+            self.llc_outstanding == reads.len(),
+            "LLC miss count differs from the reads in flight",
         )?;
         for &(_, _, nda, tag, status) in self.completions.live() {
             check(nda < n_ndas, "completion NDA index out of range")?;
@@ -1484,9 +1570,7 @@ impl ChopimSystem {
         )?;
         let mut shards = self.shards.iter().zip(&self.egress);
         let next_launch = self.next_launch;
-        shards.try_for_each(|(s, egress)| {
-            s.validate(egress, n_cores, n_ndas, next_launch, &handle_ok)
-        })
+        shards.try_for_each(|(s, egress)| s.validate(egress, n_ndas, next_launch, &handle_ok))
     }
 
     // --- Event-trace capture ------------------------------------------
@@ -1613,6 +1697,7 @@ chopim_dram::codec! {
         shards: each,
         cfg: skip,
         mapper: skip,
+        sleeping: skip,
         core_regions: skip,
         pool: skip,
         window: skip,
@@ -1629,7 +1714,7 @@ chopim_dram::codec! {
 /// Host cores: their count (checked against the configuration), then one
 /// exported state image each.
 mod core_images {
-    use chopim_dram::codec::{expect, ByteReader, ByteWriter, CodecError};
+    use chopim_dram::codec::{check, expect, ByteReader, ByteWriter, CodecError};
     use chopim_host::OooCore;
 
     use super::CoreState;
@@ -1642,11 +1727,16 @@ mod core_images {
         }
     }
 
+    /// The core stores a ROB instruction batch as a `u32`, so a larger
+    /// count is refused here, before the import would truncate it.
     #[cold]
     pub fn restore(cores: &mut [OooCore], r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         expect(&cores.len(), r)?;
         for core in cores {
-            core.import_state(&r.get::<CoreState>()?.0);
+            let image = r.get::<CoreState>()?.0;
+            let fits = |&(is_miss, n): &(bool, u64)| is_miss || u32::try_from(n).is_ok();
+            check(image.rob.iter().all(fits), "ROB instruction count over u32")?;
+            core.import_state(&image);
         }
         Ok(())
     }
@@ -1979,6 +2069,58 @@ mod tests {
             .launch_events_mut()
             .push(Reverse((at, 1 << 40)));
         sys.run(1_000);
+    }
+
+    /// A core whose in-flight count disagrees with its ROB would
+    /// underflow that count on a later fill.
+    #[test]
+    fn corrupt_index_core_outstanding_mismatch_is_rejected() {
+        let (mut sys, _) = machine();
+        let core = (sys.cores.iter_mut())
+            .find(|c| c.outstanding_misses() > 0)
+            .expect("a core must have a miss in flight");
+        let mut image = core.export_state();
+        image.outstanding = 0;
+        core.import_state(&image);
+        assert_rejected(&sys, "core with misses in flight but none counted");
+    }
+
+    #[test]
+    fn corrupt_index_foreign_read_id_is_rejected() {
+        let foreign = |at| HostTransaction {
+            meta: TxMeta::CoreRead {
+                core: 0,
+                req: 1 << 40,
+            },
+            ..read_for(0, at)
+        };
+        let (mut sys, _) = machine();
+        let at = sys.now + 5;
+        sys.shards[0].fills_out.push((at, 0, 1 << 40));
+        assert_rejected(&sys, "fill for a read core 0 never sent");
+
+        let (mut sys, _) = machine();
+        let at = sys.now + 1;
+        sys.egress[0].push((at, ShardInbound::Tx(foreign(at))));
+        assert_rejected(&sys, "egress read core 0 never sent");
+
+        let (mut sys, _) = machine();
+        let tx = foreign(sys.now);
+        let shard = &mut sys.shards[0];
+        assert!(shard.mc.try_push(tx, &shard.channel, sys.now));
+        assert_rejected(&sys, "MC-queued read core 0 never sent");
+    }
+
+    /// With 64 launch writes a launch never fits the 64-entry ingress
+    /// queue, so every NDA op would wait forever.
+    #[test]
+    #[should_panic(expected = "launch_writes_per_instr")]
+    fn launch_writes_that_never_fit_ingress_are_rejected() {
+        ChopimSystem::new(ChopimConfig {
+            launch_writes_per_instr: INGRESS_CAP as u32,
+            trace_path: None,
+            ..ChopimConfig::default()
+        });
     }
 
     #[test]

@@ -79,10 +79,17 @@ pub enum Counter {
     /// Ready-index maintenance operations (heap pushes/pops, waitlist
     /// parks, wake-heap arms, credit-return wakes).
     ReadyIndexOps,
+    /// Core cycles the front-end stepped one by one (`OooCore::cpu_cycle`
+    /// calls), front-end scope.
+    CoreCyclesStepped,
+    /// Core cycles sleeping inert cores skipped and caught up in bulk
+    /// (`OooCore::advance_inert`), front-end scope. Stepped plus slept
+    /// is CPU cycles times cores.
+    CoreCyclesSlept,
 }
 
 /// Number of distinct counters.
-pub const NUM_COUNTERS: usize = 16;
+pub const NUM_COUNTERS: usize = 18;
 
 /// Counter labels, index-aligned with [`Counter`].
 pub const LABELS: [&str; NUM_COUNTERS] = [
@@ -102,6 +109,8 @@ pub const LABELS: [&str; NUM_COUNTERS] = [
     "horizon_leap_cycles",
     "sched_sessions_scanned",
     "ready_index_ops",
+    "core_cycles_stepped",
+    "core_cycles_slept",
 ];
 
 #[cfg(feature = "perf-counters")]

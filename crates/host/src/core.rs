@@ -315,6 +315,55 @@ impl OooCore {
         &self.profile
     }
 
+    /// Ids of the reads this core still waits on: its ROB's miss slots
+    /// whose fill has not arrived. Each names exactly one read in flight
+    /// in the memory system.
+    pub fn unfilled_misses(&self) -> impl Iterator<Item = u64> + '_ {
+        self.rob.iter().filter_map(|slot| match *slot {
+            RobSlot::Miss { id } if !self.filled.contains(&id) => Some(id),
+            _ => None,
+        })
+    }
+
+    /// Check restored state (snapshot support): the ROB fits its
+    /// capacity, miss ids are distinct and below `next_id`, every
+    /// returned fill names a distinct miss slot, and the in-flight count
+    /// is the unfilled miss slots, within the MSHRs. A core that passes
+    /// never underflows its miss accounting on a later fill.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violated rule.
+    #[cold]
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.rob_occupancy > self.cfg.rob_entries {
+            return Err("ROB occupancy over capacity");
+        }
+        let mut misses: Vec<u64> = (self.rob.iter())
+            .filter_map(|slot| match *slot {
+                RobSlot::Miss { id } => Some(id),
+                RobSlot::Insts(_) => None,
+            })
+            .collect();
+        misses.sort_unstable();
+        if misses.windows(2).any(|w| w[0] == w[1]) {
+            return Err("duplicate miss id in the ROB");
+        }
+        if misses.last().is_some_and(|&id| id >= self.next_id) {
+            return Err("miss id at or above the next id");
+        }
+        let mut filled = self.filled.clone();
+        filled.sort_unstable();
+        let distinct = filled.windows(2).all(|w| w[0] != w[1]);
+        if !distinct || !filled.iter().all(|id| misses.binary_search(id).is_ok()) {
+            return Err("fill for no miss slot in the ROB");
+        }
+        if self.outstanding > self.cfg.mshrs || self.outstanding != misses.len() - filled.len() {
+            return Err("outstanding misses do not match the ROB");
+        }
+        Ok(())
+    }
+
     /// Capture every mutable field as a plain-data image (snapshot
     /// support). The configuration and workload profile are not part of
     /// the image — a restore target is constructed from the same
@@ -350,6 +399,9 @@ impl OooCore {
     /// Overwrite this core's mutable state from an image captured by
     /// [`export_state`](Self::export_state). ROB occupancy is recomputed
     /// from the slot list, so an image can never desynchronize the two.
+    /// Instruction counts are stored as `u32`: callers restoring an
+    /// untrusted image check that they fit first, and run
+    /// [`validate`](Self::validate) after.
     #[cold]
     pub fn import_state(&mut self, s: &OooCoreState) {
         self.rng = StdRng::from_state(s.rng);
