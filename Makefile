@@ -87,13 +87,13 @@ lint:
 lint-chopim:
 	cargo run --release -p chopim-lint -- .
 
-# Lockstep suites, the arbitration suites and the credit-waitlist
-# wake-rule tests under a release profile with debug-assertions and
-# overflow-checks on: every debug_assert oracle (ready-index vs full
-# scan, horizon conservatism) and arithmetic overflow fires at release
-# optimisation levels too.
+# Lockstep suites (the fault plane's included), the arbitration suites
+# and the credit-waitlist wake-rule tests under a release profile with
+# debug-assertions and overflow-checks on: every debug_assert oracle
+# (ready-index vs full scan, horizon conservatism) and arithmetic
+# overflow fires at release optimisation levels too.
 checked-release:
-	cargo test --profile release-checked -p chopim-exp --test ff_lockstep --test shard_lockstep --test snapshot_lockstep
+	cargo test --profile release-checked -p chopim-exp --test ff_lockstep --test shard_lockstep --test snapshot_lockstep --test fault_lockstep
 	cargo test --profile release-checked -p chopim-core --test qos_sched_props --test session_dag_props --test runtime_props
 	cargo test --profile release-checked -p chopim-core --lib arbitration
 

@@ -34,11 +34,6 @@ use chopim_nda::isa::NdaInstr;
 
 use crate::sched::HostTransaction;
 
-// The shared cross-boundary vocabulary, re-exported so shard-side code
-// names `exchange` (the typed message layer) rather than the front-end
-// `runtime` module. This module is the one place both sides' types meet.
-pub use crate::runtime::OpHandle;
-
 /// A message from the front-end to a shard, delivered at its stamp.
 #[derive(Debug)]
 pub(crate) enum ShardInbound {
@@ -58,23 +53,20 @@ pub(crate) enum ShardInbound {
         instr: NdaInstr,
         /// Control-register writes carrying this launch.
         writes: u32,
-        /// Owning `(session, op)`: stamped back onto the instruction's
-        /// completion message so the front-end routes it straight to the
-        /// right tenant's op without a global lookup.
-        tag: OpHandle,
     },
 }
 
 /// Outbound fill completion: `(deliver_at, core, request id)`.
 pub(crate) type FillMsg = (Cycle, usize, u64);
-/// Outbound instruction completion:
-/// `(deliver_at, instr id, global NDA, (session, op), status)`.
-pub(crate) type CompletionMsg = (Cycle, u64, usize, OpHandle, u8);
+/// Outbound instruction completion: `(deliver_at, instr id, status)`.
+/// The front-end resolves the instruction id through its in-flight
+/// launch record, which names the op, the chunk and the NDA.
+pub(crate) type CompletionMsg = (Cycle, u64, u8);
 
 /// [`CompletionMsg`] status: the instruction retired successfully.
 pub(crate) const COMPLETION_OK: u8 = 0;
 /// [`CompletionMsg`] status: the instruction failed (transient compute
-/// fault, poisoned operand, or queue overflow under fault recovery).
+/// fault, poisoned operand, or queue overflow under a fault plan).
 pub(crate) const COMPLETION_FAILED: u8 = 1;
 /// [`CompletionMsg`] status: the target rank died permanently; the
 /// front-end quarantines it and re-shards onto survivors.
@@ -83,7 +75,7 @@ pub(crate) const COMPLETION_RANK_DEAD: u8 = 2;
 chopim_dram::codec! {
     enum ShardInbound {
         0 => Tx(tx),
-        1 => Launch { id, nda_local, instr, writes, tag },
+        1 => Launch { id, nda_local, instr, writes },
     }
 }
 
@@ -105,6 +97,16 @@ impl ShardInbound {
         match self {
             ShardInbound::Tx(tx) => tx.core_read(),
             ShardInbound::Launch { .. } => None,
+        }
+    }
+
+    /// `(shard-local NDA, instr id)` when this message carries a launch.
+    pub(crate) fn launch(&self) -> Option<(usize, u64)> {
+        match self {
+            ShardInbound::Launch {
+                nda_local, instr, ..
+            } => Some((*nda_local, instr.id)),
+            ShardInbound::Tx(_) => None,
         }
     }
 }

@@ -53,8 +53,9 @@
 //! returned credit costs one wake, not one per waiter:
 //!
 //! 1. A credit returned to `k` (`Runtime::credit_returned`), or left
-//!    unspent by a staged launch that fault recovery drops, wakes `k`'s
-//!    smallest live waiter and records `k` as the session's waker.
+//!    unspent by a staged launch the front-end drops (its op concluded
+//!    first), wakes `k`'s smallest live waiter and records `k` as the
+//!    session's waker.
 //! 2. A popped session woken by `k` that does not take `k`'s credit (it
 //!    is served on another NDA through an unordered op, or it re-parks)
 //!    hands the credit on: if `k` still has one after the pass's
@@ -102,7 +103,9 @@ pub struct Session {
 }
 
 /// Typed handle to a launched (possibly multi-instruction, multi-rank)
-/// operation: the `(session, op)` pair completion routing carries.
+/// operation: a `(session, op)` pair. Only the front-end holds op
+/// handles; shards see instruction ids, which the front-end resolves
+/// through its in-flight launch records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpHandle {
     pub(crate) sess: u32,
@@ -330,8 +333,8 @@ pub struct PendingLaunch {
     pub nda_idx: usize,
     /// The instruction to deliver.
     pub instr: NdaInstr,
-    /// Owning operation (the `(session, op)` tag completion routing
-    /// carries back).
+    /// Owning operation: a completion resolves through the front-end's
+    /// in-flight record of this launch, which names it.
     pub op: OpHandle,
     /// Chunk index within the operation (for barriers).
     pub chunk: usize,
@@ -381,9 +384,6 @@ struct OpState {
     /// Default program-order semantics: also wait for every earlier op in
     /// the same session. `false` = gated by `deps` alone.
     ordered: bool,
-    /// First instruction id of this op; instruction ids are contiguous
-    /// per op, `n_ndas` per chunk, so `chunk = (id - base) / n_ndas`.
-    instr_base: u64,
     /// Cycle at which the op's first launch was staged (DAG observability
     /// for the scheduling property tests).
     first_staged_at: Option<u64>,
@@ -422,7 +422,6 @@ impl OpState {
         opts: LaunchOpts,
         deps: Vec<OpHandle>,
         ordered: bool,
-        instr_base: u64,
     ) -> Self {
         Self {
             kind,
@@ -437,7 +436,6 @@ impl OpState {
             done: false,
             deps,
             ordered,
-            instr_base,
             first_staged_at: None,
             finished_at: None,
             status: None,
@@ -520,7 +518,6 @@ chopim_dram::codec! {
         done,
         deps,
         ordered,
-        instr_base,
         first_staged_at: opt_cycle,
         finished_at: opt_cycle,
         status: op_status,
@@ -599,11 +596,6 @@ pub struct Runtime {
     /// Realignment copies the runtime inserted for color mismatches.
     pub realignment_copies: u64,
     default_color: Color,
-    /// Fault recovery active (a non-empty `FaultPlan`): enables retry
-    /// staging holds, inflight-record completion resolution, and
-    /// quarantine redirection. `false` keeps every hot path on the
-    /// exact pre-fault-plane instruction sequence.
-    recovery: bool,
     /// Retry budget per op before concluding `Failed` / falling back.
     retry_limit: u32,
     /// Base retry backoff in cycles (doubles per retry).
@@ -651,7 +643,6 @@ chopim_dram::codec! {
         cfg: skip,
         nda_ranks: skip,
         rank_partition: skip,
-        recovery: skip,
         retry_limit: skip,
         retry_backoff: skip,
         retry_backoff_cap: skip,
@@ -690,7 +681,6 @@ impl Runtime {
             host_comm_cycles: 0,
             realignment_copies: 0,
             default_color: Color(0),
-            recovery: false,
             retry_limit: 3,
             retry_backoff: 64,
             retry_backoff_cap: 4096,
@@ -701,17 +691,15 @@ impl Runtime {
         }
     }
 
-    /// Configure the fault-recovery layer (called once by the system
-    /// from its `ChopimConfig`). `active` mirrors "the fault plan is
-    /// non-empty": when `false`, recovery stays fully dormant.
+    /// Configure the retry policy (called once by the system from its
+    /// `ChopimConfig`). Retries only run once a launch fails or times
+    /// out, which needs a fault plan.
     pub(crate) fn configure_recovery(
         &mut self,
-        active: bool,
         retry_limit: u32,
         retry_backoff: u64,
         retry_backoff_cap: u64,
     ) {
-        self.recovery = active;
         self.retry_limit = retry_limit;
         self.retry_backoff = retry_backoff.max(1);
         self.retry_backoff_cap = retry_backoff_cap.max(self.retry_backoff);
@@ -1139,13 +1127,12 @@ impl Runtime {
         let g = opts.granularity_lines.unwrap_or(per_rank).max(1);
         let chunks = per_rank.div_ceil(g) as usize;
         let handle = self.next_handle(sess);
-        let instr_base = self.take_instr_ids(chunks as u64 * self.n_ndas as u64);
+        let mut id = self.take_instr_ids(chunks as u64 * self.n_ndas as u64);
         let mut pending = VecDeque::new();
         let mut chunk_sizes = vec![0u32; chunks];
         // In-place read-modify-write ops stream their output operand in
         // as well (Table I: AXPY and SCAL update y/x in place).
         let rmw = matches!(op, Opcode::Axpy | Opcode::Scal);
-        let mut id = instr_base;
         #[allow(clippy::needless_range_loop)]
         for chunk in 0..chunks {
             let start = chunk as u64 * g;
@@ -1183,7 +1170,7 @@ impl Runtime {
             inputs,
             output,
         };
-        let record = OpState::new(kind, pending, chunk_sizes, opts, deps, ordered, instr_base);
+        let record = OpState::new(kind, pending, chunk_sizes, opts, deps, ordered);
         self.push_op(sess, record)
     }
 
@@ -1211,14 +1198,14 @@ impl Runtime {
         let x_per_rank = self.vec_lines_per_rank(x).max(1);
         let y_per_rank = self.vec_lines_per_rank(y).max(1);
         let handle = self.next_handle(sess);
-        let instr_base = self.take_instr_ids(self.n_ndas as u64);
+        let first_id = self.take_instr_ids(self.n_ndas as u64);
         let mut pending = VecDeque::new();
         for nda in 0..self.n_ndas {
             let instr = NdaInstr::gemv(
                 (self.arrays[a.0].layouts[nda].clone(), 0, a_per_rank),
                 (self.arrays[x.0].layouts[nda].clone(), 0, x_per_rank),
                 (self.arrays[y.0].layouts[nda].clone(), 0, y_per_rank),
-                instr_base + nda as u64,
+                first_id + nda as u64,
             );
             pending.push_back(PendingLaunch {
                 nda_idx: nda,
@@ -1229,7 +1216,7 @@ impl Runtime {
         }
         let chunk_sizes = vec![pending.len() as u32];
         let kind = OpKind::Gemv { y, a, x };
-        let record = OpState::new(kind, pending, chunk_sizes, opts, deps, ordered, instr_base);
+        let record = OpState::new(kind, pending, chunk_sizes, opts, deps, ordered);
         self.push_op(sess, record)
     }
 
@@ -1270,10 +1257,9 @@ impl Runtime {
         let k = samples_per_instr;
         let n_batches = n.div_ceil(k);
         let handle = self.next_handle(sess);
-        let instr_base = self.take_instr_ids(n_batches as u64 * self.n_ndas as u64);
+        let mut id = self.take_instr_ids(n_batches as u64 * self.n_ndas as u64);
         let mut pending = VecDeque::new();
         let mut chunk_sizes = vec![0u32; n_batches];
-        let mut id = instr_base;
         #[allow(clippy::needless_range_loop)]
         for batch in 0..n_batches {
             let first = batch * k;
@@ -1311,7 +1297,7 @@ impl Runtime {
             x,
             samples_per_instr,
         };
-        let record = OpState::new(kind, pending, chunk_sizes, opts, deps, ordered, instr_base);
+        let record = OpState::new(kind, pending, chunk_sizes, opts, deps, ordered);
         self.push_op(sess, record)
     }
 
@@ -1396,7 +1382,6 @@ impl Runtime {
         space: &impl Fn(usize) -> usize,
         now: u64,
     ) -> Option<usize> {
-        let recovery = self.recovery;
         let mut wake_at = u64::MAX;
         let mut parked = false;
         let found = {
@@ -1423,11 +1408,7 @@ impl Runtime {
                             wake_at = wake_at.min(op.retry_after);
                             parked = true;
                         } else {
-                            let target = if recovery {
-                                Self::redirect(alive, head.nda_idx)
-                            } else {
-                                head.nda_idx
-                            };
+                            let target = Self::redirect(alive, head.nda_idx);
                             if space(target) > 0 {
                                 found = Some(i);
                                 break;
@@ -1518,11 +1499,7 @@ impl Runtime {
             {
                 let head = op.pending.front().expect("nonempty");
                 let barrier_ok = !op.barrier || head.chunk <= op.released_chunks;
-                let target = if self.recovery {
-                    Self::redirect(&self.alive, head.nda_idx)
-                } else {
-                    head.nda_idx
-                };
+                let target = Self::redirect(&self.alive, head.nda_idx);
                 if barrier_ok && space(target) > 0 {
                     return Some(i);
                 }
@@ -1584,9 +1561,7 @@ impl Runtime {
                         op.first_staged_at = Some(now);
                     }
                     let mut launch = op.pending.pop_front().expect("candidate has a head");
-                    if self.recovery {
-                        launch.nda_idx = Self::redirect(&self.alive, launch.nda_idx);
-                    }
+                    launch.nda_idx = Self::redirect(&self.alive, launch.nda_idx);
                     ss.vtime = ss.vtime.saturating_add(QUANTUM / ss.qos.weight());
                     if self.classify_and_park(s, &space, now).is_some() {
                         self.ready_notify(s);
@@ -1630,28 +1605,15 @@ impl Runtime {
         !self.ready[0].is_empty() || !self.ready[1].is_empty()
     }
 
-    /// Record the completion of instruction `id` of op `h`, finalizing
-    /// the op when it is the last one. Returns `true` if the op just
-    /// finished. `id` must be the original (non-retried) instruction id;
-    /// under fault recovery the system resolves completions through its
-    /// in-flight records and calls `instr_completed_via` with the
-    /// record's chunk instead (retried launches carry fresh ids).
-    pub(crate) fn complete_instr(&mut self, h: OpHandle, id: u64, now: u64) -> bool {
-        let n_ndas = self.n_ndas as u64;
-        let op = self.op(h);
-        debug_assert!(id >= op.instr_base && id - op.instr_base < op.total_instrs);
-        let chunk = ((id - op.instr_base) / n_ndas) as usize;
-        self.instr_completed_via(h, chunk, now)
-    }
-
-    /// Completion bookkeeping with the chunk resolved by the caller.
-    /// Returns `true` if the op just finished; a completion for an op
-    /// already concluded (timed out, failed) is ignored.
-    pub(crate) fn instr_completed_via(&mut self, h: OpHandle, chunk: usize, now: u64) -> bool {
+    /// Record the completion of one instruction of chunk `chunk` of op
+    /// `h` (the front-end's in-flight record names both), finalizing the
+    /// op when it is the last one. A completion for an op already
+    /// concluded (timed out, failed) is ignored.
+    pub(crate) fn instr_completed(&mut self, h: OpHandle, chunk: usize, now: u64) {
         let finished = {
             let op = self.op_mut(h);
             if op.done {
-                return false; // late completion of a concluded op
+                return; // late completion of a concluded op
             }
             op.completed_instrs += 1;
             op.chunk_completed[chunk] += 1;
@@ -1689,7 +1651,6 @@ impl Runtime {
             // next tick can stage its newly-open work.
             self.ready_notify(h.sess as usize);
         }
-        finished
     }
 
     /// Terminal bookkeeping shared by the completion and conclusion

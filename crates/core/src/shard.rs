@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::exchange::{
-    CompletionMsg, FillMsg, FlatFifo, OpHandle, ShardInbound, COMPLETION_FAILED, COMPLETION_OK,
+    CompletionMsg, FillMsg, FlatFifo, ShardInbound, COMPLETION_FAILED, COMPLETION_OK,
     COMPLETION_RANK_DEAD,
 };
 use crate::policy::WriteIssuePolicy;
@@ -164,7 +164,6 @@ struct LaunchInFlight {
     instr: NdaInstr,
     nda_local: usize,
     writes_remaining: u32,
-    tag: OpHandle,
 }
 
 /// Dense sliding map over in-flight launch records.
@@ -237,13 +236,9 @@ impl ChannelShard {
     pub(crate) fn launch_events_mut(&mut self) -> &mut BinaryHeap<Reverse<(Cycle, u64)>> {
         &mut self.launch_events
     }
-
-    pub(crate) fn completion_tags_mut(&mut self) -> &mut [Vec<(u64, OpHandle)>] {
-        &mut self.completion_tags
-    }
 }
 
-chopim_dram::codec! { LaunchInFlight { instr, nda_local, writes_remaining, tag } }
+chopim_dram::codec! { LaunchInFlight { instr, nda_local, writes_remaining } }
 chopim_dram::codec! { LaunchSlab { base, slots } }
 
 // The event counters are fault-stream keys: restoring them verbatim is
@@ -267,6 +262,15 @@ chopim_dram::codec! {
     }
 }
 
+/// Ids of every instruction `nda` holds, each once: a running or
+/// draining instruction also keys its buffered writes.
+fn held_once(nda: &NdaRankController) -> Vec<u64> {
+    let mut ids: Vec<u64> = nda.fsm().held_ids().collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
 /// One channel's shard. See the module docs.
 pub(crate) struct ChannelShard {
     channel_idx: usize,
@@ -277,17 +281,7 @@ pub(crate) struct ChannelShard {
     /// Shard-local NDA index per rank (`None` = rank has no NDA, e.g.
     /// host-only ranks never occur but rank-partitioning asymmetries do).
     local_of_rank: Vec<Option<usize>>,
-    /// Global NDA index per shard-local NDA (stamps completion messages).
-    global_idx: Vec<usize>,
     launches: LaunchSlab,
-    /// `(instr id, (session, op))` of every instruction delivered to a
-    /// rank FSM and not yet retired, bucketed per shard-local NDA: the
-    /// completion-routing tag stamped onto outbound completion messages.
-    /// Instruction ids are *not* monotonic per shard (fair-share
-    /// arbitration interleaves ops) and the FSM retires out of launch
-    /// order (buffered-write drain), so each bucket is a small unordered
-    /// vector scanned linearly — bounded by the FSM queue depth.
-    completion_tags: Vec<Vec<(u64, OpHandle)>>,
     /// `(cycle, launch id)` of every launch control write that completed
     /// and has not yet been counted against its launch record.
     launch_events: BinaryHeap<Reverse<(Cycle, u64)>>,
@@ -381,23 +375,18 @@ impl ChannelShard {
         params: ShardParams,
     ) -> Self {
         let ranks = channel.config().ranks_per_channel;
+        let plan = params.faults;
         let mut local_of_rank = vec![None; ranks];
-        let mut global_idx = Vec::with_capacity(ndas.len());
+        let mut death_local = None;
         let mut ctls = Vec::with_capacity(ndas.len());
         for (local, (gidx, ctl)) in ndas.into_iter().enumerate() {
             local_of_rank[ctl.rank()] = Some(local);
-            global_idx.push(gidx);
+            if plan.rank_death_cycle > 0 && gidx == plan.rank_death_nda as usize {
+                death_local = Some(local);
+            }
             ctls.push(ctl);
         }
         let n = ctls.len();
-        let plan = params.faults;
-        let death_local = if plan.rank_death_cycle > 0 {
-            global_idx
-                .iter()
-                .position(|&g| g == plan.rank_death_nda as usize)
-        } else {
-            None
-        };
         let fault = FaultState {
             active: !plan.is_empty(),
             death_local,
@@ -420,9 +409,7 @@ impl ChannelShard {
             shadows: (0..n).map(|_| NdaFsm::new(queue_cap)).collect(),
             ndas: ctls,
             local_of_rank,
-            global_idx,
             launches: LaunchSlab::default(),
-            completion_tags: (0..n).map(|_| Vec::new()).collect(),
             launch_events: BinaryHeap::new(),
             inbox: FlatFifo::default(),
             fills_out: Vec::new(),
@@ -516,13 +503,9 @@ impl ChannelShard {
                 if self.fault.active && self.fault.dead[lf.nda_local] {
                     // Delivery to a dead rank: fail the instruction
                     // immediately so the front-end can re-shard it.
-                    self.completions_out.push((
-                        now + self.params.completion_latency,
-                        lf.instr.id,
-                        self.global_idx[lf.nda_local],
-                        lf.tag,
-                        COMPLETION_RANK_DEAD,
-                    ));
+                    let at = now + self.params.completion_latency;
+                    self.completions_out
+                        .push((at, lf.instr.id, COMPLETION_RANK_DEAD));
                     continue;
                 }
                 if self.params.record_events {
@@ -531,7 +514,6 @@ impl ChannelShard {
                 }
                 match self.ndas[lf.nda_local].launch(lf.instr.clone()) {
                     Ok(()) => {
-                        self.completion_tags[lf.nda_local].push((lf.instr.id, lf.tag));
                         self.shadows[lf.nda_local]
                             .launch(lf.instr)
                             .unwrap_or_else(|_| panic!("shadow queue overflow"));
@@ -541,13 +523,9 @@ impl ChannelShard {
                     // launch gracefully (the runtime retries it) instead
                     // of bringing the machine down.
                     Err(_) if self.fault.active => {
-                        self.completions_out.push((
-                            now + self.params.completion_latency,
-                            lf.instr.id,
-                            self.global_idx[lf.nda_local],
-                            lf.tag,
-                            COMPLETION_FAILED,
-                        ));
+                        let at = now + self.params.completion_latency;
+                        self.completions_out
+                            .push((at, lf.instr.id, COMPLETION_FAILED));
                     }
                     Err(_) => panic!("NDA queue overflow"),
                 }
@@ -565,7 +543,6 @@ impl ChannelShard {
                     nda_local,
                     instr,
                     writes,
-                    tag,
                 } => {
                     self.launches.insert(
                         *id,
@@ -573,7 +550,6 @@ impl ChannelShard {
                             instr: instr.clone(),
                             nda_local: *nda_local,
                             writes_remaining: *writes,
-                            tag: *tag,
                         },
                     );
                     self.inbox.pop_front();
@@ -616,12 +592,9 @@ impl ChannelShard {
         self.fault.death_processed = true;
         self.fault.dead[local] = true;
         self.fault.rank_deaths += 1;
-        let gidx = self.global_idx[local];
-        let latency = self.params.completion_latency;
-        for (id, tag) in self.completion_tags[local].drain(..) {
-            self.completions_out
-                .push((now + latency, id, gidx, tag, COMPLETION_RANK_DEAD));
-        }
+        let at = now + self.params.completion_latency;
+        let held = held_once(&self.ndas[local]).into_iter();
+        (self.completions_out).extend(held.map(|id| (at, id, COMPLETION_RANK_DEAD)));
         self.ndas[local].abort_all();
         self.shadows[local].abort_all();
     }
@@ -687,9 +660,7 @@ impl ChannelShard {
             fault,
             params,
             completions_out,
-            completion_tags,
             completion_log,
-            global_idx,
             ..
         } = self;
         for i in 0..ndas.len() {
@@ -766,14 +737,6 @@ impl ChannelShard {
                 if params.record_events {
                     completion_log.push((now, id));
                 }
-                // Retirement is out of launch order (buffered-write
-                // drain), so scan the NDA's small tag bucket.
-                let tags = &mut completion_tags[i];
-                let at = tags
-                    .iter()
-                    .position(|&(tid, _)| tid == id)
-                    .expect("tagged instruction");
-                let (_, tag) = tags.swap_remove(at);
                 let mut deliver = now + params.completion_latency;
                 let mut status = COMPLETION_OK;
                 if fault.active
@@ -781,7 +744,7 @@ impl ChannelShard {
                 {
                     continue; // completion message dropped in transit
                 }
-                completions_out.push((deliver, id, global_idx[i], tag, status));
+                completions_out.push((deliver, id, status));
             }
         }
     }
@@ -915,21 +878,18 @@ impl ChannelShard {
 
     /// Check a restored shard, and the front-end `egress` queued behind
     /// its inbox, against the machine it was rebuilt into: every
-    /// component's own bounds, shard-local NDA indexes, completion NDA
-    /// indexes against the machine-wide `n_ndas`, completion statuses,
-    /// every op handle the shard holds against `handle_ok` (the
-    /// runtime's session table), launch ids against the front-end's
-    /// `next_launch` and the launch-write accounting, a completion tag
-    /// for every instruction an NDA holds, and every shadow FSM equal to
-    /// its NDA's. Core reads are paired with the cores' unfilled misses
-    /// by the front-end ([`core_reads`](Self::core_reads)).
+    /// component's own bounds, shard-local NDA indexes, completion
+    /// statuses, launch ids against the front-end's `next_launch` and
+    /// the launch-write accounting, and every shadow FSM equal to its
+    /// NDA's. Core reads and instructions are paired with the cores'
+    /// unfilled misses and the in-flight launch records by the
+    /// front-end ([`core_reads`](Self::core_reads),
+    /// [`instrs`](Self::instrs)).
     #[cold]
     pub(crate) fn validate(
         &self,
         egress: &[(Cycle, ShardInbound)],
-        n_ndas: usize,
         next_launch: u64,
-        handle_ok: &dyn Fn(OpHandle) -> bool,
     ) -> Result<(), CodecError> {
         self.channel.validate()?;
         self.mc.validate()?;
@@ -941,31 +901,13 @@ impl ChannelShard {
         let local = self.ndas.len();
         for lf in self.launches.slots.iter().flatten() {
             check(lf.nda_local < local, "launch NDA index out of range")?;
-            check(handle_ok(lf.tag), "op handle out of range")?;
         }
         // The inbox, then the egress: the order the shard will see them.
         let queued = || self.inbox.live().iter().chain(egress);
-        for (_, item) in queued() {
-            item.validate(local)?;
-            if let ShardInbound::Launch { tag, .. } = item {
-                check(handle_ok(*tag), "op handle out of range")?;
-            }
-        }
+        queued().try_for_each(|(_, item)| item.validate(local))?;
         self.validate_launches(queued(), next_launch)?;
-        let tags = self.completion_tags.iter().flatten();
-        check(tags.map(|t| t.1).all(handle_ok), "op handle out of range")?;
-        // Retirement looks each instruction's tag up in its NDA's bucket.
-        for (nda, tags) in self.ndas.iter().zip(&self.completion_tags) {
-            let tagged = |id| tags.iter().any(|&(tid, _)| tid == id);
-            check(
-                nda.fsm().held_ids().all(tagged),
-                "NDA instruction without completion tag",
-            )?;
-        }
-        for &(_, _, nda, tag, status) in &self.completions_out {
-            check(nda < n_ndas, "completion NDA index out of range")?;
+        for &(_, _, status) in &self.completions_out {
             check(status <= COMPLETION_RANK_DEAD, "completion status")?;
-            check(handle_ok(tag), "op handle out of range")?;
         }
         Ok(())
     }
@@ -984,6 +926,27 @@ impl ChannelShard {
         (queued.filter_map(|(_, item)| item.core_read()))
             .chain(self.mc.queued_core_reads())
             .chain(fills)
+    }
+
+    /// The NDA instructions this shard holds, with the front-end
+    /// `egress` queued behind its inbox, as `(shard-local NDA, instr
+    /// id)`: a launch queued or awaiting its control writes, or an
+    /// instruction an NDA FSM holds, each once; a completion on its way
+    /// out sits on no NDA (`None`). Resume validation pairs them with
+    /// the front-end's in-flight launch records.
+    #[cold]
+    pub(crate) fn instrs(&self, egress: &[(Cycle, ShardInbound)]) -> Vec<(Option<usize>, u64)> {
+        let queued = self.inbox.live().iter().chain(egress);
+        let slab = self.launches.records();
+        let mut held: Vec<(Option<usize>, u64)> = (queued.filter_map(|(_, item)| item.launch()))
+            .chain(slab.map(|(_, lf)| (lf.nda_local, lf.instr.id)))
+            .map(|(nda, id)| (Some(nda), id))
+            .collect();
+        for (i, nda) in self.ndas.iter().enumerate() {
+            held.extend(held_once(nda).into_iter().map(|id| (Some(i), id)));
+        }
+        held.extend(self.completions_out.iter().map(|&(_, id, _)| (None, id)));
+        held
     }
 
     /// Launch ids reach the slab strictly increasing, from the front-end's
@@ -1054,8 +1017,8 @@ impl ChannelShard {
 // wake-up, the NDAs' plan memos and the launch slab's `base` anchor are
 // stored verbatim), so a resumed shard replays the exact tick/skip
 // sequence from this image alone. Kept from construction: the static
-// topology (`local_of_rank`, `global_idx`, computed by `build` from the
-// NDA-rank configuration), the `ShardParams` configuration copy, and the
+// topology (`local_of_rank`, computed by `build` from the NDA-rank
+// configuration), the `ShardParams` configuration copy, and the
 // trace-capture event logs (capture sessions never span a snapshot).
 chopim_dram::codec! {
     in_place(pub(crate)) ChannelShard {
@@ -1065,7 +1028,6 @@ chopim_dram::codec! {
         ndas: counted,
         shadows: each,
         launches,
-        completion_tags: each,
         launch_events: ascending,
         inbox,
         fills_out,
@@ -1076,7 +1038,6 @@ chopim_dram::codec! {
         cycles_skipped,
         fault,
         local_of_rank: skip,
-        global_idx: skip,
         launch_log: skip,
         completion_log: skip,
         params: skip,

@@ -75,7 +75,9 @@ use chopim_mapping::color::{ColoredAllocator, Region};
 use chopim_mapping::{presets, AddressMapper, PartitionedMapping};
 
 use crate::energy::{self, EnergyParams};
-use crate::exchange::{MergeQueue, ShardInbound, COMPLETION_OK, COMPLETION_RANK_DEAD};
+use crate::exchange::{
+    CompletionMsg, MergeQueue, ShardInbound, COMPLETION_OK, COMPLETION_RANK_DEAD,
+};
 use crate::par::ShardPool;
 use crate::policy::WriteIssuePolicy;
 use crate::report::{FaultReport, SimReport};
@@ -272,10 +274,10 @@ pub struct ChopimConfig {
     /// knobs, this never affects simulated behavior.
     pub trace_path: Option<PathBuf>,
     /// Deterministic fault-injection plan (`docs/FAULTS.md`). The
-    /// default, [`FaultPlan::NONE`], injects nothing and keeps every
-    /// hot path byte-identical to the pre-fault-plane engine; a
-    /// non-empty plan also activates the runtime's recovery layer
-    /// (retries, in-flight timeouts, quarantine). Defaults to
+    /// default, [`FaultPlan::NONE`], injects nothing: every launch
+    /// still resolves through its in-flight record, but no record ever
+    /// times out, so no retry or quarantine runs. A non-empty plan also
+    /// arms the in-flight timeout (see `instr_timeout`). Defaults to
     /// `CHOPIM_FAULTS=<spec>` (unset = empty).
     pub faults: FaultPlan,
     /// Instruction retries per op before it concludes `Failed` (or
@@ -351,18 +353,17 @@ impl ChopimConfig {
     }
 }
 
-/// One launch the front-end egressed and has not yet seen conclude
-/// (fault recovery only): the completion resolves through this record —
-/// retried launches carry fresh instruction ids, so the record, not id
-/// arithmetic, recovers the op chunk — and if no completion arrives by
-/// `deadline` the launch is declared lost and retried.
+/// One launch the front-end egressed and has not yet seen conclude: its
+/// completion, keyed by `launch.instr.id`, resolves through this record,
+/// which names the op, the chunk and the NDA; if no completion arrives
+/// by `deadline` (never, without a fault plan) the launch is declared
+/// lost and retried.
 struct InflightRec {
     deadline: Cycle,
-    id: u64,
     launch: PendingLaunch,
 }
 
-chopim_dram::codec! { InflightRec { deadline, id, launch } }
+chopim_dram::codec! { InflightRec { deadline, launch } }
 
 /// The snapshot image of one host core. The host crate has no codec
 /// dependency, so its exported state is encoded through this newtype.
@@ -421,8 +422,8 @@ pub struct ChopimSystem {
     /// with one sort (see [`crate::exchange`]).
     fills: MergeQueue<(Cycle, usize, u64)>,
     /// NDA completions on their way to the runtime:
-    /// `(at, instr, nda, (session, op), status)`.
-    completions: MergeQueue<(Cycle, u64, usize, OpHandle, u8)>,
+    /// `(at, instr id, status)`.
+    completions: MergeQueue<CompletionMsg>,
     /// Resident relaunching workloads, pumped by the drive loop.
     streams: Vec<StreamState>,
     /// In-flight op → stream index: completion routing for stream
@@ -434,23 +435,16 @@ pub struct ChopimSystem {
     /// window, swapped into the shard inboxes at the barrier (the
     /// double-buffered arena — see [`crate::exchange`]).
     egress: Vec<Vec<(Cycle, ShardInbound)>>,
-    /// Per-channel ingress occupancy as of the last *grid-aligned*
-    /// barrier (the front-end's admission view; shards publish their
-    /// drain progress only on the window grid, which keeps admission
-    /// independent of how `run` calls are sliced).
-    ingress_seen: Vec<usize>,
-    /// Messages handed to shard inboxes at off-grid barriers since the
-    /// last grid-aligned one — still counted against the ingress
-    /// capacity until the next grid refresh folds them into
-    /// `ingress_seen`.
-    ingress_unseen: Vec<usize>,
+    /// Per-channel ingress occupancy, the front-end's admission view:
+    /// the shard's inbox length as of the last *grid-aligned* barrier,
+    /// plus every message pushed since. Shards publish their drain
+    /// progress only on the window grid, which keeps admission
+    /// independent of how `run` calls are sliced.
+    ingress_used: Vec<usize>,
     /// The launch the runtime released, waiting for ingress room.
     launch_stage: Option<PendingLaunch>,
-    /// Fault recovery active (`cfg.faults` non-empty): completions
-    /// resolve through `inflight` records and timeouts fire. Cached so
-    /// the empty-plan hot path costs one branch.
-    recovery_active: bool,
-    /// Effective in-flight launch timeout (cycles).
+    /// In-flight launch timeout (cycles): `Cycle::MAX` without a fault
+    /// plan, so no launch ever times out.
     instr_timeout: Cycle,
     /// In-flight launch records, deadline-ordered (egress order).
     inflight: VecDeque<InflightRec>,
@@ -545,12 +539,7 @@ impl ChopimSystem {
             }
         }
 
-        runtime.configure_recovery(
-            !cfg.faults.is_empty(),
-            cfg.retry_limit,
-            cfg.retry_backoff,
-            cfg.retry_backoff_cap,
-        );
+        runtime.configure_recovery(cfg.retry_limit, cfg.retry_backoff, cfg.retry_backoff_cap);
 
         let params = ShardParams {
             policy: cfg.policy,
@@ -585,8 +574,11 @@ impl ChopimSystem {
         };
         let window = cfg.lookahead();
         let cfg_queue_cap = cfg.nda_queue_cap;
-        let recovery_active = !cfg.faults.is_empty();
-        let instr_timeout = cfg.effective_instr_timeout();
+        let instr_timeout = if cfg.faults.is_empty() {
+            Cycle::MAX
+        } else {
+            cfg.effective_instr_timeout()
+        };
         let mut sys = Self {
             cfg,
             mapper,
@@ -607,10 +599,8 @@ impl ChopimSystem {
             streams: Vec::new(),
             stream_of: BTreeMap::new(),
             egress: (0..nchannels).map(|_| Vec::new()).collect(),
-            ingress_seen: vec![0; nchannels],
-            ingress_unseen: vec![0; nchannels],
+            ingress_used: vec![0; nchannels],
             launch_stage: None,
-            recovery_active,
             instr_timeout,
             inflight: VecDeque::new(),
             nda_credit: vec![cfg_queue_cap; n],
@@ -700,7 +690,7 @@ impl ChopimSystem {
                     .chain(
                         sh.completions_out[comps_before..]
                             .iter()
-                            .map(|&(t, _, _, _, _)| t),
+                            .map(|&(t, _, _)| t),
                     )
                     .min();
                 (claim, first)
@@ -733,12 +723,9 @@ impl ChopimSystem {
     }
 
     /// Free slots in channel `ch`'s ingress queue, as admissible by the
-    /// front-end this window: occupancy at the last grid barrier, plus
-    /// everything pushed since (whether still in the outbox or already
-    /// transferred at an off-grid barrier).
+    /// front-end this window (see `ingress_used`).
     fn ingress_free(&self, ch: usize) -> usize {
-        INGRESS_CAP
-            .saturating_sub(self.ingress_seen[ch] + self.ingress_unseen[ch] + self.egress[ch].len())
+        INGRESS_CAP.saturating_sub(self.ingress_used[ch])
     }
 
     /// One front-end cycle at `self.now`: deliver due shard messages,
@@ -749,34 +736,25 @@ impl ChopimSystem {
         self.runtime.clock = now;
 
         // 1. NDA completions that became host-visible.
-        while let Some(&(t, id, nda, tag, status)) = self.completions.peek() {
+        while let Some(&(t, id, status)) = self.completions.peek() {
             if t > now {
                 break;
             }
             self.completions.pop();
-            if self.recovery_active {
-                self.resolve_completion(id, tag, status, now);
-            } else {
-                debug_assert_eq!(status, COMPLETION_OK);
-                self.nda_credit[nda] += 1;
-                self.runtime.credit_returned(nda);
-                self.nda_instrs_completed += 1;
-                let _ = self.runtime.complete_instr(tag, id, now);
-            }
+            self.resolve_completion(id, status, now);
         }
 
         // 1b. In-flight launch timeouts (fault recovery): a launch whose
         // completion is overdue is declared lost — its credit comes back
         // and the runtime schedules a retry. Deadlines are egress-ordered,
-        // so only the queue front needs checking.
-        if self.recovery_active {
-            while self.inflight.front().is_some_and(|rec| rec.deadline <= now) {
-                let rec = self.inflight.pop_front().expect("checked");
-                self.nda_credit[rec.launch.nda_idx] += 1;
-                self.runtime.credit_returned(rec.launch.nda_idx);
-                self.runtime.counters.instr_timeouts += 1;
-                self.runtime.instr_failed(rec.launch, now, false);
-            }
+        // so only the queue front needs checking; without a fault plan
+        // every deadline is `Cycle::MAX`.
+        while self.inflight.front().is_some_and(|rec| rec.deadline <= now) {
+            let rec = self.inflight.pop_front().expect("checked");
+            self.nda_credit[rec.launch.nda_idx] += 1;
+            self.runtime.credit_returned(rec.launch.nda_idx);
+            self.runtime.counters.instr_timeouts += 1;
+            self.runtime.instr_failed(rec.launch, now, false);
         }
         // Per-op deadlines (free while none are armed; independent of
         // fault injection — `OpBuilder::deadline` works on any machine).
@@ -816,35 +794,27 @@ impl ChopimSystem {
         if self.launch_stage.is_none() {
             self.launch_stage = self.runtime.next_launch(|i| self.nda_credit[i], now);
         }
-        if self.recovery_active {
-            // The staged launch can go stale under recovery: its op may
-            // have concluded (timeout/failure), or its target NDA may have
-            // been quarantined since staging. A dropped launch never
-            // spends the credit it was staged against, so that credit
-            // wakes the NDA's next waiter as a returned one would.
-            let runtime = &mut self.runtime;
-            if let Some(stale) = self.launch_stage.take_if(|l| runtime.op_done(l.op)) {
-                runtime.credit_returned(stale.nda_idx);
-            }
-            if let Some(l) = &mut self.launch_stage {
-                l.nda_idx = runtime.redirect_live(l.nda_idx);
-            }
+        // The staged launch can go stale: its op may have concluded
+        // (deadline, failure), or its target NDA may have been
+        // quarantined since staging. A dropped launch never spends the
+        // credit it was staged against, so that credit wakes the NDA's
+        // next waiter as a returned one would.
+        let runtime = &mut self.runtime;
+        if let Some(stale) = self.launch_stage.take_if(|l| runtime.op_done(l.op)) {
+            runtime.credit_returned(stale.nda_idx);
+        }
+        if let Some(l) = &mut self.launch_stage {
+            l.nda_idx = runtime.redirect_live(l.nda_idx);
         }
         if let Some(head) = &self.launch_stage {
             let (ch, rank) = self.nda_local[head.nda_idx];
             let k = self.cfg.launch_writes_per_instr.max(1);
             // The launch occupies k write slots plus its payload
-            // side-band in the ingress queue.
-            #[allow(clippy::collapsible_if)]
-            if self.ingress_free(ch) > k as usize {
+            // side-band in the ingress queue. A quarantine can redirect
+            // it to a survivor with no credit left: it then waits here
+            // for one.
+            if self.ingress_free(ch) > k as usize && self.nda_credit[head.nda_idx] > 0 {
                 let head = self.launch_stage.take().expect("checked");
-                if self.recovery_active {
-                    self.inflight.push_back(InflightRec {
-                        deadline: now + self.instr_timeout,
-                        id: head.instr.id,
-                        launch: head.clone(),
-                    });
-                }
                 let id = self.next_launch;
                 self.next_launch += 1;
                 let delay = Cycle::from(self.cfg.ingress_latency)
@@ -855,9 +825,8 @@ impl ChopimSystem {
                     ShardInbound::Launch {
                         id,
                         nda_local: local,
-                        instr: head.instr,
+                        instr: head.instr.clone(),
                         writes: k,
-                        tag: head.op,
                     },
                 ));
                 // Control-register writes: a fixed row in the top bank.
@@ -882,34 +851,38 @@ impl ChopimSystem {
                         }),
                     ));
                 }
+                self.ingress_used[ch] += k as usize + 1;
                 self.nda_credit[head.nda_idx] -= 1;
+                self.inflight.push_back(InflightRec {
+                    deadline: now.saturating_add(self.instr_timeout),
+                    launch: head,
+                });
             }
         }
     }
 
-    /// Resolve a delivered completion against the in-flight records
-    /// (fault recovery): the record — not instruction-id arithmetic —
-    /// recovers the op chunk, because retried launches carry fresh ids.
-    /// A completion with no record (its launch already timed out and was
-    /// resolved) is an orphan and is dropped; its credit came back at
-    /// timeout time.
-    #[cold]
-    fn resolve_completion(&mut self, id: u64, tag: OpHandle, status: u8, now: Cycle) {
-        let Some(pos) = self.inflight.iter().position(|rec| rec.id == id) else {
+    /// Resolve a delivered completion against the in-flight records:
+    /// the record names the op, the chunk and the NDA whose credit comes
+    /// back. A completion with no record (its launch already timed out
+    /// and was resolved) is an orphan and is dropped; its credit came
+    /// back at timeout time.
+    fn resolve_completion(&mut self, id: u64, status: u8, now: Cycle) {
+        let pos = (self.inflight.iter()).position(|rec| rec.launch.instr.id == id);
+        let Some(rec) = pos.and_then(|pos| self.inflight.remove(pos)) else {
             return;
         };
-        let rec = self.inflight.remove(pos).expect("checked");
-        self.nda_credit[rec.launch.nda_idx] += 1;
-        self.runtime.credit_returned(rec.launch.nda_idx);
+        let launch = rec.launch;
+        self.nda_credit[launch.nda_idx] += 1;
+        self.runtime.credit_returned(launch.nda_idx);
         if status == COMPLETION_OK {
             self.nda_instrs_completed += 1;
-            let _ = self.runtime.instr_completed_via(tag, rec.launch.chunk, now);
+            self.runtime.instr_completed(launch.op, launch.chunk, now);
         } else {
             if status == COMPLETION_RANK_DEAD {
-                self.runtime.quarantine(rec.launch.nda_idx);
+                self.runtime.quarantine(launch.nda_idx);
             }
             self.runtime
-                .instr_failed(rec.launch, now, status == COMPLETION_RANK_DEAD);
+                .instr_failed(launch, now, status == COMPLETION_RANK_DEAD);
         }
     }
 
@@ -928,8 +901,7 @@ impl ChopimSystem {
             mapper,
             llc_outstanding,
             egress,
-            ingress_seen,
-            ingress_unseen,
+            ingress_used,
             cfg,
             cpu_cycles,
             ..
@@ -968,11 +940,10 @@ impl ChopimSystem {
                 // Bounded ingress: the front-end's occupancy view is its
                 // own pushes plus the shard's drain progress as of the
                 // last grid-aligned barrier.
-                let used =
-                    ingress_seen[d.channel] + ingress_unseen[d.channel] + egress[d.channel].len();
-                if used >= INGRESS_CAP {
+                if ingress_used[d.channel] >= INGRESS_CAP {
                     return false;
                 }
+                ingress_used[d.channel] += 1;
                 egress[d.channel].push((now + delay, ShardInbound::Tx(tx)));
                 if !tx.is_write {
                     *llc_outstanding += 1;
@@ -1018,7 +989,7 @@ impl ChopimSystem {
             return now;
         }
         let mut h = Cycle::MAX;
-        if let Some(&(t, _, _, _, _)) = self.completions.peek() {
+        if let Some(&(t, _, _)) = self.completions.peek() {
             h = h.min(t);
         }
         if let Some(&(t, _, _)) = self.fills.peek() {
@@ -1088,9 +1059,6 @@ impl ChopimSystem {
         let mut exchanged = 0u64;
         for (ch, q) in self.egress.iter_mut().enumerate() {
             exchanged += q.len() as u64;
-            if !on_grid {
-                self.ingress_unseen[ch] += q.len();
-            }
             // Double-buffer handoff: the shard gets the full buffer, the
             // front-end keeps the shard's drained one for next window.
             self.shards[ch].inbox.absorb(q);
@@ -1116,8 +1084,7 @@ impl ChopimSystem {
                 perfcount::set_scope(prev);
             }
             if on_grid {
-                self.ingress_seen[shard.channel_idx()] = shard.inbox.len();
-                self.ingress_unseen[shard.channel_idx()] = 0;
+                self.ingress_used[shard.channel_idx()] = shard.inbox.len();
             }
         }
         self.fills.seal();
@@ -1521,9 +1488,11 @@ impl ChopimSystem {
     /// record carries must address this machine (NDAs, shards, the
     /// runtime's op table), each core's miss accounting must be
     /// consistent, every core read in flight must answer an unfilled
-    /// miss of its core, launch credits must respect capacity, and
-    /// in-flight deadlines must be in egress order (the O(1) front-scan
-    /// timeout depends on it).
+    /// miss of its core, each NDA's launch credits plus the in-flight
+    /// records targeting it must equal its queue capacity, in-flight
+    /// deadlines must be in egress order (the O(1) front-scan timeout
+    /// depends on it), and, without a fault plan, every in-flight
+    /// record must pair with its instruction.
     #[cold]
     fn validate(&self) -> Result<(), CodecError> {
         let n_ndas = self.nda_local.len();
@@ -1551,10 +1520,8 @@ impl ChopimSystem {
             self.llc_outstanding == reads.len(),
             "LLC miss count differs from the reads in flight",
         )?;
-        for &(_, _, nda, tag, status) in self.completions.live() {
-            check(nda < n_ndas, "completion NDA index out of range")?;
+        for &(_, _, status) in self.completions.live() {
             check(status <= COMPLETION_RANK_DEAD, "completion status")?;
-            check(handle_ok(tag), "op handle out of range")?;
         }
         let inflight = self.inflight.iter().map(|rec| &rec.launch);
         for pl in self.launch_stage.iter().chain(inflight) {
@@ -1563,14 +1530,56 @@ impl ChopimSystem {
         }
         let deadlines = self.inflight.iter().map(|rec| rec.deadline);
         check(deadlines.is_sorted(), "inflight deadlines out of order")?;
-        let cap = self.cfg.nda_queue_cap;
+        // Every egress spends a credit and pushes a record; every resolved
+        // completion or timeout pops one and returns its credit.
+        let mut held = self.nda_credit.clone();
+        for rec in &self.inflight {
+            held[rec.launch.nda_idx] = held[rec.launch.nda_idx].saturating_add(1);
+        }
         check(
-            self.nda_credit.iter().all(|&c| c <= cap),
-            "NDA launch credit over capacity",
+            held.iter().all(|&n| n == self.cfg.nda_queue_cap),
+            "launch credits disagree with the launches in flight",
         )?;
         let mut shards = self.shards.iter().zip(&self.egress);
         let next_launch = self.next_launch;
-        shards.try_for_each(|(s, egress)| s.validate(egress, n_ndas, next_launch, &handle_ok))
+        shards.try_for_each(|(s, egress)| s.validate(egress, next_launch))?;
+        // Under faults a timed-out record leaves its instruction behind,
+        // and a dropped completion leaves its record behind.
+        if self.cfg.faults.is_empty() {
+            self.validate_instrs()?;
+        }
+        Ok(())
+    }
+
+    /// Without a fault plan, each in-flight record's instruction is in
+    /// exactly one place: a launch message or launch record bound for the
+    /// record's NDA, that NDA's FSM, or a completion on its way back.
+    #[cold]
+    fn validate_instrs(&self) -> Result<(), CodecError> {
+        let completions = self.completions.live().iter();
+        let mut held: Vec<(u64, Option<(usize, usize)>)> =
+            completions.map(|&(_, id, _)| (id, None)).collect();
+        for (ch, (s, egress)) in self.shards.iter().zip(&self.egress).enumerate() {
+            let instrs = s.instrs(egress).into_iter();
+            held.extend(instrs.map(|(nda, id)| (id, nda.map(|local| (ch, local)))));
+        }
+        held.sort_unstable();
+        let mut recs: Vec<(u64, (usize, usize))> = (self.inflight.iter())
+            .map(|rec| {
+                let (ch, rank) = self.nda_local[rec.launch.nda_idx];
+                (rec.launch.instr.id, (ch, self.shards[ch].local_of(rank)))
+            })
+            .collect();
+        recs.sort_unstable();
+        let pairs = || held.iter().zip(&recs);
+        check(
+            held.len() == recs.len() && pairs().all(|(h, r)| h.0 == r.0),
+            "in-flight records and instructions do not pair",
+        )?;
+        check(
+            pairs().all(|(h, r)| h.1.is_none_or(|nda| nda == r.1)),
+            "instruction held off its record's NDA",
+        )
     }
 
     // --- Event-trace capture ------------------------------------------
@@ -1683,8 +1692,7 @@ chopim_dram::codec! {
         fills,
         completions,
         egress: each,
-        ingress_seen: each,
-        ingress_unseen: each,
+        ingress_used: each,
         launch_stage,
         inflight,
         nda_credit: each,
@@ -1704,7 +1712,6 @@ chopim_dram::codec! {
         nda_local: skip,
         streams: skip,
         stream_of: skip,
-        recovery_active: skip,
         instr_timeout: skip,
         finalized: skip,
         trace_flushed: skip,
@@ -1761,8 +1768,13 @@ const SNAPSHOT_MAGIC: [u8; 4] = *b"CHSS";
 /// memo is the controller's wake-up). v8 dropped the job-graph executor:
 /// each session's admission limits, job table and job queue, two meter
 /// counters, and the runtime's pending admissions; each `AxpyRows` op
-/// record gained its samples-per-instruction count.
-const SNAPSHOT_VERSION: u32 = 8;
+/// record gained its samples-per-instruction count. v9 resolves every
+/// completion through its in-flight record: completion messages lost
+/// their NDA index and op handle, launch messages and launch records
+/// their op handle, in-flight records their copied instruction id, op
+/// records their first instruction id, and each shard its completion
+/// tags; the two ingress counters became one.
+const SNAPSHOT_VERSION: u32 = 9;
 
 /// Why [`ChopimSystem::snapshot`] refused to capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1799,22 +1811,28 @@ mod tests {
     use chopim_nda::isa::{NdaInstr, Opcode};
 
     use super::*;
-    use crate::exchange::COMPLETION_OK;
     use crate::runtime::Sharing;
+
+    /// A plan whose one fault (a rank death) lies beyond every test: a
+    /// faulted machine on which nothing fails.
+    const DORMANT: FaultPlan = FaultPlan {
+        rank_death_cycle: u64::MAX,
+        ..FaultPlan::NONE
+    };
 
     /// A machine with host cores and an NDA op in flight, captured off
     /// the lookahead-window grid.
     fn machine() -> (ChopimSystem, OpHandle) {
-        machine_at(1_003)
+        machine_at(1_003, FaultPlan::NONE)
     }
 
-    /// The [`machine`] set-up run for `cycles` cycles.
-    fn machine_at(cycles: Cycle) -> (ChopimSystem, OpHandle) {
+    /// The [`machine`] set-up under `faults`, run for `cycles` cycles.
+    fn machine_at(cycles: Cycle, faults: FaultPlan) -> (ChopimSystem, OpHandle) {
         let mut sys = ChopimSystem::new(ChopimConfig {
             mix: MixId::new(2),
             sim_threads: 1,
             trace_path: None,
-            faults: FaultPlan::NONE,
+            faults,
             ..ChopimConfig::default()
         });
         let x = sys.runtime.vector(1 << 12, Sharing::Shared);
@@ -1860,14 +1878,20 @@ mod tests {
         assert_rejected(&sys, "shard fill to core 99");
     }
 
+    /// On a faulted machine a completion with no in-flight record is a
+    /// legitimate orphan (its launch timed out), so only its status is
+    /// checked.
     #[test]
-    fn corrupt_index_completion_nda_is_rejected() {
-        let (mut sys, op) = machine();
+    fn corrupt_index_completion_status_is_rejected() {
+        let (mut sys, _) = machine_at(1_003, DORMANT);
         let at = sys.now + 5;
-        sys.shards[0]
-            .completions_out
-            .push((at, 0, 99, op, COMPLETION_OK));
-        assert_rejected(&sys, "shard completion from NDA 99");
+        let out = &mut sys.shards[0].completions_out;
+        out.push((at, 1 << 40, COMPLETION_OK));
+        let image = sys.snapshot().expect("capture");
+        ChopimSystem::resume(sys.cfg.clone(), &image).expect("an orphan completion resumes");
+        let ours = sys.shards[0].completions_out.last_mut().expect("pushed");
+        ours.2 = COMPLETION_RANK_DEAD + 1;
+        assert_rejected(&sys, "shard completion with an unknown status");
     }
 
     /// A control-register write for launch `launch`.
@@ -1883,7 +1907,7 @@ mod tests {
     /// [`machine`] run on until a shard holds a launch record whose
     /// control writes are still outstanding; returns the shard index.
     fn machine_with_launch_in_flight() -> (ChopimSystem, usize) {
-        let (mut sys, _) = machine_at(0);
+        let (mut sys, _) = machine_at(0, FaultPlan::NONE);
         for _ in 0..5_000 {
             let busy = sys.shards.iter_mut().position(|s| {
                 let remaining = s.launch_writes_remaining_mut();
@@ -1947,14 +1971,12 @@ mod tests {
                 phases: Vec::new().into(),
                 id: 0,
             };
-            let tag = OpHandle { sess: 0, idx: 0 };
             let (nda_local, writes) = (0, 1);
             ShardInbound::Launch {
                 id,
                 nda_local,
                 instr,
                 writes,
-                tag,
             }
         };
         let (mut sys, ch) = machine_with_launch_in_flight();
@@ -1971,73 +1993,143 @@ mod tests {
         assert_rejected(&sys, "queued launches out of order");
     }
 
-    /// Under fault recovery, a staged launch whose op concludes before
-    /// it egresses is dropped with its credit unspent. That credit must
-    /// wake the NDA's next waiter: without the wake, the full-scan
-    /// oracle in `next_launch` fires at the next staging pass.
-    #[test]
-    fn arbitration_dropped_staged_launch_passes_its_credit_on() {
-        fn copy(rt: &mut Runtime, sess: Session) -> crate::runtime::OpBuilder<'_> {
-            let x = rt.vector(1 << 12, Sharing::Shared);
-            let y = rt.vector(1 << 12, Sharing::Shared);
-            sess.elementwise(rt, Opcode::Copy, vec![], vec![x], Some(y))
-        }
-        let mut sys = ChopimSystem::new(ChopimConfig {
+    /// A machine without host cores under `faults`.
+    fn idle_machine(faults: FaultPlan) -> ChopimSystem {
+        ChopimSystem::new(ChopimConfig {
             mix: None,
             sim_threads: 1,
             trace_path: None,
-            // Recovery on; the plan's one fault lies beyond the test.
-            faults: FaultPlan {
-                rank_death_cycle: u64::MAX,
-                ..FaultPlan::NONE
-            },
+            faults,
             ..ChopimConfig::default()
-        });
-        let rt = &mut sys.runtime;
-        let (a, b) = (rt.create_session(), rt.create_session());
-        let op_a = copy(rt, a).deadline(10).submit();
-        let op_b = copy(rt, b).submit();
-        let staged = |sys: &ChopimSystem| sys.launch_stage.as_ref().map(|l| (l.op, l.nda_idx));
+        })
+    }
 
-        // No credits: both sessions park on NDA 0, A first.
+    /// A `len`-element COPY on `sess`, ready to submit.
+    fn copy(rt: &mut Runtime, sess: Session, len: usize) -> crate::runtime::OpBuilder<'_> {
+        let x = rt.vector(len, Sharing::Shared);
+        let y = rt.vector(len, Sharing::Shared);
+        sess.elementwise(rt, Opcode::Copy, vec![], vec![x], Some(y))
+    }
+
+    /// A staged launch whose op concludes before it egresses is dropped
+    /// with its credit unspent, on a faulted and on a fault-free machine.
+    /// That credit must wake the NDA's next waiter: without the wake,
+    /// the full-scan oracle in `next_launch` fires at the next staging
+    /// pass.
+    #[test]
+    fn arbitration_dropped_staged_launch_passes_its_credit_on() {
+        for faults in [DORMANT, FaultPlan::NONE] {
+            let mut sys = idle_machine(faults);
+            let rt = &mut sys.runtime;
+            let (a, b) = (rt.create_session(), rt.create_session());
+            let op_a = copy(rt, a, 1 << 12).deadline(10).submit();
+            let op_b = copy(rt, b, 1 << 12).submit();
+            let staged = |sys: &ChopimSystem| sys.launch_stage.as_ref().map(|l| (l.op, l.nda_idx));
+
+            // No credits: both sessions park on NDA 0, A first.
+            sys.nda_credit.fill(0);
+            sys.fe_tick();
+            assert_eq!(staged(&sys), None);
+            // NDA 0's credit returns and wakes A, whose launch then waits
+            // in the stage behind a full ingress queue.
+            sys.nda_credit[0] = 1;
+            sys.runtime.credit_returned(0);
+            let (ch, _) = sys.nda_local[0];
+            sys.ingress_used[ch] = INGRESS_CAP;
+            sys.now = 1;
+            sys.fe_tick();
+            assert_eq!(staged(&sys), Some((op_a, 0)));
+            // A's op times out: the stage drops its launch, and B takes
+            // the credit at the next pass.
+            sys.now = 10;
+            sys.fe_tick();
+            assert_eq!(staged(&sys), None, "{faults:?}");
+            sys.now = 11;
+            sys.fe_tick();
+            assert_eq!(staged(&sys), Some((op_b, 0)));
+        }
+    }
+
+    /// A quarantine that redirects a staged launch to a survivor with no
+    /// credit left must not spend a credit the survivor lacks: the
+    /// launch waits in the stage until one returns.
+    #[test]
+    fn arbitration_redirected_launch_waits_for_a_credit() {
+        let mut sys = idle_machine(DORMANT);
+        let sess = sys.runtime.default_session();
+        copy(&mut sys.runtime, sess, 1 << 12).submit();
+        let staged = |sys: &ChopimSystem| sys.launch_stage.as_ref().map(|l| l.nda_idx);
+        // Only NDA 0 has a credit; its launch stages behind a full
+        // ingress queue.
         sys.nda_credit.fill(0);
-        sys.fe_tick();
-        assert_eq!(staged(&sys), None);
-        // NDA 0's credit returns and wakes A, whose launch then waits in
-        // the stage behind a full ingress queue.
         sys.nda_credit[0] = 1;
-        sys.runtime.credit_returned(0);
         let (ch, _) = sys.nda_local[0];
-        sys.ingress_seen[ch] = INGRESS_CAP;
+        sys.ingress_used[ch] = INGRESS_CAP;
+        sys.fe_tick();
+        assert_eq!(staged(&sys), Some(0));
+        // NDA 0 dies: the launch moves to NDA 1, which has no credit.
+        sys.runtime.quarantine(0);
+        sys.ingress_used[ch] = 0;
         sys.now = 1;
         sys.fe_tick();
-        assert_eq!(staged(&sys), Some((op_a, 0)));
-        // A's op times out: the stage drops its launch, and B takes the
-        // credit at the next pass.
-        sys.now = 10;
+        assert_eq!(staged(&sys), Some(1));
+        assert_eq!(sys.nda_credit[1], 0);
+        // NDA 1's credit returns and the launch leaves.
+        sys.nda_credit[1] = 1;
+        sys.runtime.credit_returned(1);
+        sys.now = 2;
         sys.fe_tick();
-        assert_eq!(staged(&sys), None);
-        sys.now = 11;
-        sys.fe_tick();
-        assert_eq!(staged(&sys), Some((op_b, 0)));
+        assert_eq!(sys.nda_credit[1], 0);
+        assert_eq!(sys.inflight.back().map(|rec| rec.launch.nda_idx), Some(1));
+    }
+
+    /// A fault-free machine whose long unbarriered COPY has spent every
+    /// launch credit: each NDA has `nda_queue_cap` launches in flight.
+    fn machine_out_of_credits() -> ChopimSystem {
+        let mut sys = idle_machine(FaultPlan::NONE);
+        let sess = sys.runtime.default_session();
+        let op = copy(&mut sys.runtime, sess, 1 << 16);
+        op.granularity_lines(4).no_barrier().submit();
+        sys.run(3_000);
+        assert!(sys.nda_credit.iter().all(|&c| c == 0), "every credit spent");
+        let image = sys.snapshot().expect("capture");
+        ChopimSystem::resume(sys.cfg.clone(), &image).expect("the untouched image resumes");
+        sys
+    }
+
+    /// Credits handed back with every launch still in flight would let
+    /// the front-end overfill the NDA queues ("NDA queue overflow").
+    #[test]
+    fn corrupt_index_launch_credits_reset_is_rejected() {
+        let mut sys = machine_out_of_credits();
+        let cap = sys.cfg.nda_queue_cap;
+        sys.nda_credit.fill(cap);
+        assert_rejected(&sys, "full credits with every queue slot in flight");
+    }
+
+    /// The credit counts balance, but an instruction in flight has lost
+    /// the record its completion resolves through, or sits on another
+    /// NDA than its record names.
+    #[test]
+    fn corrupt_index_unpaired_record_is_rejected() {
+        let mut sys = machine_out_of_credits();
+        let rec = sys.inflight.pop_back().expect("a launch in flight");
+        sys.nda_credit[rec.launch.nda_idx] += 1;
+        assert_rejected(&sys, "record dropped and its credit handed back");
+
+        let mut sys = machine_out_of_credits();
+        let first = sys.inflight[0].launch.nda_idx;
+        let j = (sys.inflight.iter())
+            .position(|rec| rec.launch.nda_idx != first)
+            .expect("launches in flight on two NDAs");
+        sys.inflight[0].launch.nda_idx = sys.inflight[j].launch.nda_idx;
+        sys.inflight[j].launch.nda_idx = first;
+        assert_rejected(&sys, "two records trade NDAs");
     }
 
     /// The shard-local index of an NDA holding an instruction.
     fn busy_nda(s: &ChannelShard) -> Option<usize> {
         s.ndas.iter().position(|n| !n.fsm().is_idle())
-    }
-
-    #[test]
-    fn corrupt_index_fsm_instruction_without_tag_is_rejected() {
-        let (mut sys, _) = machine();
-        assert!(
-            sys.shards.iter().any(|s| busy_nda(s).is_some()),
-            "an NDA must hold an instruction"
-        );
-        for shard in &mut sys.shards {
-            shard.completion_tags_mut().iter_mut().for_each(Vec::clear);
-        }
-        assert_rejected(&sys, "FSM instruction with no completion tag");
     }
 
     #[test]

@@ -229,12 +229,6 @@ impl Channel {
         self.last_cmd_at == Some(now)
     }
 
-    /// Earliest cycle a host write command may issue on this channel.
-    #[inline]
-    pub fn next_write_allowed(&self) -> Cycle {
-        self.next_wr
-    }
-
     /// Check structural legality of `cmd` (bank-state preconditions),
     /// independent of timing.
     fn state_ok(&self, cmd: &Command) -> Result<(), IssueError> {

@@ -131,12 +131,6 @@ impl DramConfig {
         self.system_row_bytes() * self.rows as u64
     }
 
-    /// Number of system rows in the machine.
-    #[inline]
-    pub fn system_rows(&self) -> u64 {
-        self.rows as u64
-    }
-
     /// Peak channel data bandwidth in bytes per DRAM cycle (DDR: 2 beats
     /// per cycle x bus width).
     #[inline]

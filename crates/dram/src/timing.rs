@@ -88,12 +88,6 @@ impl TimingParams {
         }
     }
 
-    /// True when periodic refresh is enabled (`refi != 0`).
-    #[inline]
-    pub fn refresh_enabled(&self) -> bool {
-        self.refi != 0
-    }
-
     /// Delay from a read command to the earliest write command on the same
     /// channel (bus turnaround; covers all ranks).
     #[inline]

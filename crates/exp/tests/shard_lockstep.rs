@@ -171,9 +171,9 @@ fn shard_lockstep_wide_colocated_16ch() {
 }
 
 /// The two-session dependency-graph scenario on a 4-channel machine:
-/// `(session, op)`-tagged completion routing crosses the shard boundary,
-/// so worker interleaving must not perturb DAG staging or fair-share
-/// arbitration.
+/// completions of two sessions' ops cross the shard boundary and
+/// resolve through the front-end's in-flight records, so worker
+/// interleaving must not perturb DAG staging or fair-share arbitration.
 #[test]
 fn shard_lockstep_dag_two_sessions() {
     let window = window().min(20_000);

@@ -366,7 +366,7 @@ fn fingerprint(image: &[u8]) -> (usize, u64) {
     (image.len(), chopim_dram::codec::fnv1a(image))
 }
 
-/// The CHSS v8 bytes of four fixed machines, pinned. Any change to the
+/// The CHSS v9 bytes of four fixed machines, pinned. Any change to the
 /// encoded layout — a field added, dropped, reordered, or re-encoded in
 /// any component codec — moves at least one of these and must come with
 /// a format version bump (`docs/SNAPSHOT_FORMAT.md`, "Versioning").
@@ -381,16 +381,16 @@ fn snapshot_bytes_are_pinned() {
     assert_eq!(
         image[..48],
         [
-            0x43, 0x48, 0x53, 0x53, 0x08, 0x00, 0x00, 0x00, 0x75, 0xc4, 0x02, 0x00, 0x00, 0x00,
+            0x43, 0x48, 0x53, 0x53, 0x09, 0x00, 0x00, 0x00, 0x6f, 0xc4, 0x02, 0x00, 0x00, 0x00,
             0x00, 0x00, 0xd6, 0x89, 0x55, 0x41, 0xe5, 0x68, 0xf9, 0xf9, 0x00, 0x00, 0x00, 0x00,
-            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-            0x00, 0x10, 0x10, 0x10, 0x10, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10,
+            0x10, 0x10, 0x10, 0x00, 0x00, 0x00,
         ],
         "header no longer matches the worked dump in docs/SNAPSHOT_FORMAT.md"
     );
     assert_eq!(
         fingerprint(&image),
-        (181_389, 0xc8fe_db4a_8246_3bf2),
+        (181_383, 0x1e2a_95aa_8e20_62d3),
         "default"
     );
 
@@ -419,7 +419,7 @@ fn snapshot_bytes_are_pinned() {
     let image = sys.snapshot().expect("mid-flight capture");
     assert_eq!(
         fingerprint(&image),
-        (207_189, 0xefc3_c340_a05b_76e7),
+        (207_180, 0x24f0_8da4_9fc8_60de),
         "faulty"
     );
 
@@ -435,11 +435,11 @@ fn snapshot_bytes_are_pinned() {
     let (mut sys, _, _) = dag_machine(cfg(), 1);
     sys.run(777);
     let image = sys.snapshot().expect("no streams");
-    assert_eq!(fingerprint(&image), (322_561, 0x10fd_cbf4_9b77_f847), "dag");
+    assert_eq!(fingerprint(&image), (324_881, 0xa511_caca_4d6f_59ff), "dag");
     let (mut sys, _) = qos_machine(cfg(), 1);
     sys.run(777);
     let image = sys.snapshot().expect("no streams");
-    assert_eq!(fingerprint(&image), (455_060, 0x3cbe_5e58_4e09_3231), "qos");
+    assert_eq!(fingerprint(&image), (458_570, 0xb504_6840_e1f9_9010), "qos");
 }
 
 /// Capture → replay: re-issuing the recorded command stream through the

@@ -35,11 +35,13 @@ const FRONT_SIDE: [&str; 3] = [
 
 /// Identifiers a shard-side file must not mention: front-end-owned
 /// types plus the front-end module names themselves. Cross-boundary
-/// traffic goes through the typed messages in `exchange.rs`
-/// (which re-exports the shared vocabulary: `OpHandle`, handle codecs).
-const FRONT_OWNED: [&str; 14] = [
+/// traffic goes through the typed messages in `exchange.rs`; a shard
+/// sees instruction ids, never the op handles the front-end resolves
+/// them to.
+const FRONT_OWNED: [&str; 15] = [
     "Runtime",
     "Session",
+    "OpHandle",
     "ChopimSystem",
     "ChopimConfig",
     "OooCore",

@@ -198,11 +198,6 @@ impl ColoredAllocator {
         }
     }
 
-    /// Rows currently allocated.
-    pub fn allocated_rows(&self) -> u32 {
-        self.allocated
-    }
-
     /// Total rows managed.
     pub fn total_rows(&self) -> u32 {
         self.total_rows

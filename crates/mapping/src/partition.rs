@@ -88,11 +88,6 @@ impl PartitionedMapping {
         self.host_capacity_bytes()
     }
 
-    /// True if `pa` lies in the shared region (row-MSB nibble reserved).
-    pub fn is_shared_pa(&self, pa: Pa) -> bool {
-        self.reserved > 0 && pa >= self.shared_base()
-    }
-
     /// The involutive fix-up on a mapped coordinate.
     fn fixup(&self, mut d: DramAddress) -> DramAddress {
         if self.reserved == 0 {

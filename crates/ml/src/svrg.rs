@@ -83,20 +83,6 @@ pub struct SvrgConfig {
     pub seed: u64,
 }
 
-impl SvrgConfig {
-    /// The paper's hyper-parameters for a dataset of `n` samples.
-    pub fn paper_defaults(n: usize) -> Self {
-        Self {
-            epoch: n,
-            lr: 4e-3,
-            momentum: 0.9,
-            lambda: 1e-3,
-            max_outer: 30,
-            seed: 42,
-        }
-    }
-}
-
 /// A convergence trajectory: `(seconds, loss)` after each outer iteration.
 #[derive(Debug, Clone)]
 pub struct SvrgTrace {
