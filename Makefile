@@ -28,11 +28,12 @@ perf-verbose:
 
 # Micro-benchmarks for the busy-path kernels (ready_at / plan_access /
 # scheduler pick), the cross-shard exchange kernels (flat-fifo handoff,
-# merge-queue vs heap), and the SVRG math kernels (full_grad and loss
+# merge-queue vs heap), the NDA sequencer (controller plus shadow FSM,
+# ns per granted command), and the SVRG math kernels (full_grad and loss
 # per sample, the inner step), via the vendored criterion shim.
 # Optional companion to `make perf`.
 perf-micro:
-	cargo bench -p chopim-dram -p chopim-core -p chopim-ml
+	cargo bench -p chopim-dram -p chopim-core -p chopim-nda -p chopim-ml
 
 # Fast-forward vs naive-loop equivalence (bit-identical SimReports).
 lockstep:

@@ -1809,6 +1809,7 @@ mod tests {
 
     use chopim_dram::DramAddress;
     use chopim_nda::isa::{NdaInstr, Opcode};
+    use chopim_nda::OperandLayout;
 
     use super::*;
     use crate::runtime::Sharing;
@@ -1966,11 +1967,8 @@ mod tests {
         assert_rejected(&sys, "next launch id at a live launch's id");
 
         let launch = |id| {
-            let instr = NdaInstr {
-                op: Opcode::Copy,
-                phases: Vec::new().into(),
-                id: 0,
-            };
+            let x = OperandLayout::single_bank(0, 0, 1, 128);
+            let instr = NdaInstr::elementwise(Opcode::Copy, 1, vec![(x, 0)], vec![], 0);
             let (nda_local, writes) = (0, 1);
             ShardInbound::Launch {
                 id,

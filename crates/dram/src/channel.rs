@@ -117,6 +117,10 @@ pub struct Channel {
     banks_per_rank: usize,
     banks_per_group: usize,
     bankgroups: usize,
+    /// `(bankgroup, bank)` of each rank-local flat bank, so
+    /// [`plan_and_ready`](Self::plan_and_ready) splits one without a
+    /// division.
+    bank_split: Vec<(usize, usize)>,
     /// Earliest *host* WR command on this channel (read→write turnaround
     /// is a channel-wide external-bus constraint).
     next_wr: Cycle,
@@ -139,6 +143,9 @@ impl Channel {
             banks_per_rank: config.banks_per_rank(),
             banks_per_group: config.banks_per_group,
             bankgroups: config.bankgroups,
+            bank_split: (0..config.banks_per_rank())
+                .map(|b| (b / config.banks_per_group, b % config.banks_per_group))
+                .collect(),
             config: config.clone(),
             next_wr: 0,
             last_cmd_at: None,
@@ -293,22 +300,23 @@ impl Channel {
 
     /// Fused [`plan_access`](Self::plan_access) +
     /// [`ready_at`](Self::ready_at): plan the next command for a column
-    /// access and compute its earliest issue cycle in one bank-state
-    /// lookup. The planned command is structurally legal by construction,
-    /// so the ready time is always defined. The NDA rank controllers plan
-    /// with it and memoize the result, which stays exact while `rank`'s
+    /// access to `flat_bank` of `rank` (`bankgroup * banks_per_group +
+    /// bank`, the rank-local numbering the NDA microcode walks) and
+    /// compute its earliest issue cycle in one bank-state lookup. The
+    /// planned command is structurally legal by construction, so the
+    /// ready time is always defined. The NDA rank controllers plan with
+    /// it and memoize the result, which stays exact while `rank`'s
     /// [NDA epoch](Rank::nda_epoch) is unchanged.
-    #[allow(clippy::too_many_arguments)]
     pub fn plan_and_ready(
         &self,
         rank: usize,
-        bankgroup: usize,
-        bank: usize,
+        flat_bank: usize,
         row: u32,
         col: u32,
         write: bool,
         issuer: Issuer,
     ) -> (Command, Cycle) {
+        let (bankgroup, bank) = self.bank_split[flat_bank];
         let (kind, ready) = self.plan_kind_and_ready(rank, bankgroup, bank, row, write, issuer);
         let cmd = match kind {
             CommandKind::Rd => Command::rd(rank, bankgroup, bank, row, col),
@@ -693,6 +701,7 @@ crate::codec! {
         banks_per_rank: skip,
         banks_per_group: skip,
         bankgroups: skip,
+        bank_split: skip,
         trace: skip,
     }
 }
@@ -918,13 +927,16 @@ mod tests {
         let mut c = ch();
         c.issue(&Command::act(0, 0, 0, 5), H, 0).unwrap();
         for (row, write) in [(5, false), (5, true), (9, false)] {
-            let (cmd, ready) = c.plan_and_ready(0, 0, 0, row, 3, write, H);
+            let (cmd, ready) = c.plan_and_ready(0, 0, row, 3, write, H);
             assert_eq!(cmd, c.plan_access(0, 0, 0, row, 3, write));
             assert_eq!(Some(ready), c.ready_at(&cmd, H));
         }
-        // Closed bank plans an ACT.
-        let (cmd, _) = c.plan_and_ready(1, 0, 0, 7, 0, false, N);
-        assert_eq!(cmd.kind, CommandKind::Act);
+        // Closed banks plan an ACT, at the flat bank's (group, bank).
+        let per_group = c.config().banks_per_group;
+        for flat in 0..c.config().banks_per_rank() {
+            let (cmd, _) = c.plan_and_ready(1, flat, 7, 0, false, N);
+            assert_eq!(cmd, Command::act(1, flat / per_group, flat % per_group, 7));
+        }
     }
 
     #[test]

@@ -41,7 +41,8 @@ struct Memo {
 }
 
 fn compute(ch: &Channel, p: &Probe) -> (Command, Cycle) {
-    ch.plan_and_ready(p.rank, p.bg, p.bank, p.row, p.col, p.write, p.issuer)
+    let flat_bank = p.bg * ch.config().banks_per_group + p.bank;
+    ch.plan_and_ready(p.rank, flat_bank, p.row, p.col, p.write, p.issuer)
 }
 
 /// Assert both fused kernels agree with `plan_access` + `ready_at` for

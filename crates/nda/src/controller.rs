@@ -50,6 +50,8 @@ pub enum NdaTickResult {
 pub struct NdaRankController {
     channel: usize,
     rank: usize,
+    /// Banks per bank group: only the snapshot's geometry cross-check
+    /// reads it (the channel splits flat banks for planning).
     banks_per_group: usize,
     fsm: NdaFsm,
     /// The access the FSM wants (`None` = idle). Kept current so the
@@ -177,12 +179,9 @@ impl NdaRankController {
             return;
         }
         perfcount::bump(Counter::NdaMemoMiss);
-        let bg = acc.bank as usize / self.banks_per_group;
-        let bank = acc.bank as usize % self.banks_per_group;
         let (cmd, ready) = ch.plan_and_ready(
             self.rank,
-            bg,
-            bank,
+            usize::from(acc.bank),
             acc.row,
             acc.col,
             acc.write,
@@ -270,12 +269,9 @@ impl NdaRankController {
         if self.plan_epoch == ch.rank_nda_epoch(self.rank) {
             return self.plan_ready.max(now);
         }
-        let bg = acc.bank as usize / self.banks_per_group;
-        let bank = acc.bank as usize % self.banks_per_group;
         let (_, ready) = ch.plan_and_ready(
             self.rank,
-            bg,
-            bank,
+            usize::from(acc.bank),
             acc.row,
             acc.col,
             acc.write,

@@ -299,8 +299,13 @@ impl NdaFsm {
         h.finish()
     }
 
-    /// Check restored state against the configured capacities: queue
-    /// and write-buffer occupancy, and the running program's position.
+    /// Check restored state against the configured capacities (queue
+    /// and write-buffer occupancy) and the write accounting: each
+    /// outstanding count equals its instruction's buffered writes, every
+    /// buffered write is counted, a program-done instruction still has
+    /// writes buffered and is not the running program, and any other
+    /// counted instruction is the running program. (Decoding a
+    /// [`Program`] already checks its position.)
     ///
     /// # Errors
     ///
@@ -313,7 +318,28 @@ impl NdaFsm {
         if self.wbuf.len() > self.wbuf.capacity() {
             return Err(CodecError::Corrupt("write buffer overfull"));
         }
-        self.program.as_ref().map_or(Ok(()), Program::validate)
+        let mut buffered = BTreeMap::new();
+        for w in self.wbuf.iter() {
+            *buffered.entry(w.instr).or_insert(0) += 1;
+        }
+        let running = self.program.as_ref().map(|p| p.instr().id);
+        let counted = |id| self.wr_outstanding.get(&id).copied();
+        if buffered.keys().any(|&id| counted(id).is_none()) {
+            return Err(CodecError::Corrupt("buffered write without a count"));
+        }
+        for (&id, &count) in &self.wr_outstanding {
+            if buffered.get(&id).copied().unwrap_or(0) != count {
+                return Err(CodecError::Corrupt("write count differs from the buffer"));
+            }
+            if !self.program_done.contains(&id) && Some(id) != running {
+                return Err(CodecError::Corrupt("write count for no live instruction"));
+            }
+        }
+        let draining = |&id: &u64| counted(id).is_some_and(|c| c > 0) && Some(id) != running;
+        if !self.program_done.iter().all(draining) {
+            return Err(CodecError::Corrupt("program-done instruction not draining"));
+        }
+        Ok(())
     }
 }
 
@@ -336,6 +362,8 @@ chopim_dram::codec! {
 
 #[cfg(test)]
 mod tests {
+    use chopim_dram::codec::{ByteReader, ByteWriter, Restore};
+
     use super::*;
     use crate::isa::Opcode;
     use crate::operand::OperandLayout;
@@ -479,6 +507,67 @@ mod tests {
             col: a.col + 1,
             ..a
         });
+    }
+
+    /// Restore `fsm`'s image into a fresh FSM and validate it, as resume
+    /// does.
+    fn resume(fsm: &NdaFsm) -> Result<(), CodecError> {
+        let mut w = ByteWriter::new();
+        fsm.encode_state(&mut w);
+        let buf = w.finish();
+        let mut back = NdaFsm::new(fsm.queue_cap);
+        back.decode_state(&mut ByteReader::new(&buf))?;
+        back.validate()
+    }
+
+    fn assert_rejected(fsm: &NdaFsm, what: &str) {
+        match resume(fsm) {
+            Err(CodecError::Corrupt(_)) => {}
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// Grant reads until the next access is a write drain.
+    fn run_to_first_drain(fsm: &mut NdaFsm) {
+        while let Some(a) = fsm.next_access().filter(|a| !a.write) {
+            fsm.commit(a);
+        }
+    }
+
+    #[test]
+    fn corrupt_write_accounting_is_rejected() {
+        // Mid-COPY: the high watermark stopped the first batch's writes
+        // at 96 buffered, all counted against the running instruction.
+        let mut mid = NdaFsm::new(4);
+        mid.launch(copy_instr(300, 7)).unwrap();
+        run_to_first_drain(&mut mid);
+        assert_eq!(mid.wr_outstanding, BTreeMap::from([(7, 96)]));
+        resume(&mid).expect("a live FSM resumes");
+        // Program done, its 64 writes still draining.
+        let mut done = NdaFsm::new(4);
+        done.launch(copy_instr(64, 5)).unwrap();
+        run_to_first_drain(&mut done);
+        assert!(done.program.is_none() && done.program_done.contains(&5));
+        resume(&done).expect("a draining FSM resumes");
+
+        let mut f = mid.clone();
+        f.wr_outstanding.clear();
+        assert_rejected(&f, "buffered writes without a count");
+        let mut f = mid.clone();
+        f.wr_outstanding.insert(7, 95);
+        assert_rejected(&f, "count below the buffered writes");
+        let mut f = mid.clone();
+        f.wr_outstanding.insert(8, 0);
+        assert_rejected(&f, "count for an instruction the FSM does not hold");
+        let mut f = mid.clone();
+        f.program_done.insert(7);
+        assert_rejected(&f, "running program marked done");
+        let mut f = done.clone();
+        f.program_done.clear();
+        assert_rejected(&f, "draining writes for no live instruction");
+        let mut f = done.clone();
+        f.program_done.insert(6);
+        assert_rejected(&f, "program done without a count");
     }
 
     #[test]

@@ -90,6 +90,29 @@ pub struct Stream {
     pub write: bool,
 }
 
+impl Stream {
+    /// A stream of `lines` lines from `start_line` of `layout`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lines` is zero or runs past the end of `layout`.
+    fn fitted(layout: Arc<OperandLayout>, start_line: u64, lines: u64, write: bool) -> Self {
+        assert!(lines > 0, "zero-length instruction");
+        assert!(
+            start_line + lines <= layout.lines(),
+            "operand too short: {} + {} > {}",
+            start_line,
+            lines,
+            layout.lines()
+        );
+        Self {
+            layout,
+            start_line,
+            write,
+        }
+    }
+}
+
 /// A microcode phase: its streams advance together in 1 KB-per-chip
 /// batches (paper Fig. 9).
 #[derive(Debug, Clone)]
@@ -134,27 +157,9 @@ impl NdaInstr {
             !reads.is_empty() || !writes.is_empty(),
             "instruction needs operands"
         );
-        assert!(lines > 0, "zero-length instruction");
-        let mk = |write: bool| {
-            move |(layout, start_line): (Arc<OperandLayout>, u64)| {
-                assert!(
-                    start_line + lines <= layout.lines(),
-                    "operand too short: {} + {} > {}",
-                    start_line,
-                    lines,
-                    layout.lines()
-                );
-                Stream {
-                    layout,
-                    start_line,
-                    write,
-                }
-            }
-        };
-        let streams: Vec<Stream> = reads
-            .into_iter()
-            .map(mk(false))
-            .chain(writes.into_iter().map(mk(true)))
+        let streams: Vec<Stream> = (reads.into_iter().map(|r| (r, false)))
+            .chain(writes.into_iter().map(|w| (w, true)))
+            .map(|((layout, start_line), write)| Stream::fitted(layout, start_line, lines, write))
             .collect();
         Self {
             op,
@@ -164,7 +169,12 @@ impl NdaInstr {
     }
 
     /// Build a GEMV instruction: read `x` fully, stream `a` fully, then
-    /// write `y` (paper §V execution flow).
+    /// write `y` (paper §V execution flow). Each operand is `(layout,
+    /// start line, lines)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any operand is empty or too short for its lines.
     pub fn gemv(
         a: (Arc<OperandLayout>, u64, u64),
         x: (Arc<OperandLayout>, u64, u64),
@@ -172,11 +182,7 @@ impl NdaInstr {
         id: u64,
     ) -> Self {
         let phase = |(layout, start_line, lines): (Arc<OperandLayout>, u64, u64), write| Phase {
-            streams: vec![Stream {
-                layout,
-                start_line,
-                write,
-            }],
+            streams: vec![Stream::fitted(layout, start_line, lines, write)],
             lines,
         };
         Self {
@@ -254,6 +260,17 @@ mod tests {
     #[should_panic(expected = "operand too short")]
     fn oversized_instruction_rejected() {
         let _ = NdaInstr::elementwise(Opcode::Copy, 1 << 20, vec![(layout(1), 0)], vec![], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "operand too short")]
+    fn oversized_gemv_rejected() {
+        let _ = NdaInstr::gemv(
+            (layout(1), 0, 128),
+            (layout(1), 100, 29),
+            (layout(1), 0, 8),
+            0,
+        );
     }
 
     #[test]

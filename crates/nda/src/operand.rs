@@ -110,13 +110,26 @@ impl OperandLayout {
     ///
     /// Panics if `k >= self.lines()`.
     pub fn locate(&self, k: u64) -> (u16, u32, u32) {
+        let (base, lane, col) = self.position(k);
+        let (bank, row) = self.chunks[base + lane as usize];
+        (bank, row, col)
+    }
+
+    /// Walk position of rank-local line `k`: the index of the first chunk
+    /// of its interleave group, its line within the group (the chunk is
+    /// `base + lane`) and its column. The next line is one `lane` on,
+    /// wrapping to the next column after `interleave_group` lanes and to
+    /// the next group after `lines_per_chunk` columns, which is how the
+    /// microcode steps a batch without dividing.
+    pub(crate) fn position(&self, k: u64) -> (usize, u32, u32) {
         let g = u64::from(self.interleave_group);
         let span = g * u64::from(self.lines_per_chunk);
-        let group = k / span;
         let within = k % span;
-        let chunk = (group * g + within % g) as usize;
-        let (bank, row) = self.chunks[chunk];
-        (bank, row, (within / g) as u32)
+        (
+            (k / span * g) as usize,
+            (within % g) as u32,
+            (within / g) as u32,
+        )
     }
 
     /// The interleave group size (1 = chunk-major).

@@ -9,6 +9,7 @@
 //! instruction codecs they build on.
 
 use chopim_dram::codec;
+use chopim_dram::codec::{ByteReader, ByteWriter, Codec, CodecError};
 
 use crate::isa::{NdaInstr, Opcode, Phase, Stream};
 
@@ -29,7 +30,43 @@ codec! {
 
 codec! { Stream { layout, start_line, write } }
 codec! { Phase { lines, streams } }
-codec! { NdaInstr { op, phases, id } }
+
+/// Op, phases and id. Decode enforces the constructor invariants (at
+/// least one phase, every phase with at least one stream and a non-zero
+/// length, every stream inside its layout): an instruction violating
+/// them is rejected as [`CodecError::Corrupt`] instead of panicking
+/// later in the walk, wherever the image held it.
+impl Codec for NdaInstr {
+    #[cold]
+    fn encode(&self, w: &mut ByteWriter) {
+        let Self { op, phases, id } = self;
+        w.put(op);
+        w.put(phases);
+        w.put(id);
+    }
+
+    #[cold]
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let i = Self {
+            op: r.get()?,
+            phases: r.get()?,
+            id: r.get()?,
+        };
+        let fits = |p: &Phase| {
+            p.lines > 0
+                && !p.streams.is_empty()
+                && p.streams.iter().all(|s| {
+                    s.start_line
+                        .checked_add(p.lines)
+                        .is_some_and(|end| end <= s.layout.lines())
+                })
+        };
+        if i.phases.is_empty() || !i.phases.iter().all(fits) {
+            return Err(CodecError::Corrupt("instruction invariants"));
+        }
+        Ok(i)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -78,6 +115,58 @@ mod tests {
             p2.advance();
         }
         assert!(p1.done() && p2.done());
+    }
+
+    /// Encode a hand-built instruction (bypassing the constructors'
+    /// asserts) and decode it back.
+    fn decode_instr(phases: Vec<Phase>) -> Result<NdaInstr, CodecError> {
+        let op = Opcode::Copy;
+        round_trip(&NdaInstr {
+            op,
+            phases: phases.into(),
+            id: 3,
+        })
+    }
+
+    fn phase(lines: u64, streams: Vec<Stream>) -> Phase {
+        Phase { streams, lines }
+    }
+
+    /// A read stream at `start_line` of a one-chunk, 128-line layout.
+    fn stream(start_line: u64) -> Stream {
+        let layout = OperandLayout::single_bank(0, 0, 1, 128);
+        let write = false;
+        Stream {
+            layout,
+            start_line,
+            write,
+        }
+    }
+
+    #[test]
+    fn corrupt_instr_without_phases_rejected() {
+        assert!(decode_instr(vec![phase(1, vec![stream(0)])]).is_ok());
+        assert!(decode_instr(vec![]).is_err());
+    }
+
+    #[test]
+    fn corrupt_instr_phase_without_streams_rejected() {
+        let phases = vec![phase(1, vec![stream(0)]), phase(1, vec![])];
+        assert!(decode_instr(phases).is_err());
+    }
+
+    #[test]
+    fn corrupt_instr_empty_phase_rejected() {
+        assert!(decode_instr(vec![phase(0, vec![stream(0)])]).is_err());
+    }
+
+    #[test]
+    fn corrupt_instr_stream_past_layout_rejected() {
+        assert!(decode_instr(vec![phase(28, vec![stream(100)])]).is_ok());
+        for start in [100, 1000, u64::MAX] {
+            let phases = vec![phase(29, vec![stream(0), stream(start)])];
+            assert!(decode_instr(phases).is_err(), "stream at line {start}");
+        }
     }
 
     #[test]

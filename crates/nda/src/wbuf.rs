@@ -108,6 +108,11 @@ impl WriteBuffer {
         }
     }
 
+    /// The buffered writes, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &BufferedWrite> {
+        self.entries.iter()
+    }
+
     /// The next write to drain, if any.
     pub fn peek(&self) -> Option<BufferedWrite> {
         self.entries.front().copied()
