@@ -52,14 +52,15 @@ lockstep-snapshot:
 
 # The fault plane end to end (the CI `chaos` job): active-plan lockstep
 # across thread counts/loops + snapshot-under-faults, recovery liveness
-# properties (no lost ops, capped backoff), and malformed-input fuzzing
-# of the CHSS/CHTR readers.
+# properties (no lost ops, capped backoff), malformed-input fuzzing
+# of the CHSS/CHTR readers, and the FSM-level image refusals.
 chaos:
 	cargo test --release -p chopim-exp --test fault_lockstep
 	cargo test --release -p chopim-core --test fault_recovery_props
 	cargo test --release -p chopim-dram --test malformed_input_props
 	cargo test --release -p chopim-core --test malformed_snapshot_props
 	cargo test --release -p chopim-core --lib corrupt_index
+	cargo test --release -p chopim-nda --lib corrupt
 
 # Workspace docs with warnings denied (undocumented public items and
 # broken intra-doc links fail) plus the doctests — the CI `docs` job.

@@ -231,7 +231,7 @@ impl HostMc {
             banks_per_group,
             scheduler: SchedulerKind::FrFcfs,
             page_policy: PagePolicy::Open,
-            oldest_read: Cell::new(Some(None)),
+            oldest_read: Cell::new(None),
             wake_hint: None,
             cols_issued: 0,
             row_misses: 0,
@@ -642,8 +642,7 @@ impl HostMc {
         if self.refresh_due.len() != ranks {
             return Err(CodecError::ConfigMismatch);
         }
-        let oldest_ok = !matches!(self.oldest_read.get(), Some(Some(rank)) if rank >= ranks);
-        check(oldest_ok, "oldest-read rank out of range")
+        Ok(())
     }
 
     /// Launch ids of the control-register writes still queued (resume
@@ -671,7 +670,9 @@ impl HostMc {
 }
 
 // Construction-time configuration is not stored; `validate` checks the
-// restored queues against it.
+// restored queues against it. Neither are the two caches: a restored
+// controller recomputes the oldest read on first use, and with no wake-up
+// its first tick runs and caches a fresh one.
 chopim_dram::codec! {
     in_place(pub(crate)) HostMc {
         read_q,
@@ -679,8 +680,6 @@ chopim_dram::codec! {
         drain,
         refresh_due,
         refresh_pending: each,
-        oldest_read: tri,
-        wake_hint: opt_cycle,
         cols_issued,
         row_misses,
         read_latency_sum,
@@ -693,6 +692,8 @@ chopim_dram::codec! {
         banks_per_group: skip,
         scheduler: skip,
         page_policy: skip,
+        oldest_read: skip,
+        wake_hint: skip,
     }
 }
 

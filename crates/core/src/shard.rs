@@ -347,12 +347,7 @@ impl ChannelShard {
             .iter()
             .enumerate()
             .filter(|&(_, &(ch, _))| ch == channel_idx)
-            .map(|(g, &(ch, r))| {
-                (
-                    g,
-                    NdaRankController::new(ch, r, dram.banks_per_group, nda_queue_cap),
-                )
-            })
+            .map(|(g, &(_, r))| (g, NdaRankController::new(r, nda_queue_cap)))
             .collect();
         Self::new(
             channel_idx,
@@ -665,15 +660,15 @@ impl ChannelShard {
         } = self;
         for i in 0..ndas.len() {
             // In fast-forward mode, offer the controller a cycle only
-            // when it could act: skip idle FSMs (until a launch arrives)
-            // and timing-blocked ones before their planned ready cycle.
-            // Both skips are exact — the controller would evaluate to the
-            // same state without side effects. The naive loop evaluates
-            // every controller every cycle, preserving the reference
-            // behavior the lockstep tests compare against.
-            let launched = ndas[i].launch_pending();
-            if params.fast_forward && !launched {
-                if ndas[i].desired_access().is_none() {
+            // when it could act: skip idle FSMs and timing-blocked ones
+            // before their planned ready cycle (a launch drops the plan,
+            // so the cycle it lands in is offered). Both skips are exact
+            // — the controller would evaluate to the same state without
+            // side effects. The naive loop evaluates every controller
+            // every cycle, preserving the reference behavior the lockstep
+            // tests compare against.
+            if params.fast_forward {
+                if ndas[i].fsm().next_access().is_none() {
                     continue;
                 }
                 if ndas[i].planned_ready(channel).is_some_and(|r| now < r) {
@@ -704,15 +699,9 @@ impl ChannelShard {
                     mc.invalidate_wake_hint();
                 }
             }
-            // Mirror onto the host-side shadow FSM. The controller
-            // re-derives its desired access (normalizing FSM state)
-            // exactly on the first tick after a launch and after column
-            // grants; the shadow performs the same `next_access` calls at
-            // the same points — anything more frequent is redundant,
-            // anything less would let the fingerprints drift.
-            if launched {
-                let _ = shadows[i].next_access();
-            }
+            // Mirror the column grant onto the host-side shadow FSM. It
+            // sees the launches and grants its NDA sees, and nothing
+            // else, so it settles exactly as the NDA's FSM does.
             if let NdaTickResult::Issued(cmd) = result {
                 if matches!(cmd.kind, CommandKind::Rd | CommandKind::Wr) {
                     let acc = shadows[i]
@@ -724,14 +713,13 @@ impl ChannelShard {
                         "shadow diverged from NDA controller"
                     );
                     shadows[i].commit(acc);
-                    let _ = shadows[i].next_access();
                 }
             }
             // Completions (both sides pop identically). The host learns
             // of each one `completion_latency` cycles later — the
             // status-poll pipeline that also bounds the parallel
             // executor's lookahead window.
-            while let Some(id) = ndas[i].fsm_mut().pop_completed() {
+            while let Some(id) = ndas[i].pop_completed() {
                 let sid = shadows[i].pop_completed();
                 debug_assert_eq!(sid, Some(id));
                 if params.record_events {
@@ -781,11 +769,7 @@ impl ChannelShard {
             return now;
         }
         for nda in &self.ndas {
-            // A launch takes effect on the next offered tick.
-            if nda.launch_pending() {
-                return now;
-            }
-            let Some(acc) = nda.desired_access() else {
+            let Some(acc) = nda.fsm().next_access() else {
                 continue;
             };
             // A current plan covers writes too: the controller
@@ -830,7 +814,7 @@ impl ChannelShard {
         debug_assert!(target > self.now);
         self.cycles_skipped += target - self.now;
         for i in 0..self.ndas.len() {
-            let Some(acc) = self.ndas[i].desired_access() else {
+            let Some(acc) = self.ndas[i].fsm().next_access() else {
                 continue;
             };
             if acc.write {
@@ -1013,10 +997,12 @@ impl ChannelShard {
     }
 }
 
-// Every skip decision is a function of the state stored here (the MC's
-// wake-up, the NDAs' plan memos and the launch slab's `base` anchor are
-// stored verbatim), so a resumed shard replays the exact tick/skip
-// sequence from this image alone. Kept from construction: the static
+// The engine's caches are not stored: a resumed shard starts the MC's
+// wake-up and oldest-read answer and the NDAs' plan memos cold. A cold
+// cache only makes the shard run a component tick the warm one would have
+// skipped; that tick changes nothing but the cache (the naive loop runs
+// one every cycle), so every report bit stays the same. The launch slab's
+// `base` anchor is stored verbatim. Kept from construction: the static
 // topology (`local_of_rank`, computed by `build` from the NDA-rank
 // configuration), the `ShardParams` configuration copy, and the
 // trace-capture event logs (capture sessions never span a snapshot).

@@ -1773,8 +1773,11 @@ const SNAPSHOT_MAGIC: [u8; 4] = *b"CHSS";
 /// their NDA index and op handle, launch messages and launch records
 /// their op handle, in-flight records their copied instruction id, op
 /// records their first instruction id, and each shard its completion
-/// tags; the two ingress counters became one.
-const SNAPSHOT_VERSION: u32 = 9;
+/// tags; the two ingress counters became one. v10 stores no engine
+/// cache: each NDA FSM gained its settled next access, each NDA
+/// controller lost its channel, bank-group width, desired access and plan
+/// memo, and each host MC its oldest-read cache and wake-up hint.
+const SNAPSHOT_VERSION: u32 = 10;
 
 /// Why [`ChopimSystem::snapshot`] refused to capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

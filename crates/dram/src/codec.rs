@@ -580,75 +580,25 @@ pub mod fixed {
     }
 }
 
-/// Three-state values as one `u8` tag: `0` for the outer `None`, then
-/// `Option<bool>` as `1 + b`, or `Option<Option<T>>` as `1` for
-/// `Some(None)` and `2` followed by `v` for `Some(Some(v))`. A `Cell`
-/// encodes its contents.
+/// Three-state values: `Option<bool>` as one `u8` tag, `0` for `None`
+/// and `1 + b` for `Some(b)`.
 pub mod tri {
-    use std::cell::Cell;
-
-    use super::{ByteReader, ByteWriter, Codec, CodecError};
-
-    /// A value with a three-state tag encoding.
-    pub trait Tri: Sized {
-        /// Append `self`.
-        fn put(&self, w: &mut ByteWriter);
-        /// Read one value (`Corrupt` on a tag above 2).
-        fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError>;
-    }
-
-    impl Tri for Option<bool> {
-        fn put(&self, w: &mut ByteWriter) {
-            w.u8(self.map_or(0, |b| 1 + u8::from(b)));
-        }
-
-        fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            match r.u8()? {
-                0 => Ok(None),
-                t @ 1..=2 => Ok(Some(t == 2)),
-                _ => Err(CodecError::Corrupt("three-state tag")),
-            }
-        }
-    }
-
-    impl<T: Codec> Tri for Option<Option<T>> {
-        fn put(&self, w: &mut ByteWriter) {
-            w.u8(self.as_ref().map_or(0, |v| 1 + u8::from(v.is_some())));
-            if let Some(Some(v)) = self {
-                v.encode(w);
-            }
-        }
-
-        fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            match r.u8()? {
-                0 => Ok(None),
-                1 => Ok(Some(None)),
-                2 => Ok(Some(Some(T::decode(r)?))),
-                _ => Err(CodecError::Corrupt("three-state tag")),
-            }
-        }
-    }
-
-    impl<T: Tri + Copy> Tri for Cell<T> {
-        fn put(&self, w: &mut ByteWriter) {
-            self.get().put(w);
-        }
-
-        fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            T::get(r).map(Cell::new)
-        }
-    }
+    use super::{ByteReader, ByteWriter, CodecError};
 
     /// Append `v`.
     #[cold]
-    pub fn encode<T: Tri>(v: &T, w: &mut ByteWriter) {
-        v.put(w);
+    pub fn encode(v: &Option<bool>, w: &mut ByteWriter) {
+        w.u8(v.map_or(0, |b| 1 + u8::from(b)));
     }
 
-    /// Read a value written by [`encode`].
+    /// Read a value written by [`encode`] (`Corrupt` on a tag above 2).
     #[cold]
-    pub fn decode<T: Tri>(r: &mut ByteReader<'_>) -> Result<T, CodecError> {
-        T::get(r)
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Option<bool>, CodecError> {
+        match r.u8()? {
+            0 => Ok(None),
+            t @ 1..=2 => Ok(Some(t == 2)),
+            _ => Err(CodecError::Corrupt("three-state tag")),
+        }
     }
 }
 
@@ -1016,7 +966,6 @@ mod tests {
             opt_cycle::encode(&v, &mut w);
         }
         tri::encode(&Some(true), &mut w);
-        tri::encode(&Some(Some(300usize)), &mut w);
         w.put(&(Some(2u16), vec![1u32, 128], [5u64, 6]));
         let buf = w.finish();
         let mut r = ByteReader::new(&buf);
@@ -1028,11 +977,7 @@ mod tests {
         assert_eq!(opt_cycle::decode(&mut r).unwrap(), None);
         assert_eq!(opt_cycle::decode(&mut r).unwrap(), Some(0));
         assert_eq!(opt_cycle::decode(&mut r).unwrap(), Some(41));
-        assert_eq!(tri::decode::<Option<bool>>(&mut r).unwrap(), Some(true));
-        assert_eq!(
-            tri::decode::<Option<Option<usize>>>(&mut r).unwrap(),
-            Some(Some(300))
-        );
+        assert_eq!(tri::decode(&mut r).unwrap(), Some(true));
         assert_eq!(
             r.get::<(Option<u16>, Vec<u32>, [u64; 2])>().unwrap(),
             (Some(2), vec![1, 128], [5, 6])

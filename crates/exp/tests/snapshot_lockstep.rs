@@ -366,7 +366,7 @@ fn fingerprint(image: &[u8]) -> (usize, u64) {
     (image.len(), chopim_dram::codec::fnv1a(image))
 }
 
-/// The CHSS v9 bytes of four fixed machines, pinned. Any change to the
+/// The CHSS v10 bytes of four fixed machines, pinned. Any change to the
 /// encoded layout — a field added, dropped, reordered, or re-encoded in
 /// any component codec — moves at least one of these and must come with
 /// a format version bump (`docs/SNAPSHOT_FORMAT.md`, "Versioning").
@@ -381,7 +381,7 @@ fn snapshot_bytes_are_pinned() {
     assert_eq!(
         image[..48],
         [
-            0x43, 0x48, 0x53, 0x53, 0x09, 0x00, 0x00, 0x00, 0x6f, 0xc4, 0x02, 0x00, 0x00, 0x00,
+            0x43, 0x48, 0x53, 0x53, 0x0a, 0x00, 0x00, 0x00, 0x1f, 0xc4, 0x02, 0x00, 0x00, 0x00,
             0x00, 0x00, 0xd6, 0x89, 0x55, 0x41, 0xe5, 0x68, 0xf9, 0xf9, 0x00, 0x00, 0x00, 0x00,
             0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10,
             0x10, 0x10, 0x10, 0x00, 0x00, 0x00,
@@ -390,7 +390,7 @@ fn snapshot_bytes_are_pinned() {
     );
     assert_eq!(
         fingerprint(&image),
-        (181_383, 0x1e2a_95aa_8e20_62d3),
+        (181_303, 0x8dac_5222_b374_f797),
         "default"
     );
 
@@ -419,7 +419,7 @@ fn snapshot_bytes_are_pinned() {
     let image = sys.snapshot().expect("mid-flight capture");
     assert_eq!(
         fingerprint(&image),
-        (207_180, 0x24f0_8da4_9fc8_60de),
+        (207_126, 0x6c89_23ad_e4da_78ea),
         "faulty"
     );
 
@@ -435,11 +435,11 @@ fn snapshot_bytes_are_pinned() {
     let (mut sys, _, _) = dag_machine(cfg(), 1);
     sys.run(777);
     let image = sys.snapshot().expect("no streams");
-    assert_eq!(fingerprint(&image), (324_881, 0xa511_caca_4d6f_59ff), "dag");
+    assert_eq!(fingerprint(&image), (324_803, 0x7a1e_da8b_1002_f4d7), "dag");
     let (mut sys, _) = qos_machine(cfg(), 1);
     sys.run(777);
     let image = sys.snapshot().expect("no streams");
-    assert_eq!(fingerprint(&image), (458_570, 0xb504_6840_e1f9_9010), "qos");
+    assert_eq!(fingerprint(&image), (458_495, 0xbaca_d52b_5dec_fb39), "qos");
 }
 
 /// Capture → replay: re-issuing the recorded command stream through the

@@ -9,15 +9,12 @@
 //! touches its own channel, so the channel-sharded engine hands it a
 //! `&mut Channel` owned by the shard rather than a system-wide object.
 //!
-//! Two memos keep the per-cycle cost at "two integer compares" while
-//! nothing changes:
-//!
-//! * the desired access is cached between grants
-//!   ([`NdaFsm::next_access`] is idempotent until a launch or commit, so
-//!   re-deriving it every cycle is pure waste);
-//! * the planned command and its ready time are keyed on the rank's
-//!   [NDA epoch](chopim_dram::Rank::nda_epoch) — they are recomputed only
-//!   after a command actually touched this rank.
+//! The FSM holds its next access between inputs
+//! ([`NdaFsm::next_access`]), so one memo keeps the per-cycle cost at
+//! "two integer compares" while nothing changes: the planned command and
+//! its ready time, keyed on the rank's
+//! [NDA epoch](chopim_dram::Rank::nda_epoch) and recomputed only after a
+//! command actually touched this rank (or a launch moved the access).
 //!
 //! The plan memo is also the controller's wake-up: while it is current,
 //! [`planned_ready`](NdaRankController::planned_ready) is the exact cycle
@@ -48,23 +45,11 @@ pub enum NdaTickResult {
 /// One rank's NDA memory controller.
 #[derive(Debug, Clone)]
 pub struct NdaRankController {
-    channel: usize,
     rank: usize,
-    /// Banks per bank group: only the snapshot's geometry cross-check
-    /// reads it (the channel splits flat banks for planning).
-    banks_per_group: usize,
     fsm: NdaFsm,
-    /// The access the FSM wants (`None` = idle). Kept current so the
-    /// event-horizon loop can predict this controller's next action
-    /// without mutating the FSM.
-    want: Option<NdaAccess>,
-    /// True while `want` reflects the FSM (cleared by a launch, the only
-    /// external event that can change the desired access; grants update
-    /// `want` in place).
-    want_valid: bool,
     /// The rank's NDA epoch under which `plan_cmd`/`plan_ready` are exact.
     plan_epoch: u64,
-    /// Planned DRAM command for `want`.
+    /// Planned DRAM command for the FSM's next access.
     plan_cmd: Command,
     /// Earliest cycle `plan_cmd` satisfies timing.
     plan_ready: Cycle,
@@ -75,27 +60,18 @@ pub struct NdaRankController {
 }
 
 impl NdaRankController {
-    /// A controller for `(channel, rank)` with an instruction queue of
-    /// `queue_cap`.
-    pub fn new(channel: usize, rank: usize, banks_per_group: usize, queue_cap: usize) -> Self {
+    /// A controller for `rank` (within its channel) with an instruction
+    /// queue of `queue_cap`.
+    pub fn new(rank: usize, queue_cap: usize) -> Self {
         Self {
-            channel,
             rank,
-            banks_per_group,
             fsm: NdaFsm::new(queue_cap),
-            want: None,
-            want_valid: false,
             plan_epoch: MEMO_INVALID,
             plan_cmd: Command::pre(0, 0, 0),
             plan_ready: 0,
             row_cmds: 0,
             write_throttle_stalls: 0,
         }
-    }
-
-    /// The channel this controller's rank is on.
-    pub fn channel(&self) -> usize {
-        self.channel
     }
 
     /// The rank within the channel.
@@ -108,9 +84,11 @@ impl NdaRankController {
         &self.fsm
     }
 
-    /// Mutable FSM access (completion draining).
-    pub fn fsm_mut(&mut self) -> &mut NdaFsm {
-        &mut self.fsm
+    /// The next instruction the FSM completed, FIFO. Besides
+    /// [`launch`](Self::launch), [`tick`](Self::tick) and
+    /// [`abort_all`](Self::abort_all), the one way to change the FSM.
+    pub fn pop_completed(&mut self) -> Option<u64> {
+        self.fsm.pop_completed()
     }
 
     /// Launch an instruction on this rank.
@@ -119,53 +97,30 @@ impl NdaRankController {
     ///
     /// Returns the instruction back when the queue is full.
     pub fn launch(&mut self, instr: NdaInstr) -> Result<(), NdaInstr> {
-        // A launch can change the desired access (e.g. ending a
+        // A launch can change the next access (e.g. ending a
         // force-drain); the cached plan must be re-derived.
-        self.want_valid = false;
         self.plan_epoch = MEMO_INVALID;
         self.fsm.launch(instr)
     }
 
     /// Permanently abandon all queued, running, and buffered work
-    /// (rank-death support): aborts the FSM and clears the cached
-    /// desired access and plan so the controller reads as idle
-    /// immediately — `desired_access` returns `None` and
-    /// `next_event_cycle` returns [`Cycle::MAX`].
+    /// (rank-death support): aborts the FSM and drops the plan, so the
+    /// controller reads as idle immediately — the FSM's next access is
+    /// `None` and `next_event_cycle` returns [`Cycle::MAX`].
     pub fn abort_all(&mut self) {
         self.fsm.abort_all();
-        self.want = None;
-        self.want_valid = true;
         self.plan_epoch = MEMO_INVALID;
     }
 
-    /// True from a launch until the next offered tick re-derives the
-    /// desired access from the FSM. That tick must run: it is where a
-    /// launch takes effect.
-    pub fn launch_pending(&self) -> bool {
-        !self.want_valid
-    }
-
-    /// The exact cycle the desired command becomes ready, while the plan
-    /// memo is current (no command touched the rank since it was made).
-    /// An offered tick before that cycle does nothing, policy evaluation
-    /// included. `None` while idle, with a launch pending, or once the
-    /// memo is stale.
+    /// The exact cycle the next command becomes ready, while the plan
+    /// memo is current (no command touched the rank and no launch
+    /// arrived since it was made). An offered tick before that cycle
+    /// does nothing, policy evaluation included. `None` while idle or
+    /// once the memo is stale.
     pub fn planned_ready(&self, ch: &Channel) -> Option<Cycle> {
-        let current = self.want_valid
-            && self.want.is_some()
-            && self.plan_epoch == ch.rank_nda_epoch(self.rank);
+        let current =
+            self.fsm.next_access().is_some() && self.plan_epoch == ch.rank_nda_epoch(self.rank);
         current.then_some(self.plan_ready)
-    }
-
-    /// The cached desired access, refreshing it from the FSM if a launch
-    /// invalidated it.
-    #[inline]
-    fn current_want(&mut self) -> Option<NdaAccess> {
-        if !self.want_valid {
-            self.want = self.fsm.next_access();
-            self.want_valid = true;
-        }
-        self.want
     }
 
     /// Refresh the epoch-keyed `(plan_cmd, plan_ready)` memo for `acc`.
@@ -206,7 +161,7 @@ impl NdaRankController {
         now: Cycle,
         allow_write: impl FnOnce() -> bool,
     ) -> NdaTickResult {
-        let Some(acc) = self.current_want() else {
+        let Some(acc) = self.fsm.next_access() else {
             return NdaTickResult::Idle;
         };
         // Timing and command-mux checks come BEFORE the throttle decision:
@@ -228,28 +183,15 @@ impl NdaRankController {
         let cmd = self.plan_cmd;
         ch.issue_prechecked(&cmd, Issuer::Nda, now);
         match cmd.kind {
-            CommandKind::Rd | CommandKind::Wr => {
-                self.fsm.commit(acc);
-                // Re-normalize so `desired_access` reflects the post-grant
-                // state (pops the next instruction, absorbs produced
-                // writes). The host-side shadow performs the same call.
-                self.want = self.fsm.next_access();
-                self.want_valid = true;
-            }
+            CommandKind::Rd | CommandKind::Wr => self.fsm.commit(acc),
             _ => self.row_cmds += 1,
         }
-        // Warm the plan memo for the next desired access against the
-        // post-issue epoch, so `planned_ready` can skip the blocked window.
-        if let Some(next) = self.want {
+        // Warm the plan memo for the next access against the post-issue
+        // epoch, so `planned_ready` can skip the blocked window.
+        if let Some(next) = self.fsm.next_access() {
             self.ensure_plan(ch, next);
         }
         NdaTickResult::Issued(cmd)
-    }
-
-    /// The access the FSM wants (pure; `None` while idle). Valid until
-    /// the next launch delivery.
-    pub fn desired_access(&self) -> Option<NdaAccess> {
-        self.want
     }
 
     /// Conservative earliest cycle at or after `now` (the first cycle not
@@ -258,12 +200,7 @@ impl NdaRankController {
     /// event re-computes horizons). Returns [`Cycle::MAX`] while idle; the
     /// caller handles write throttling.
     pub fn next_event_cycle(&self, ch: &Channel, now: Cycle) -> Cycle {
-        if !self.want_valid {
-            // A launch just arrived; the next executed cycle re-derives
-            // the desired access.
-            return now;
-        }
-        let Some(acc) = self.want else {
+        let Some(acc) = self.fsm.next_access() else {
             return Cycle::MAX;
         };
         if self.plan_epoch == ch.rank_nda_epoch(self.rank) {
@@ -281,39 +218,39 @@ impl NdaRankController {
     }
 }
 
-// The memo fields (`want`, plan) are captured verbatim rather than
-// re-derived: re-deriving on restore would change which cycles get
-// offered to the FSM and shift `write_throttle_stalls`, breaking resume
-// bit-identity, and the plan doubles as the controller's wake-up, so a
-// resumed shard skips exactly the cycles an uninterrupted one does. The
-// identity fields cross-check the restoring shard.
+// The plan memo is an engine cache and is not stored: a restored
+// controller starts it cold, so its first offered tick re-plans the FSM's
+// next access from the channel, which yields the plan the memo held (the
+// plan is a function of the rank's state, and the memo is exact while the
+// epoch holds). That costs the resumed shard at most one no-op tick. The
+// rank cross-checks the restoring shard.
 chopim_dram::codec! {
     in_place NdaRankController {
-        channel: expect,
         rank: expect,
-        banks_per_group: expect,
         fsm,
-        want,
-        want_valid,
-        plan_epoch,
-        plan_cmd,
-        plan_ready,
         row_cmds,
         write_throttle_stalls,
+        plan_epoch: skip,
+        plan_cmd: skip,
+        plan_ready: skip,
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::ops::Range;
+
     use super::*;
     use crate::isa::Opcode;
     use crate::operand::OperandLayout;
+    use chopim_dram::codec::{ByteReader, ByteWriter, Restore};
     use chopim_dram::{DramConfig, DramStats, TimingParams};
+    use proptest::prelude::*;
 
     fn setup() -> (Channel, NdaRankController) {
         let cfg = DramConfig::table_ii().with_timing(TimingParams::ddr4_2400_no_refresh());
         let ch = Channel::new(&cfg);
-        let ctl = NdaRankController::new(0, 1, 4, 8);
+        let ctl = NdaRankController::new(1, 8);
         (ch, ctl)
     }
 
@@ -348,7 +285,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(ctl.fsm_mut().pop_completed(), Some(42));
+        assert_eq!(ctl.pop_completed(), Some(42));
         // 256 reads + 256 writes + row commands.
         assert!(issued >= 512, "issued only {issued}");
         let s = stats(&ch);
@@ -409,12 +346,10 @@ mod tests {
     fn plan_memo_tracks_host_interference() {
         let (mut ch, mut ctl) = setup();
         ctl.launch(copy_instr(64, 7)).unwrap();
-        assert!(ctl.launch_pending());
         // First offered cycle plans and issues an ACT, then plans the
         // next access: the memo is current and serves as the wake-up.
         let r = ctl.tick(&mut ch, 0, || true);
         assert!(matches!(r, NdaTickResult::Issued(c) if c.kind == CommandKind::Act));
-        assert!(!ctl.launch_pending());
         assert!(ctl.planned_ready(&ch).is_some());
         // Host command to the same rank moves its timing; the memoized
         // plan must be re-derived (epoch moved), not trusted.
@@ -437,6 +372,69 @@ mod tests {
             }
         }
         assert!(issued > 0);
-        assert_eq!(ctl.fsm_mut().pop_completed(), Some(7));
+        assert_eq!(ctl.pop_completed(), Some(7));
+    }
+
+    /// Offer `ctl` the cycles in `cycles` the way the fast-forward shard
+    /// does (none before its planned-ready cycle), keeping its queue full
+    /// of AXPY instructions numbered from `next_id` and throttling writes
+    /// on every fifth cycle; returns the issued commands with their
+    /// cycles.
+    fn axpy_stream(
+        ch: &mut Channel,
+        ctl: &mut NdaRankController,
+        cycles: Range<Cycle>,
+        next_id: &mut u64,
+    ) -> Vec<(Cycle, Command)> {
+        let x = OperandLayout::rotating(16, 0, 8, 128);
+        let y = OperandLayout::rotating(16, 100, 8, 128);
+        let mut issued = Vec::new();
+        for now in cycles {
+            while ctl.fsm().queue_space() > 0 {
+                let reads = vec![(x.clone(), 0), (y.clone(), 0)];
+                let writes = vec![(y.clone(), 0)];
+                let i = NdaInstr::elementwise(Opcode::Axpy, 200, reads, writes, *next_id);
+                ctl.launch(i).unwrap();
+                *next_id += 1;
+            }
+            if ctl.planned_ready(ch).is_some_and(|ready| now < ready) {
+                continue;
+            }
+            if let NdaTickResult::Issued(cmd) = ctl.tick(ch, now, || now % 5 != 0) {
+                issued.push((now, cmd));
+            }
+            while ctl.pop_completed().is_some() {}
+        }
+        issued
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A controller encoded and decoded at any point of an AXPY
+        /// stream starts its plan memo cold, and still issues the same
+        /// commands on the same cycles as the original, with the same
+        /// throttle stalls.
+        #[test]
+        fn prop_restored_controller_issues_same_commands(split in 0u64..12_000) {
+            let (mut ch, mut ctl) = setup();
+            let mut next_id = 0;
+            axpy_stream(&mut ch, &mut ctl, 0..split, &mut next_id);
+            let mut w = ByteWriter::new();
+            ctl.encode_state(&mut w);
+            let image = w.finish();
+            let mut back = NdaRankController::new(1, 8);
+            back.decode_state(&mut ByteReader::new(&image)).unwrap();
+            prop_assert_eq!(back.fsm().validate(), Ok(()));
+            prop_assert_eq!(back.planned_ready(&ch), None, "memo starts cold");
+            let (mut ch2, mut next_id2) = (ch.clone(), next_id);
+            let rest = split..split + 8_000;
+            let a = axpy_stream(&mut ch, &mut ctl, rest.clone(), &mut next_id);
+            let b = axpy_stream(&mut ch2, &mut back, rest, &mut next_id2);
+            prop_assert!(!a.is_empty());
+            prop_assert_eq!(a, b);
+            prop_assert_eq!(ctl.write_throttle_stalls, back.write_throttle_stalls);
+            prop_assert_eq!(ctl.fsm().fingerprint(), back.fsm().fingerprint());
+        }
     }
 }

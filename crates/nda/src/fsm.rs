@@ -1,14 +1,19 @@
 //! The per-rank NDA sequencer FSM — the unit Chopim replicates on the
 //! host side (paper §III-D, Fig. 5).
 //!
-//! The FSM's state evolves through exactly three deterministic inputs:
+//! The FSM's state evolves through exactly two deterministic inputs:
 //!
 //! 1. [`launch`](NdaFsm::launch) — a new instruction arrives (the host-side
 //!    controller knows every launch because it performed it);
-//! 2. [`next_access`](NdaFsm::next_access) — the FSM exposes the next DRAM
-//!    access it wants (absorbing any produced writes into the write buffer
-//!    along the way — a state change that depends only on the microcode);
-//! 3. [`commit`](NdaFsm::commit) — a memory controller granted that access.
+//! 2. [`commit`](NdaFsm::commit) — a memory controller granted the access
+//!    the FSM exposes as [`next_access`](NdaFsm::next_access).
+//!
+//! Each input ends by *settling* the FSM: it starts the next queued
+//! instruction when none runs, absorbs produced writes into the write
+//! buffer and retires finished programs, stopping at the next DRAM
+//! access. That walk depends only on the microcode, so between inputs
+//! the FSM is always settled and [`next_access`](NdaFsm::next_access) is
+//! a read.
 //!
 //! Because grants are visible on the shared channel and the microcode is
 //! deterministic, a host-side *shadow* copy fed the same launches and
@@ -20,7 +25,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::{Hash, Hasher};
 
-use chopim_dram::codec::CodecError;
+use chopim_dram::codec::{check, ByteWriter, CodecError, Restore};
 
 use crate::isa::NdaInstr;
 use crate::microcode::Program;
@@ -39,6 +44,18 @@ pub struct NdaAccess {
     pub col: u32,
 }
 
+impl NdaAccess {
+    /// The drain of buffered write `w`.
+    fn drain(w: BufferedWrite) -> Self {
+        Self {
+            write: true,
+            bank: w.bank,
+            row: w.row,
+            col: w.col,
+        }
+    }
+}
+
 /// The per-rank NDA sequencer.
 #[derive(Debug, Clone)]
 pub struct NdaFsm {
@@ -51,6 +68,8 @@ pub struct NdaFsm {
     /// Instructions whose program finished but writes are still draining.
     program_done: BTreeSet<u64>,
     completed: VecDeque<u64>,
+    /// The access the settled FSM stopped at (`None` = idle).
+    next: Option<NdaAccess>,
     /// Total reads granted.
     pub reads_granted: u64,
     /// Total writes granted.
@@ -70,6 +89,7 @@ impl NdaFsm {
             wr_outstanding: BTreeMap::new(),
             program_done: BTreeSet::new(),
             completed: VecDeque::new(),
+            next: None,
             reads_granted: 0,
             writes_granted: 0,
             completed_count: 0,
@@ -81,7 +101,9 @@ impl NdaFsm {
         self.queue_cap - self.queue.len()
     }
 
-    /// Enqueue a launched instruction.
+    /// Enqueue a launched instruction and settle: on an FSM with no
+    /// running program it starts at once, so the queue holds only
+    /// instructions waiting behind the running one.
     ///
     /// # Errors
     ///
@@ -92,6 +114,7 @@ impl NdaFsm {
             return Err(instr);
         }
         self.queue.push_back(instr);
+        self.settle();
         Ok(())
     }
 
@@ -122,6 +145,7 @@ impl NdaFsm {
         self.wr_outstanding.clear();
         self.program_done.clear();
         self.completed.clear();
+        self.next = None;
     }
 
     /// Ids of every instruction the FSM still holds: queued, running,
@@ -153,10 +177,22 @@ impl NdaFsm {
         }
     }
 
-    /// Compute the next desired DRAM access, absorbing produced writes
-    /// into the write buffer. Idempotent between grants: calling twice
-    /// without a [`commit`](Self::commit) returns the same access.
-    pub fn next_access(&mut self) -> Option<NdaAccess> {
+    /// The DRAM access the FSM wants next (`None` while idle). It
+    /// changes only through [`launch`](Self::launch) and
+    /// [`commit`](Self::commit).
+    pub fn next_access(&self) -> Option<NdaAccess> {
+        self.next
+    }
+
+    /// Run the microcode forward to the next DRAM access and store it in
+    /// `next`: start the next queued instruction when none runs, absorb
+    /// produced writes while the buffer has room, and retire finished
+    /// programs. Settling a settled FSM changes nothing.
+    fn settle(&mut self) {
+        self.next = self.run_to_access();
+    }
+
+    fn run_to_access(&mut self) -> Option<NdaAccess> {
         loop {
             // Start the next instruction when idle.
             if self.program.is_none() {
@@ -167,26 +203,14 @@ impl NdaFsm {
             }
             // High-watermark drains preempt the read stream.
             if self.wbuf.wants_drain(false) {
-                let w = self.wbuf.peek().expect("draining implies nonempty");
-                return Some(NdaAccess {
-                    write: true,
-                    bank: w.bank,
-                    row: w.row,
-                    col: w.col,
-                });
+                return self.wbuf.peek().map(NdaAccess::drain);
             }
             let program = self.program.as_mut().expect("set above");
             match program.peek() {
                 Some(m) if m.write => {
                     // PE result: absorb into the buffer (no DRAM access yet).
                     if self.wbuf.is_full() {
-                        let w = self.wbuf.peek().expect("full implies nonempty");
-                        return Some(NdaAccess {
-                            write: true,
-                            bank: w.bank,
-                            row: w.row,
-                            col: w.col,
-                        });
+                        return self.wbuf.peek().map(NdaAccess::drain);
                     }
                     let id = program.instr().id;
                     self.wbuf
@@ -203,7 +227,6 @@ impl NdaFsm {
                         let done = self.program.take().expect("program running");
                         self.finish_program_bookkeeping(done.instr().id);
                     }
-                    continue;
                 }
                 Some(m) => {
                     return Some(NdaAccess {
@@ -216,38 +239,31 @@ impl NdaFsm {
                 None => {
                     let done = self.program.take().expect("program running");
                     self.finish_program_bookkeeping(done.instr().id);
-                    continue;
                 }
             }
         }
         // No program and nothing queued: force-drain leftovers.
         if self.wbuf.wants_drain(true) {
-            let w = self.wbuf.peek().expect("drain implies nonempty");
-            return Some(NdaAccess {
-                write: true,
-                bank: w.bank,
-                row: w.row,
-                col: w.col,
-            });
+            return self.wbuf.peek().map(NdaAccess::drain);
         }
         None
     }
 
-    /// Record that `access` (the value last returned by
-    /// [`next_access`](Self::next_access)) was granted a DRAM command.
+    /// Record that `access` (the value [`next_access`](Self::next_access)
+    /// returns) was granted a DRAM command, then settle.
     ///
     /// # Panics
     ///
-    /// Panics if `access` does not match the FSM's current expectation —
-    /// that would mean host and NDA controllers diverged.
+    /// Panics if `access` is not the FSM's next access — that would mean
+    /// host and NDA controllers diverged.
     pub fn commit(&mut self, access: NdaAccess) {
+        assert_eq!(
+            self.next,
+            Some(access),
+            "granted access does not match the FSM's next access"
+        );
         if access.write {
             let w = self.wbuf.pop();
-            assert_eq!(
-                (w.bank, w.row, w.col),
-                (access.bank, access.row, access.col),
-                "granted write does not match buffer head"
-            );
             self.writes_granted += 1;
             let left = self
                 .wr_outstanding
@@ -261,18 +277,15 @@ impl NdaFsm {
             }
         } else {
             let program = self.program.as_mut().expect("read grant without program");
-            let m = program.peek().expect("read grant past end");
-            assert!(
-                !m.write && (m.bank, m.row, m.col) == (access.bank, access.row, access.col),
-                "granted read does not match program position"
-            );
+            let last = program.peek().expect("read grant past end").last;
             self.reads_granted += 1;
             program.advance();
-            if m.last {
+            if last {
                 let done = self.program.take().expect("program running");
                 self.finish_program_bookkeeping(done.instr().id);
             }
         }
+        self.settle();
     }
 
     /// A digest of all replication-relevant state. Host-side shadow and
@@ -305,7 +318,9 @@ impl NdaFsm {
     /// buffered write is counted, a program-done instruction still has
     /// writes buffered and is not the running program, and any other
     /// counted instruction is the running program. (Decoding a
-    /// [`Program`] already checks its position.)
+    /// [`Program`] already checks its position.) Last, the FSM must be
+    /// settled: settling a copy must leave its image unchanged, which
+    /// also pins `next` to the state.
     ///
     /// # Errors
     ///
@@ -339,7 +354,14 @@ impl NdaFsm {
         if !self.program_done.iter().all(draining) {
             return Err(CodecError::Corrupt("program-done instruction not draining"));
         }
-        Ok(())
+        let image = |fsm: &Self| {
+            let mut w = ByteWriter::new();
+            fsm.encode_state(&mut w);
+            w.finish()
+        };
+        let mut settled = self.clone();
+        settled.settle();
+        check(image(&settled) == image(self), "FSM not settled")
     }
 }
 
@@ -354,6 +376,7 @@ chopim_dram::codec! {
         wr_outstanding,
         program_done,
         completed,
+        next,
         reads_granted,
         writes_granted,
         completed_count,
@@ -429,10 +452,14 @@ mod tests {
 
     #[test]
     fn queue_capacity_enforced() {
+        // The first launch starts running at once; the next two queue
+        // behind it.
         let mut fsm = NdaFsm::new(2);
         fsm.launch(nrm2_instr(1, 0)).unwrap();
+        assert_eq!(fsm.queue_space(), 2);
         fsm.launch(nrm2_instr(1, 1)).unwrap();
-        assert!(fsm.launch(nrm2_instr(1, 2)).is_err());
+        fsm.launch(nrm2_instr(1, 2)).unwrap();
+        assert!(fsm.launch(nrm2_instr(1, 3)).is_err());
         assert_eq!(fsm.queue_space(), 0);
     }
 
@@ -447,22 +474,6 @@ mod tests {
             assert_eq!(fsm.pop_completed(), Some(id));
         }
         assert_eq!(fsm.completed_count(), 5);
-    }
-
-    #[test]
-    fn next_access_is_idempotent() {
-        let mut fsm = NdaFsm::new(4);
-        fsm.launch(copy_instr(256, 0)).unwrap();
-        let a = fsm.next_access().unwrap();
-        let b = fsm.next_access().unwrap();
-        assert_eq!(a, b);
-        let fp1 = fsm.fingerprint();
-        let _ = fsm.next_access();
-        assert_eq!(
-            fp1,
-            fsm.fingerprint(),
-            "peeking must not change state further"
-        );
     }
 
     #[test]
@@ -568,6 +579,41 @@ mod tests {
         let mut f = done.clone();
         f.program_done.insert(6);
         assert_rejected(&f, "program done without a count");
+    }
+
+    #[test]
+    fn corrupt_unsettled_fsm_is_rejected() {
+        // A queued instruction with no running program: settling starts it.
+        let mut f = NdaFsm::new(4);
+        f.queue.push_back(copy_instr(64, 1));
+        assert_rejected(&f, "queued instruction with no running program");
+
+        // A running program stopped at a write the empty buffer could
+        // absorb: settling absorbs it.
+        let mut f = NdaFsm::new(4);
+        f.launch(copy_instr(64, 2)).unwrap();
+        resume(&f).expect("a freshly launched FSM resumes");
+        let program = f.program.as_mut().expect("launch starts the program");
+        while !program.peek().expect("COPY writes").write {
+            program.advance();
+        }
+        assert_rejected(&f, "running program at an absorbable write");
+
+        // A `next` that differs from the state it was settled from.
+        let mut mid = NdaFsm::new(4);
+        mid.launch(copy_instr(300, 7)).unwrap();
+        run_to_first_drain(&mut mid);
+        resume(&mid).expect("a draining FSM resumes");
+        let a = mid.next_access().expect("drain write");
+        let past = NdaAccess {
+            col: a.col + 1,
+            ..a
+        };
+        for next in [None, Some(past)] {
+            let mut f = mid.clone();
+            f.next = next;
+            assert_rejected(&f, "next access differs from the state");
+        }
     }
 
     #[test]
