@@ -11,7 +11,8 @@ test:
 # Simulation-throughput harness: runs the scenario matrix with the naive
 # and event-horizon loops, writes BENCH_chopim.json.
 # Window: CHOPIM_BENCH_CYCLES (default 60000). Subset a run with
-# `cargo run --release -p chopim-perf -- --filter <regex>`.
+# `cargo run --release -p chopim-perf -- --filter <text>` (scenarios whose
+# name contains the text).
 perf:
 	cargo run --release -p chopim-perf
 

@@ -661,12 +661,13 @@ impl ChannelShard {
         for i in 0..ndas.len() {
             // In fast-forward mode, offer the controller a cycle only
             // when it could act: skip idle FSMs and timing-blocked ones
-            // before their planned ready cycle (a launch drops the plan,
-            // so the cycle it lands in is offered). Both skips are exact
-            // — the controller would evaluate to the same state without
-            // side effects. The naive loop evaluates every controller
-            // every cycle, preserving the reference behavior the lockstep
-            // tests compare against.
+            // before their planned ready cycle (a launch that moves the
+            // next access drops the plan, so the cycle it lands in is
+            // offered; one queued behind the running program leaves the
+            // plan exact). Both skips are exact — the controller would
+            // evaluate to the same state without side effects. The naive
+            // loop evaluates every controller every cycle, preserving the
+            // reference behavior the lockstep tests compare against.
             if params.fast_forward {
                 if ndas[i].fsm().next_access().is_none() {
                     continue;

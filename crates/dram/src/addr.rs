@@ -36,12 +36,6 @@ impl DramAddress {
         self.bank = flat % banks_per_group;
         self
     }
-
-    /// Global rank index across channels (`channel * ranks_per_channel + rank`).
-    #[inline]
-    pub fn global_rank(&self, ranks_per_channel: usize) -> usize {
-        self.channel * ranks_per_channel + self.rank
-    }
 }
 
 impl std::fmt::Display for DramAddress {
@@ -72,15 +66,5 @@ mod tests {
                 assert_eq!((b.bankgroup, b.bank), (bg, bk));
             }
         }
-    }
-
-    #[test]
-    fn global_rank_indexing() {
-        let a = DramAddress {
-            channel: 1,
-            rank: 1,
-            ..Default::default()
-        };
-        assert_eq!(a.global_rank(2), 3);
     }
 }

@@ -676,15 +676,6 @@ impl Channel {
         let faw_ok = self.ranks.iter().all(|r| r.faw_window.len() <= 4);
         crate::codec::check(faw_ok, "tFAW window deeper than 4")
     }
-
-    /// Activate a bank directly (tests of higher layers use this to set up
-    /// bank state without walking timing).
-    #[doc(hidden)]
-    pub fn force_activate(&mut self, rank: usize, bankgroup: usize, bank: usize, row: u32) {
-        let idx = self.bank_idx(rank, bankgroup, bank);
-        self.banks.do_activate(idx, row);
-        self.ranks[rank].nda_epoch += 1;
-    }
 }
 
 // A snapshot restores into a channel freshly built for the same
@@ -745,7 +736,7 @@ mod tests {
     #[test]
     fn bank_addressing_is_group_major() {
         let mut c = ch();
-        c.force_activate(0, 3, 1, 5);
+        c.issue(&Command::act(0, 3, 1, 5), H, 0).unwrap();
         assert_eq!(c.open_rows_of(0)[3 * 4 + 1], 5);
         assert_eq!(c.bank(0, 3, 1).open_row(), Some(5));
         assert!(!c.all_banks_closed(0));

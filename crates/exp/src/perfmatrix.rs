@@ -1,9 +1,9 @@
 //! The fixed perf/equivalence scenario matrix.
 //!
-//! `chopim-perf` measures these scenarios and the `ff_lockstep` test
-//! proves fast-forward/naive equivalence on them — sharing one
-//! definition guarantees the equivalence job always covers exactly what
-//! the perf gate measures.
+//! `chopim-perf` measures these scenarios and the lockstep suites
+//! (`crates/exp/tests/*_lockstep.rs`) prove every engine mode equivalent
+//! on them — sharing one definition guarantees the equivalence jobs
+//! always cover exactly what the perf gate measures.
 
 use chopim_core::prelude::*;
 

@@ -1,354 +1,37 @@
 //! Snapshot/restore lockstep: capturing a machine mid-run and resuming
 //! the image must continue bit-identically to a run that never
-//! snapshotted — under every engine mode — and a captured event trace
-//! must replay to identical DRAM statistics.
+//! snapshotted, under every engine mode, and a captured event trace must
+//! replay to identical DRAM statistics.
 //!
-//! Three layers of coverage:
-//!
-//! * **Warm-start lockstep over the perf matrix**: for every scenario in
-//!   the shared `chopim_exp::perf_matrix`, run a warm-up prefix, fork a
-//!   snapshot, and check that resuming under serial and 2-thread
-//!   engines both reproduce the cold-path oracle
-//!   ([`run_scenario_prefixed`]) bit-for-bit. The prefix is deliberately
-//!   off the lookahead-window grid, so mid-window ingress accounting,
-//!   refresh phases, and the CPU-clock divider are all captured
-//!   mid-flight.
-//! * **Mid-op snapshot**: the two-session DAG scenario snapshotted with
-//!   NDA instructions in flight (launch slab occupied, FSMs busy, write
-//!   buffers non-empty, completions in transit), resumed under every
-//!   engine mode and driven to completion against the straight-run
-//!   oracle.
-//! * **Trace capture → replay**: the recorded DRAM command stream
-//!   re-issued through the validating device model must land on the
-//!   exact `DramStats` of the original run.
-//!
-//! Plus rejection coverage: truncated and bit-flipped images, mismatched
-//! semantic configurations, and the snapshot preconditions (no spawned
-//! streams, not finalized).
+//! The resume comparisons (the perf matrix captured at an off-grid
+//! prefix, and the two machines snapshotted with NDA instructions and
+//! QoS state in flight) are the lockstep harness's `SNAPSHOT` dimension
+//! (`lockstep/mod.rs`). The tests below pin the formats themselves: the
+//! image bytes, rejection of damaged or mismatched images, the snapshot
+//! preconditions, trace capture and file replay, and the warm-start
+//! sweep.
+
+#[macro_use]
+mod lockstep;
 
 use chopim_core::prelude::*;
 use chopim_core::SnapshotError;
 use chopim_dram::codec::CodecError;
 use chopim_dram::trace::replay_bytes;
 use chopim_exp::{
-    bench_window, capture_prefix, perf_matrix, run_scenario_from, run_scenario_prefixed,
-    spawn_spec_workload, ScenarioSpec, SweepRunner, Workload,
+    bench_window, capture_prefix, perf_matrix, run_scenario_prefixed, spawn_spec_workload,
+    ScenarioSpec, SweepRunner, Workload,
 };
+use lockstep::{dag_machine, qos_machine, SNAPSHOT};
+
+matrix!(SNAPSHOT);
+cases!(SNAPSHOT:
+    snapshot_mid_flight_dag = mid_flight_dag
+    snapshot_mid_flight_qos = mid_flight_qos
+);
 
 fn window() -> u64 {
-    bench_window(10_000)
-}
-
-/// Off the lookahead-window grid (W = 20 for Table II timing), so the
-/// capture point sits mid-window.
-const PREFIX: u64 = 4_003;
-
-/// Cold oracle vs snapshot-resume under {serial, 2-thread}: all three
-/// reports must be bit-identical.
-fn assert_snapshot_lockstep(name: &str, spec: &ScenarioSpec, seed: u64) {
-    let mut spec = spec.clone();
-    spec.seed = seed;
-    spec.cfg.sim_threads = 1;
-    let oracle = run_scenario_prefixed(&spec, PREFIX);
-    let image = capture_prefix(&spec, PREFIX);
-
-    let serial = run_scenario_from(&spec, &image);
-    assert_eq!(
-        oracle, serial,
-        "serial resume diverged from the cold run on `{name}` (seed {seed})"
-    );
-    let mut par = spec.clone();
-    par.cfg.sim_threads = 2;
-    assert_eq!(
-        oracle,
-        run_scenario_from(&par, &image),
-        "2-thread resume diverged from the cold run on `{name}` (seed {seed})"
-    );
-}
-
-fn run_matrix_entry(name: &str) {
-    let matrix = perf_matrix(window());
-    let (name, spec) = matrix
-        .iter()
-        .find(|(n, _)| *n == name)
-        .expect("scenario in matrix");
-    for seed in [1, 7] {
-        assert_snapshot_lockstep(name, spec, seed);
-    }
-}
-
-/// Every matrix entry has a dedicated test below; this guards against a
-/// new scenario being added to the matrix without snapshot-lockstep
-/// coverage.
-#[test]
-fn matrix_is_fully_covered() {
-    let names: Vec<&str> = perf_matrix(1).iter().map(|(n, _)| *n).collect();
-    assert_eq!(
-        names,
-        vec![
-            "host_only",
-            "host_idle",
-            "nda_only",
-            "colocated_svrg",
-            "colocated_mix",
-            "rank_partitioned",
-            "wide_host_8ch",
-            "wide_colocated_8ch",
-            "wide_host_16ch",
-            "wide_colocated_16ch",
-            "multi_tenant_2sess",
-            "multi_tenant_qos",
-            "multi_tenant_1k",
-            "faulty_colocated_8ch"
-        ],
-        "new matrix scenario: add a snapshot-lockstep test for it"
-    );
-}
-
-#[test]
-fn snapshot_lockstep_host_only() {
-    run_matrix_entry("host_only");
-}
-
-#[test]
-fn snapshot_lockstep_host_idle() {
-    run_matrix_entry("host_idle");
-}
-
-#[test]
-fn snapshot_lockstep_nda_only() {
-    run_matrix_entry("nda_only");
-}
-
-#[test]
-fn snapshot_lockstep_colocated_svrg() {
-    run_matrix_entry("colocated_svrg");
-}
-
-#[test]
-fn snapshot_lockstep_colocated_mix() {
-    run_matrix_entry("colocated_mix");
-}
-
-#[test]
-fn snapshot_lockstep_rank_partitioned() {
-    run_matrix_entry("rank_partitioned");
-}
-
-#[test]
-fn snapshot_lockstep_wide_host_8ch() {
-    run_matrix_entry("wide_host_8ch");
-}
-
-#[test]
-fn snapshot_lockstep_wide_colocated_8ch() {
-    run_matrix_entry("wide_colocated_8ch");
-}
-
-#[test]
-fn snapshot_lockstep_wide_host_16ch() {
-    run_matrix_entry("wide_host_16ch");
-}
-
-#[test]
-fn snapshot_lockstep_wide_colocated_16ch() {
-    run_matrix_entry("wide_colocated_16ch");
-}
-
-#[test]
-fn snapshot_lockstep_multi_tenant_2sess() {
-    run_matrix_entry("multi_tenant_2sess");
-}
-
-#[test]
-fn snapshot_lockstep_multi_tenant_qos() {
-    run_matrix_entry("multi_tenant_qos");
-}
-
-#[test]
-fn snapshot_lockstep_multi_tenant_1k() {
-    let matrix = perf_matrix(window().min(8_000));
-    let (name, spec) = matrix
-        .iter()
-        .find(|(n, _)| *n == "multi_tenant_1k")
-        .expect("scenario in matrix");
-    assert_snapshot_lockstep(name, spec, 1);
-}
-
-#[test]
-fn snapshot_lockstep_faulty_colocated_8ch() {
-    run_matrix_entry("faulty_colocated_8ch");
-}
-
-/// Build the two-session DAG machine (the first half of
-/// `run_two_session_dag`, before any stream is spawned): session A runs
-/// an ordered chain, session B is gated on it across the session
-/// boundary.
-fn dag_machine(mut cfg: ChopimConfig, seed: u64) -> (ChopimSystem, OpHandle, OpHandle) {
-    cfg.seed = seed;
-    let mut sys = ChopimSystem::new(cfg);
-    let sa = sys.runtime.default_session();
-    let sb = sys.runtime.create_session();
-    let n = 1 << 13;
-    let x = sys.runtime.vector(n, Sharing::Shared);
-    let y = sys.runtime.vector(n, Sharing::Shared);
-    let u = sys.runtime.vector(n, Sharing::Shared);
-    let v = sys.runtime.vector(n, Sharing::Shared);
-    let data: Vec<f32> = (0..n).map(|i| (i % 101) as f32 * 0.5 - 25.0).collect();
-    sys.runtime.write_vector(x, &data);
-    sys.runtime.write_vector(v, &data);
-    let _a1 = sa
-        .elementwise(&mut sys.runtime, Opcode::Copy, vec![], vec![x], Some(y))
-        .submit();
-    let a2 = sa
-        .elementwise(&mut sys.runtime, Opcode::Scal, vec![2.0], vec![], Some(y))
-        .submit();
-    let b1 = sb
-        .elementwise(&mut sys.runtime, Opcode::Copy, vec![], vec![x], Some(u))
-        .submit();
-    let b2 = sb
-        .elementwise(&mut sys.runtime, Opcode::Axpy, vec![1.0], vec![y], Some(v))
-        .after(a2)
-        .after(b1)
-        .unordered()
-        .submit();
-    (sys, a2, b2)
-}
-
-/// Snapshot with NDA instructions genuinely in flight: launch slab
-/// occupied, rank FSMs mid-instruction, op-graph partially complete.
-/// Resuming under every engine mode must finish identically to the
-/// straight run.
-#[test]
-fn snapshot_mid_flight_dag() {
-    // Off-grid, and early enough that the DAG is still executing.
-    const SPLIT: u64 = 777;
-    let base_cfg = || ChopimConfig {
-        dram: DramConfig::table_ii().with_channels(4),
-        mix: MixId::new(2),
-        ..ChopimConfig::default()
-    };
-    let finish = |mut sys: ChopimSystem, a2: OpHandle, b2: OpHandle| {
-        sys.drive(Waitable::all_of([a2, b2]), 4_000_000);
-        assert!(sys.runtime.op_done(a2) && sys.runtime.op_done(b2));
-        sys.run(2_000);
-        sys.report()
-    };
-    for seed in [1, 7] {
-        let (mut sys, a2, b2) = dag_machine(base_cfg(), seed);
-        sys.run(SPLIT);
-        let oracle = finish(sys, a2, b2);
-
-        let (mut sys, a2, b2) = dag_machine(base_cfg(), seed);
-        sys.run(SPLIT);
-        let image = sys.snapshot().expect("no streams spawned yet");
-        drop(sys);
-
-        for (label, threads) in [("serial", 1usize), ("2-thread", 2)] {
-            let mut cfg = base_cfg();
-            cfg.seed = seed;
-            cfg.sim_threads = threads;
-            let resumed = ChopimSystem::resume(cfg, &image).expect("image must resume");
-            assert_eq!(
-                oracle,
-                finish(resumed, a2, b2),
-                "{label} mid-flight resume diverged (seed {seed})"
-            );
-        }
-    }
-}
-
-/// Build a three-tenant machine with the QoS runtime state fully
-/// populated: mixed classes and direct submissions on every session. The
-/// `heavy` session submits a copy, an axpy gated on it by a DAG edge, and
-/// a program-ordered scale held behind both; the scale's handle is
-/// returned.
-fn qos_machine(mut cfg: ChopimConfig, seed: u64) -> (ChopimSystem, OpHandle) {
-    cfg.seed = seed;
-    let mut sys = ChopimSystem::new(cfg);
-    let lat = sys.runtime.default_session();
-    let heavy = sys.runtime.create_session();
-    let light = sys.runtime.create_session();
-    sys.runtime.set_qos(lat, QosClass::LatencySensitive);
-    sys.runtime.set_qos(heavy, QosClass::Batch { weight: 4 });
-    // `light` keeps the default Batch { weight: 1 }.
-    let n = 1 << 14;
-    let x = sys.runtime.vector(n, Sharing::Shared);
-    let y = sys.runtime.vector(n, Sharing::Shared);
-    let u = sys.runtime.vector(n, Sharing::Shared);
-    let w = sys.runtime.vector(n, Sharing::Shared);
-    let data: Vec<f32> = (0..n).map(|i| (i % 97) as f32 * 0.25 - 12.0).collect();
-    sys.runtime.write_vector(x, &data);
-    let _ = lat
-        .elementwise(&mut sys.runtime, Opcode::Copy, vec![], vec![x], Some(y))
-        .submit();
-    let _ = lat
-        .elementwise(&mut sys.runtime, Opcode::Scal, vec![0.5], vec![], Some(y))
-        .submit();
-    let _ = light
-        .elementwise(&mut sys.runtime, Opcode::Copy, vec![], vec![x], Some(w))
-        .submit();
-    let copy = heavy
-        .elementwise(&mut sys.runtime, Opcode::Copy, vec![], vec![x], Some(u))
-        .submit();
-    let _ = heavy
-        .elementwise(&mut sys.runtime, Opcode::Axpy, vec![1.0], vec![u], Some(y))
-        .after(copy)
-        .submit();
-    let scal = heavy
-        .elementwise(&mut sys.runtime, Opcode::Scal, vec![0.75], vec![], Some(u))
-        .submit();
-    (sys, scal)
-}
-
-/// Snapshot with the QoS scheduler mid-stride: ready-index entries live,
-/// virtual times charged, per-tenant meters non-zero, and an op held by
-/// program order. Resuming under every engine mode must schedule and
-/// retire identically to the straight run — including the
-/// `SimReport.tenants` metering.
-#[test]
-fn snapshot_mid_flight_qos() {
-    // Off the lookahead-window grid, early enough that the scale is
-    // still held behind the ops before it.
-    const SPLIT: u64 = 777;
-    let base_cfg = || ChopimConfig {
-        dram: DramConfig::table_ii().with_channels(4),
-        mix: MixId::new(2),
-        ..ChopimConfig::default()
-    };
-    let finish = |mut sys: ChopimSystem, scal: OpHandle| {
-        sys.run(60_000);
-        assert!(sys.runtime.op_done(scal), "held op must stage and retire");
-        assert!(sys.runtime.quiescent());
-        sys.report()
-    };
-    for seed in [1, 7] {
-        let (mut sys, scal) = qos_machine(base_cfg(), seed);
-        sys.run(SPLIT);
-        let oracle = finish(sys, scal);
-
-        let (mut sys, scal) = qos_machine(base_cfg(), seed);
-        sys.run(SPLIT);
-        assert_eq!(
-            sys.runtime.op_first_staged_at(scal),
-            None,
-            "the scale must still be held at the capture point"
-        );
-        let image = sys.snapshot().expect("no streams spawned");
-        drop(sys);
-
-        for (label, threads) in [("serial", 1usize), ("2-thread", 2)] {
-            let mut cfg = base_cfg();
-            cfg.seed = seed;
-            cfg.sim_threads = threads;
-            let resumed = ChopimSystem::resume(cfg, &image).expect("image must resume");
-            assert_eq!(
-                oracle,
-                finish(resumed, scal),
-                "{label} QoS mid-flight resume diverged (seed {seed})"
-            );
-        }
-    }
+    bench_window(SNAPSHOT.2)
 }
 
 /// `cfg` with every engine-mode knob pinned, so nothing the environment
@@ -432,7 +115,7 @@ fn snapshot_bytes_are_pinned() {
             ..ChopimConfig::default()
         })
     };
-    let (mut sys, _, _) = dag_machine(cfg(), 1);
+    let (mut sys, _) = dag_machine(cfg(), 1);
     sys.run(777);
     let image = sys.snapshot().expect("no streams");
     assert_eq!(fingerprint(&image), (324_803, 0x7a1e_da8b_1002_f4d7), "dag");

@@ -97,10 +97,15 @@ impl NdaRankController {
     ///
     /// Returns the instruction back when the queue is full.
     pub fn launch(&mut self, instr: NdaInstr) -> Result<(), NdaInstr> {
-        // A launch can change the next access (e.g. ending a
-        // force-drain); the cached plan must be re-derived.
-        self.plan_epoch = MEMO_INVALID;
-        self.fsm.launch(instr)
+        // A launch that moves the next access (starting an idle FSM,
+        // ending a force-drain) must re-plan; one that queues behind the
+        // running program leaves the plan exact.
+        let before = self.fsm.next_access();
+        let result = self.fsm.launch(instr);
+        if self.fsm.next_access() != before {
+            self.plan_epoch = MEMO_INVALID;
+        }
+        result
     }
 
     /// Permanently abandon all queued, running, and buffered work
@@ -113,10 +118,10 @@ impl NdaRankController {
     }
 
     /// The exact cycle the next command becomes ready, while the plan
-    /// memo is current (no command touched the rank and no launch
-    /// arrived since it was made). An offered tick before that cycle
-    /// does nothing, policy evaluation included. `None` while idle or
-    /// once the memo is stale.
+    /// memo is current (no command touched the rank and no launch moved
+    /// the next access since it was made). An offered tick before that
+    /// cycle does nothing, policy evaluation included. `None` while idle
+    /// or once the memo is stale.
     pub fn planned_ready(&self, ch: &Channel) -> Option<Cycle> {
         let current =
             self.fsm.next_access().is_some() && self.plan_epoch == ch.rank_nda_epoch(self.rank);
@@ -373,6 +378,35 @@ mod tests {
         }
         assert!(issued > 0);
         assert_eq!(ctl.pop_completed(), Some(7));
+    }
+
+    #[test]
+    fn launch_keeps_the_plan_unless_it_moves_the_next_access() {
+        let (mut ch, mut ctl) = setup();
+        ctl.launch(copy_instr(16, 1)).unwrap();
+        ctl.tick(&mut ch, 0, || true);
+        let planned = ctl.planned_ready(&ch);
+        assert!(planned.is_some(), "the ACT's tick plans the first read");
+        // Queued behind the running copy: the next access stays, and so
+        // does its plan.
+        ctl.launch(copy_instr(16, 2)).unwrap();
+        assert_eq!(ctl.planned_ready(&ch), planned);
+        // Once both copies have read everything, no program runs and the
+        // FSM only drains their writes (below the high watermark). A launch
+        // now starts a program whose first read replaces the drain write
+        // the plan was made for.
+        let mut now = 1;
+        while ctl.fsm().reads_granted < 32 {
+            ctl.tick(&mut ch, now, || true);
+            now += 1;
+        }
+        assert!(ctl.fsm().next_access().is_some_and(|a| a.write));
+        assert!(ctl.planned_ready(&ch).is_some() && !ctl.fsm().in_drain_phase());
+        ctl.launch(copy_instr(16, 3)).unwrap();
+        assert!(ctl.fsm().next_access().is_some_and(|a| !a.write));
+        assert_eq!(ctl.planned_ready(&ch), None);
+        ctl.tick(&mut ch, now, || true);
+        assert!(ctl.planned_ready(&ch).is_some());
     }
 
     /// Offer `ctl` the cycles in `cycles` the way the fast-forward shard

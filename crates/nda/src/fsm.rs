@@ -25,7 +25,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::{Hash, Hasher};
 
-use chopim_dram::codec::{check, ByteWriter, CodecError, Restore};
+use chopim_dram::codec::{check, CodecError};
 
 use crate::isa::NdaInstr;
 use crate::microcode::Program;
@@ -319,8 +319,8 @@ impl NdaFsm {
     /// writes buffered and is not the running program, and any other
     /// counted instruction is the running program. (Decoding a
     /// [`Program`] already checks its position.) Last, the FSM must be
-    /// settled: settling a copy must leave its image unchanged, which
-    /// also pins `next` to the state.
+    /// settled: settling a copy must move none of the state settling can
+    /// move, `next` included.
     ///
     /// # Errors
     ///
@@ -354,14 +354,20 @@ impl NdaFsm {
         if !self.program_done.iter().all(draining) {
             return Err(CodecError::Corrupt("program-done instruction not draining"));
         }
-        let image = |fsm: &Self| {
-            let mut w = ByteWriter::new();
-            fsm.encode_state(&mut w);
-            w.finish()
-        };
         let mut settled = self.clone();
         settled.settle();
-        check(image(&settled) == image(self), "FSM not settled")
+        let queued = |fsm: &Self| fsm.queue.iter().map(|i| i.id).collect::<Vec<_>>();
+        let running = |fsm: &Self| fsm.program.as_ref().map(|p| (p.instr().id, p.position()));
+        let wbuf = |fsm: &Self| (fsm.wbuf.len(), fsm.wbuf.drained, fsm.wbuf.in_drain_phase());
+        let unmoved = settled.next == self.next
+            && queued(&settled) == queued(self)
+            && running(&settled) == running(self)
+            && wbuf(&settled) == wbuf(self)
+            && settled.wr_outstanding == self.wr_outstanding
+            && settled.program_done == self.program_done
+            && settled.completed == self.completed
+            && settled.completed_count == self.completed_count;
+        check(unmoved, "FSM not settled")
     }
 }
 

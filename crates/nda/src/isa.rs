@@ -59,17 +59,6 @@ impl Opcode {
             Opcode::Gemv => "gemv",
         }
     }
-
-    /// DRAM lines written per line read, the write intensity that drives
-    /// Fig. 11–13 (DOT/NRM2 ≈ 0, COPY = 1, SCAL = 1, three-input ops ≈ ⅓).
-    pub fn write_intensity(self) -> f64 {
-        match self {
-            Opcode::Dot | Opcode::Nrm2 | Opcode::Gemv => 0.0,
-            Opcode::Copy | Opcode::Scal => 1.0,
-            Opcode::Axpy | Opcode::Axpby => 0.5,
-            Opcode::Xmy | Opcode::Axpbypcz => 1.0 / 3.0,
-        }
-    }
 }
 
 impl std::fmt::Display for Opcode {
@@ -271,13 +260,6 @@ mod tests {
             (layout(1), 0, 8),
             0,
         );
-    }
-
-    #[test]
-    fn write_intensity_ordering() {
-        assert!(Opcode::Copy.write_intensity() > Opcode::Axpy.write_intensity());
-        assert!(Opcode::Axpy.write_intensity() > Opcode::Dot.write_intensity());
-        assert_eq!(Opcode::Nrm2.write_intensity(), 0.0);
     }
 
     #[test]

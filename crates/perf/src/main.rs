@@ -16,16 +16,15 @@
 //!
 //! ```text
 //! chopim-perf [--out BENCH_chopim.json] [--check BENCH_baseline.json]
-//!             [--filter REGEX] [--verbose]
+//!             [--filter TEXT] [--verbose]
 //! ```
 //!
-//! * `--filter REGEX` measures only the scenarios whose name matches the
-//!   pattern (a small regex dialect: literals, `.`, `*`, and `^`/`$`
-//!   anchors; unanchored patterns match any substring). The gate then
-//!   only checks the measured rows — baseline rows outside the filter
-//!   are skipped, not reported missing — so CI smoke jobs can gate a
-//!   handful of representative scenarios without paying for the full
-//!   matrix.
+//! * `--filter TEXT` measures only the scenarios whose name contains
+//!   `TEXT` (`--filter multi_tenant` selects every multi-tenant row).
+//!   The gate then only checks the measured rows — baseline rows outside
+//!   the filter are skipped, not reported missing — so CI smoke jobs can
+//!   gate a handful of representative scenarios without paying for the
+//!   full matrix.
 //! * `CHOPIM_BENCH_CYCLES` sets the measurement window (default 60 000).
 //! * `CHOPIM_PERF_REPS` sets repetitions per loop (default 3); the
 //!   minimum wall time wins, and naive/fast runs alternate so transient
@@ -439,52 +438,6 @@ fn to_json(results: &[Measurement]) -> String {
     out
 }
 
-/// Match `text` against the `--filter` pattern: a small regex dialect
-/// with literal characters, `.` (any char), `*` (zero or more of the
-/// preceding atom), and `^`/`$` anchors. Unanchored patterns match any
-/// substring, so `--filter multi_tenant` selects both fleet scenarios
-/// while `--filter '^host_only$'` selects exactly one. Hand-rolled
-/// because the workspace takes no external dependencies.
-fn pattern_matches(pat: &str, text: &str) -> bool {
-    let (pat, anchor_start) = match pat.strip_prefix('^') {
-        Some(rest) => (rest, true),
-        None => (pat, false),
-    };
-    let (pat, anchor_end) = match pat.strip_suffix('$') {
-        Some(rest) => (rest, true),
-        None => (pat, false),
-    };
-    let p: Vec<char> = pat.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    fn match_here(p: &[char], t: &[char], anchor_end: bool) -> bool {
-        match p {
-            [] => !anchor_end || t.is_empty(),
-            [c, '*', rest @ ..] => {
-                // Greedy-enough backtracking: try consuming 0.. chars.
-                let mut i = 0;
-                loop {
-                    if match_here(rest, &t[i..], anchor_end) {
-                        return true;
-                    }
-                    if i < t.len() && (*c == '.' || t[i] == *c) {
-                        i += 1;
-                    } else {
-                        return false;
-                    }
-                }
-            }
-            [c, rest @ ..] => {
-                !t.is_empty() && (*c == '.' || t[0] == *c) && match_here(rest, &t[1..], anchor_end)
-            }
-        }
-    }
-    if anchor_start {
-        match_here(&p, &t, anchor_end)
-    } else {
-        (0..=t.len()).any(|i| match_here(&p, &t[i..], anchor_end))
-    }
-}
-
 /// One scenario row parsed from a baseline file.
 struct BaselineRow {
     name: String,
@@ -563,7 +516,7 @@ fn check(results: &[Measurement], baseline_path: &str, filter: Option<&str>) -> 
         let Some(m) = results.iter().find(|m| m.name == name) else {
             // Under `--filter` the run deliberately measured a subset;
             // baseline rows outside the filter are skipped, not missing.
-            if filter.is_some_and(|f| !pattern_matches(f, name)) {
+            if filter.is_some_and(|f| !name.contains(f)) {
                 continue;
             }
             failures.push(format!("scenario `{name}` missing from this run"));
@@ -684,13 +637,13 @@ fn main() {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(
                     "usage: chopim-perf [--out FILE] [--check BASELINE] \
-                     [--filter REGEX] [--verbose]"
+                     [--filter TEXT] [--verbose]"
                 );
                 std::process::exit(2);
             }
         }
     }
-    let selected = |name: &str| filter.as_deref().is_none_or(|f| pattern_matches(f, name));
+    let selected = |name: &str| filter.as_deref().is_none_or(|f| name.contains(f));
 
     let matrix = perf_matrix(window());
     if !matrix.iter().any(|(name, _)| selected(name)) && !selected("warm_start") {
@@ -748,26 +701,5 @@ fn main() {
                 std::process::exit(1);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::pattern_matches;
-
-    #[test]
-    fn filter_dialect() {
-        assert!(pattern_matches("multi_tenant", "multi_tenant_1k"));
-        assert!(pattern_matches("tenant", "multi_tenant_qos"));
-        assert!(pattern_matches("^host_only$", "host_only"));
-        assert!(!pattern_matches("^host_only$", "colocated_host_only"));
-        assert!(!pattern_matches("^only", "host_only"));
-        assert!(pattern_matches("only$", "host_only"));
-        assert!(pattern_matches("h.st", "host_idle"));
-        assert!(pattern_matches("^w.*16ch$", "wide_host_16ch"));
-        assert!(!pattern_matches("^w.*16ch$", "wide_host_8ch"));
-        assert!(pattern_matches("", "anything"));
-        assert!(pattern_matches("a*", "bbb"));
-        assert!(!pattern_matches("zz*", "bbb"));
     }
 }
